@@ -1,7 +1,7 @@
 """Command-line surface over seeds, quivers, surfaces, and exploration.
 
-Exit codes: 0 on success, 1 on domain errors (invalid seed or surface),
-2 on usage errors.  All output is deterministic and embeds ``schema: 1``.
+Exit codes: 0 on success, 1 on domain errors (malformed input file, invalid
+seed or surface), 2 on usage errors.  All output is deterministic and embeds ``schema: 1``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .lp_core import (
     validate_seed,
 )
 from .poly import PolyError
+from .schema import SCHEMA_VERSION
 from .surface import (
     MarkedSurface,
     initial_quasi_triangulation,
@@ -30,34 +31,27 @@ from .surface import (
     triangulation_to_json,
 )
 
-SCHEMA_VERSION = 1
 
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> object:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.ClickException(f"cannot read {path}: {exc}") from exc
-
-
-def _load_seed(path: str) -> LPSeed:
-    try:
-        return seed_from_json(_load_json(path))
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
-def _load_surface(path: str) -> MarkedSurface:
-    try:
-        return surface_from_json(_load_json(path))
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
 
 
 def _surface_seed(s: MarkedSurface):
     t = initial_quasi_triangulation(s)
     return t, seed_from_quasi_triangulation(t, provenance="surface")
+
+
+def _seed_arg(seed_path: str | None, surface_path: str | None) -> LPSeed:
+    """The seed of ``--seed``, else the initial seed of ``--surface``."""
+    if seed_path:
+        return seed_from_json(_load_json(seed_path))
+    if surface_path:
+        return _surface_seed(surface_from_json(_load_json(surface_path)))[1]
+    raise click.UsageError("pass --seed or --surface")
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -69,7 +63,24 @@ def _emit(data: dict, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a domain error, or a file that cannot be written, from any
+    command as ``Error: <msg>`` with exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (PolyError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+_depth = click.option("--depth", type=click.IntRange(min=0), default=None,
+                      help="stop the BFS after this many steps")
+_jobs = click.option("--jobs", type=click.IntRange(min=1), default=1, expose_value=False,
+                     help="accepted for compatibility; has no effect (one thread)")
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Laurent phenomenon seeds and quasi-triangulations of marked surfaces."""
 
@@ -82,7 +93,7 @@ def validate(seed_path, surface_path):
     if not seed_path and not surface_path:
         raise click.UsageError("pass --seed or --surface")
     if seed_path:
-        seed = _load_seed(seed_path)
+        seed = seed_from_json(_load_json(seed_path))
         violations = validate_seed(seed)
         if violations:
             for v in violations:
@@ -90,7 +101,7 @@ def validate(seed_path, surface_path):
             raise click.ClickException("invalid seed")
         click.echo("seed ok")
     if surface_path:
-        s = _load_surface(surface_path)
+        s = surface_from_json(_load_json(surface_path))
         click.echo(f"surface ok (rank {s.rank})")
 
 
@@ -99,22 +110,19 @@ def validate(seed_path, surface_path):
 @click.option("--at", "at", default=None, help="cluster variable name (default: all)")
 def normalize_cmd(seed_path, at):
     """Print normalized exchange polynomials and their exponent vectors."""
-    seed = _load_seed(seed_path)
-    try:
-        slots = [seed.slot_of(at)] if at is not None else list(range(seed.n))
-        disp = seed.display_names()
-        out = {"schema": SCHEMA_VERSION, "normalized": []}
-        for j in slots:
-            fhat, exps = normalize(seed, j)
-            out["normalized"].append(
-                {
-                    "variable": seed.names[j],
-                    "poly": fhat.to_string(disp),
-                    "exponents": {seed.names[k]: a for k, a in enumerate(exps) if a},
-                }
-            )
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    seed = seed_from_json(_load_json(seed_path))
+    slots = [seed.slot_of(at)] if at is not None else list(range(seed.n))
+    disp = seed.display_names()
+    out = {"schema": SCHEMA_VERSION, "normalized": []}
+    for j in slots:
+        fhat, exps = normalize(seed, j)
+        out["normalized"].append(
+            {
+                "variable": seed.names[j],
+                "poly": fhat.to_string(disp),
+                "exponents": {seed.names[k]: a for k, a in enumerate(exps) if a},
+            }
+        )
     _emit(out, None)
 
 
@@ -125,12 +133,9 @@ def normalize_cmd(seed_path, at):
 @click.option("--out", "out", type=click.Path(), default=None)
 def mutate_cmd(seed_path, at, new_name, out):
     """LP mutation of a seed in one direction."""
-    seed = _load_seed(seed_path)
-    try:
-        result = mutate(seed, seed.slot_of(at), new_name=new_name)
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    seed = seed_from_json(_load_json(seed_path))
     slot = seed.slot_of(at)
+    result = mutate(seed, slot, new_name=new_name)
     data = seed_to_json(result)
     data["mutated_at"] = at
     data["new_variable"] = {
@@ -146,11 +151,7 @@ def mutate_cmd(seed_path, at, new_name, out):
 @click.option("--triangulation-out", "tri_out", type=click.Path(), default=None)
 def seed_from_surface(surface_path, out, tri_out):
     """Initial quasi-triangulation seed for a surface."""
-    s = _load_surface(surface_path)
-    try:
-        t, seed = _surface_seed(s)
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    t, seed = _surface_seed(surface_from_json(_load_json(surface_path)))
     if tri_out:
         with open(tri_out, "w") as fh:
             json.dump(triangulation_to_json(t), fh, indent=2, sort_keys=True)
@@ -162,36 +163,19 @@ def seed_from_surface(surface_path, out, tri_out):
 @click.option("--seed", "seed_path", type=click.Path(exists=True))
 @click.option("--surface", "surface_path", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["seeds", "flips"]), default="seeds")
-@click.option("--depth", type=int, default=None)
+@_depth
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
-@click.option("--jobs", type=int, default=1)
+@_jobs
 @click.option("--out", "out", type=click.Path(), default=None)
-def explore(seed_path, surface_path, mode, depth, fmt, jobs, out):
+def explore(seed_path, surface_path, mode, depth, fmt, out):
     """Enumerate the exchange graph by BFS."""
     if mode == "flips":
         if not surface_path:
             raise click.UsageError("--mode flips needs --surface")
-        s = _load_surface(surface_path)
-        try:
-            t = initial_quasi_triangulation(s)
-            graph = explorer.explore_flips(t, depth=depth, jobs=jobs)
-        except PolyError as exc:
-            raise click.ClickException(str(exc)) from exc
+        t = initial_quasi_triangulation(surface_from_json(_load_json(surface_path)))
+        graph = explorer.explore_flips(t, depth=depth)
     else:
-        if seed_path:
-            seed = _load_seed(seed_path)
-        elif surface_path:
-            s = _load_surface(surface_path)
-            try:
-                _, seed = _surface_seed(s)
-            except PolyError as exc:
-                raise click.ClickException(str(exc)) from exc
-        else:
-            raise click.UsageError("pass --seed or --surface")
-        try:
-            graph = explorer.explore_seeds(seed, depth=depth, jobs=jobs)
-        except PolyError as exc:
-            raise click.ClickException(str(exc)) from exc
+        graph = explorer.explore_seeds(_seed_arg(seed_path, surface_path), depth=depth)
     text = explorer.export(graph, fmt)
     if out:
         with open(out, "w") as fh:
@@ -202,18 +186,14 @@ def explore(seed_path, surface_path, mode, depth, fmt, jobs, out):
 
 @main.command("compare-graphs")
 @click.option("--surface", "surface_path", type=click.Path(exists=True), required=True)
-@click.option("--depth", type=int, default=None)
-@click.option("--jobs", type=int, default=1)
-def compare_graphs(surface_path, depth, jobs):
+@_depth
+@_jobs
+def compare_graphs(surface_path, depth):
     """Explore seeds and flips for a surface and test graph isomorphism."""
-    s = _load_surface(surface_path)
-    try:
-        t, seed = _surface_seed(s)
-        g_seeds = explorer.explore_seeds(seed, depth=depth, jobs=jobs)
-        g_flips = explorer.explore_flips(t, depth=depth, jobs=jobs)
-        iso, _ = explorer.graphs_isomorphic(g_seeds, g_flips)
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    t, seed = _surface_seed(surface_from_json(_load_json(surface_path)))
+    g_seeds = explorer.explore_seeds(seed, depth=depth)
+    g_flips = explorer.explore_flips(t, depth=depth)
+    iso, _ = explorer.graphs_isomorphic(g_seeds, g_flips)
     click.echo(
         f"isomorphic: {'true' if iso else 'false'}, "
         f"nodes={g_seeds.node_count}, edges={g_seeds.edge_count}"
@@ -225,30 +205,18 @@ def compare_graphs(surface_path, depth, jobs):
 @main.command("verify-laurent")
 @click.option("--seed", "seed_path", type=click.Path(exists=True))
 @click.option("--surface", "surface_path", type=click.Path(exists=True))
-@click.option("--sequences", type=int, default=200)
-@click.option("--max-length", type=int, default=8)
+@click.option("--sequences", type=click.IntRange(min=0), default=200)
+@click.option("--max-length", type=click.IntRange(min=1), default=8)
 @click.option("--rng-seed", type=int, default=0)
 def verify_laurent_cmd(seed_path, surface_path, sequences, max_length, rng_seed):
     """Random mutation sequences; report any non-Laurent tracked variable."""
-    if seed_path:
-        seed = _load_seed(seed_path)
-    elif surface_path:
-        s = _load_surface(surface_path)
-        try:
-            _, seed = _surface_seed(s)
-        except PolyError as exc:
-            raise click.ClickException(str(exc)) from exc
-    else:
-        raise click.UsageError("pass --seed or --surface")
+    seed = _seed_arg(seed_path, surface_path)
     rng = random.Random(rng_seed)
     seqs = [
         [rng.randrange(seed.n) for _ in range(rng.randint(1, max_length))]
         for _ in range(sequences)
     ]
-    try:
-        report = explorer.verify_laurent(seed, seqs)
-    except PolyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = explorer.verify_laurent(seed, seqs)
     click.echo(
         f"sequences: {report.sequences_checked}, variables: {report.variables_checked}, "
         f"violations: {len(report.violations)}"

@@ -4,14 +4,13 @@ Nodes are canonical forms (seed keys up to units and slot relabeling, or
 minimal BFS codes of region complexes), so revisits close the graph exactly.
 Expansion order is deterministic: the frontier is processed in discovery
 order and directions in slot order, which makes exports byte-identical for
-identical inputs regardless of worker count.
+identical inputs.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -19,6 +18,7 @@ import networkx as nx
 
 from .lp_core import LPSeed, mutate, seed_key
 from .poly import PolyError, RationalFunction
+from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import QuasiTriangulation, canonical_code, flip
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "graph_from_json",
 ]
 
-SCHEMA_VERSION = 1
 DEFAULT_NODE_CAP = 100_000
 NODE_CAP_ENV = "LP_SURFACE_SEED_CAP"
 
@@ -41,7 +40,11 @@ def _node_cap(explicit: Optional[int]) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(NODE_CAP_ENV)
-    return int(env) if env else DEFAULT_NODE_CAP
+    if not env:
+        return DEFAULT_NODE_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise PolyError(f"{NODE_CAP_ENV} must be a positive integer, not {env!r}")
+    return int(env)
 
 
 @dataclass
@@ -84,7 +87,6 @@ def _bfs(
     kind: str,
     depth: Optional[int],
     max_nodes: int,
-    jobs: int = 1,
 ) -> ExchangeGraph:
     """Canonical-key BFS; ``neighbors(payload)`` yields (direction, key, payload)."""
     index = {start_key: 0}
@@ -93,35 +95,26 @@ def _bfs(
     edges: dict[tuple[int, int], str] = {}
     truncated = False
     frontier = [0]
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while frontier:
-            if depth is not None and depths[frontier[0]] >= depth:
-                truncated = True
-                break
-            if pool is not None:
-                expansions = list(pool.map(lambda u: list(neighbors(payloads[u])), frontier))
-            else:
-                expansions = [list(neighbors(payloads[u])) for u in frontier]
-            next_frontier = []
-            for u, expansion in zip(frontier, expansions):
-                for direction, key, payload in expansion:
-                    v = index.get(key)
-                    if v is None:
-                        if len(payloads) >= max_nodes:
-                            truncated = True
-                            continue
-                        v = len(payloads)
-                        index[key] = v
-                        payloads.append(payload)
-                        depths.append(depths[u] + 1)
-                        next_frontier.append(v)
-                    edge = (u, v) if u < v else (v, u)
-                    edges.setdefault(edge, str(direction))
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while frontier:
+        if depth is not None and depths[frontier[0]] >= depth:
+            truncated = True
+            break
+        next_frontier = []
+        for u in frontier:
+            for direction, key, payload in neighbors(payloads[u]):
+                v = index.get(key)
+                if v is None:
+                    if len(payloads) >= max_nodes:
+                        truncated = True
+                        continue
+                    v = len(payloads)
+                    index[key] = v
+                    payloads.append(payload)
+                    depths.append(depths[u] + 1)
+                    next_frontier.append(v)
+                edge = (u, v) if u < v else (v, u)
+                edges.setdefault(edge, str(direction))
+        frontier = next_frontier
     labels = [label(p) for p in payloads]
     return ExchangeGraph(kind, labels, edges, truncated, payloads)
 
@@ -130,7 +123,6 @@ def explore_seeds(
     seed: LPSeed,
     depth: Optional[int] = None,
     max_nodes: Optional[int] = None,
-    jobs: int = 1,
 ) -> ExchangeGraph:
     """BFS over seeds up to unit-and-relabeling equality."""
 
@@ -147,7 +139,6 @@ def explore_seeds(
         "seeds",
         depth,
         _node_cap(max_nodes),
-        jobs,
     )
 
 
@@ -155,7 +146,6 @@ def explore_flips(
     t0: QuasiTriangulation,
     depth: Optional[int] = None,
     max_nodes: Optional[int] = None,
-    jobs: int = 1,
 ) -> ExchangeGraph:
     """BFS over quasi-triangulations up to canonical labeling."""
 
@@ -172,7 +162,6 @@ def explore_flips(
         "flips",
         depth,
         _node_cap(max_nodes),
-        jobs,
     )
 
 
@@ -261,7 +250,13 @@ def export(g: ExchangeGraph, fmt: str) -> str:
 
 
 def graph_from_json(text: str) -> ExchangeGraph:
-    data = json.loads(text)
-    labels = [n["label"] for n in sorted(data["nodes"], key=lambda n: n["id"])]
-    edges = {(int(u), int(v)): str(d) for u, v, d in data["edges"]}
-    return ExchangeGraph(data["kind"], labels, edges, bool(data["truncated"]))
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise PolyError(f"graph JSON does not parse: {exc}") from None
+    kind, truncated, nodes, edges = fields(data, "graph", {
+        "kind": (str, REQUIRED), "truncated": (bool, REQUIRED),
+        "nodes": ([{"id": int, "label": str}], REQUIRED), "edges": ([(int, int, str)], REQUIRED),
+    })
+    labels = [n["label"] for n in sorted(nodes, key=lambda n: n["id"])]
+    return ExchangeGraph(kind, labels, {(u, v): d for u, v, d in edges}, truncated)

@@ -25,6 +25,7 @@ from .poly import (
     poly_gcd,
     strip_laurent_monomial,
 )
+from .schema import REQUIRED, SCHEMA_VERSION, fields
 
 __all__ = [
     "LPSeed",
@@ -38,8 +39,6 @@ __all__ = [
     "seed_to_json",
     "seed_from_json",
 ]
-
-SCHEMA_VERSION = 1
 
 
 class InvalidSeed(PolyError):
@@ -80,6 +79,8 @@ class LPSeed:
             parse_polynomial(p, ctx).canonical_sign() if isinstance(p, str) else p.canonical_sign()
             for p in polys
         )
+        if not ctx.cluster:
+            raise InvalidSeed(["empty cluster"])
         if len(parsed) != len(ctx.cluster):
             raise InvalidSeed(["cluster and exchange polynomial counts differ"])
         values = tuple(RationalFunction.var(ctx, name) for name in ctx.cluster)
@@ -294,10 +295,6 @@ def mutate(
     return result
 
 
-def mutate_at(seed: LPSeed, name: str, new_name: Optional[str] = None) -> LPSeed:
-    return mutate(seed, seed.slot_of(name), new_name=new_name)
-
-
 # -- equality up to units -------------------------------------------------------
 
 
@@ -342,11 +339,8 @@ def seed_to_json(seed: LPSeed) -> dict:
     }
 
 
-def seed_from_json(data: dict) -> LPSeed:
-    if "cluster" not in data or "polys" not in data:
-        raise PolyError("seed JSON needs 'cluster' and 'polys'")
-    return LPSeed.initial(
-        tuple(data["cluster"]),
-        tuple(data.get("frozen", ())),
-        tuple(data["polys"]),
-    )
+def seed_from_json(data: object) -> LPSeed:
+    cluster, frozen, polys = fields(data, "seed", {
+        "cluster": ([str], REQUIRED), "frozen": ([str], ()), "polys": ([str], REQUIRED),
+    })
+    return LPSeed.initial(cluster, frozen, polys)

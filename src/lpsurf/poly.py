@@ -21,7 +21,6 @@ __all__ = [
     "RationalFunction",
     "PolyError",
     "ContextMismatch",
-    "arith",
     "divide_exact",
     "evaluate",
     "poly_gcd",
@@ -396,19 +395,6 @@ class Polynomial:
         return f"Polynomial({self.to_string()!r})"
 
 
-# -- named operation entry points -------------------------------------------
-
-
-def arith(p: Polynomial, q: Polynomial, kind: str) -> Polynomial:
-    if kind == "add":
-        return p.add(q)
-    if kind == "sub":
-        return p.sub(q)
-    if kind == "mul":
-        return p.mul(q)
-    raise PolyError(f"unknown arithmetic kind {kind!r}")
-
-
 def _strip_raw(p: Polynomial, indices: Iterable[int]) -> tuple[Polynomial, Exponents]:
     """Shift the chosen variables to valuation zero; returns (shifted, shift).
 
@@ -539,16 +525,6 @@ def _as_univariate(p: Polynomial, v: int) -> dict[int, Polynomial]:
         rest[v] = 0
         coeffs.setdefault(k, {})[tuple(rest)] = c
     return {k: Polynomial(p.ctx, _sorted_terms(d)) for k, d in coeffs.items()}
-
-
-def _from_univariate(ctx: VariableContext, v: int, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    d: dict[Exponents, int] = {}
-    for k, poly in coeffs.items():
-        for e, c in poly.terms:
-            out = list(e)
-            out[v] += k
-            d[tuple(out)] = d.get(tuple(out), 0) + c
-    return Polynomial(ctx, _sorted_terms(d))
 
 
 def _content_pp(p: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
@@ -949,7 +925,7 @@ class _Parser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
@@ -964,7 +940,7 @@ class _Parser:
             if not self.eat(")"):
                 self.error("expected ')'")
             return p
-        if ch.isdigit():
+        if ch.isdecimal():
             return Polynomial.const(self.ctx, self.integer())
         if ch in _NAME_START:
             start = self.pos

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .lp_core import LPSeed, validate_seed
 from .poly import Polynomial, PolyError, VariableContext
+from .schema import REQUIRED, SCHEMA_VERSION, fields
 
 __all__ = [
     "Quiver",
@@ -26,8 +27,6 @@ __all__ = [
     "quiver_to_json",
     "quiver_from_json",
 ]
-
-SCHEMA_VERSION = 1
 
 
 def _pos(x: int) -> int:
@@ -47,7 +46,7 @@ class Quiver:
         n2 = 2 * self.pairs
         if len(self.b) != n2 or any(len(row) != n2 for row in self.b):
             raise PolyError("quiver matrix has the wrong shape")
-        object.__setattr__(self, "b", tuple(tuple(int(x) for x in row) for row in self.b))
+        object.__setattr__(self, "b", tuple(map(tuple, self.b)))
         for p in self.frozen:
             if not 0 <= p < self.pairs:
                 raise PolyError(f"frozen pair {p} out of range")
@@ -196,6 +195,8 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
-def quiver_from_json(data: dict) -> Quiver:
-    return Quiver(int(data["n"]), tuple(tuple(row) for row in data["b"]),
-                  frozenset(data.get("frozen", ())))
+def quiver_from_json(data: object) -> Quiver:
+    n, b, frozen = fields(data, "quiver", {
+        "n": (int, REQUIRED), "b": ([[int]], REQUIRED), "frozen": ([int], ()),
+    })
+    return Quiver(n, b, frozenset(frozen))

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .lp_core import InvalidSeed, LPSeed, validate_seed
 from .poly import Polynomial, PolyError, VariableContext
 from .quiver import Quiver, cancel_two_cycles
+from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
 
 __all__ = [
     "MarkedSurface",
@@ -51,8 +52,6 @@ __all__ = [
     "triangulation_to_json",
 ]
 
-SCHEMA_VERSION = 1
-
 TRI = "tri"
 POCKET = "pocket"
 MOB1 = "mob1"
@@ -70,9 +69,6 @@ class MarkedSurface:
     cross_caps: int
     boundary: tuple[int, ...]
     boundary_variables: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", tuple(int(m) for m in self.boundary))
 
     def check(self) -> None:
         if self.genus < 0 or self.cross_caps < 0:
@@ -985,15 +981,14 @@ def surface_to_json(s: MarkedSurface) -> dict:
     }
 
 
-def surface_from_json(data: dict) -> MarkedSurface:
-    if "punctures" in data and data["punctures"]:
+def surface_from_json(data: object) -> MarkedSurface:
+    genus, cross_caps, boundary, boundary_variables, punctures = fields(data, "surface", {
+        "genus": (int, 0), "cross_caps": (int, 0), "boundary": ([int], REQUIRED),
+        "boundary_variables": (bool, True), "punctures": (int, 0),
+    }, SurfaceError)
+    if punctures:
         raise SurfaceError("punctured surfaces are rejected")
-    s = MarkedSurface(
-        int(data.get("genus", 0)),
-        int(data.get("cross_caps", 0)),
-        tuple(data["boundary"]),
-        bool(data.get("boundary_variables", True)),
-    )
+    s = MarkedSurface(genus, cross_caps, tuple(boundary), boundary_variables)
     s.check()
     return s
 
@@ -1017,21 +1012,22 @@ def _region_json(r) -> tuple:
     return (MOB1, list(r[1]), r[2])
 
 
-def triangulation_from_json(data: dict) -> QuasiTriangulation:
-    surface = surface_from_json(data["surface"])
-    regions = []
-    for r in data["regions"]:
-        if r[0] == TRI:
-            regions.append((TRI, tuple((int(e), int(s)) for e, s in r[1])))
-        elif r[0] == POCKET:
-            regions.append((POCKET, int(r[1]), int(r[2]), int(r[3])))
-        elif r[0] == MOB1:
-            regions.append((MOB1, (int(r[1][0]), int(r[1][1])), int(r[2])))
-        else:
-            raise SurfaceError(f"unknown region type {r[0]!r}")
+_REGION_SHAPES = {TRI: (str, ((int, int),) * 3), POCKET: (str, int, int, int),
+                  MOB1: (str, (int, int), int)}
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def triangulation_from_json(data: object) -> QuasiTriangulation:
+    surface, regions, boundary, next_id = fields(data, "triangulation", {
+        "surface": (dict, REQUIRED), "regions": ([list], REQUIRED),
+        "boundary": ([(int, str)], REQUIRED), "next_id": (int, REQUIRED),
+    }, SurfaceError)
+    for r in regions:
+        if not (r and isinstance(r[0], str) and matches(r, _REGION_SHAPES.get(r[0], ()))):
+            raise SurfaceError(f"malformed region {r!r}")
     return QuasiTriangulation(
-        surface,
-        tuple(regions),
-        tuple((int(e), str(lbl)) for e, lbl in data["boundary"]),
-        int(data["next_id"]),
+        surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id
     )

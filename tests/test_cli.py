@@ -1,9 +1,31 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsurf.cli import main
+
+EXAMPLE_SEED = {
+    "schema": 1,
+    "cluster": ["a", "b", "c"],
+    "frozen": [],
+    "polys": ["b + 1", "a*c + 1", "a^2*b + b^2 + 2*b + 1"],
+}
+HEXAGON = {"schema": 1, "genus": 0, "cross_caps": 0, "boundary": [6], "boundary_variables": True}
+M2 = {**HEXAGON, "cross_caps": 1, "boundary": [2]}
+# The initial seeds of the hexagon and M2, as seed-from-surface writes them.
+HEXAGON_SEED = {
+    "schema": 1,
+    "cluster": ["x6", "x7", "x8"],
+    "frozen": ["b1", "b2", "b3", "b4", "b5", "b6"],
+    "polys": ["x7*b2 + b1*b3", "x6*b4 + x8*b3", "x7*b5 + b4*b6"],
+}
+M2_SEED = {"schema": 1, "cluster": ["x2", "x3"], "frozen": ["b1", "b2"],
+           "polys": ["b1 + b2", "x2^2 + b1*b2"]}
 
 
 @pytest.fixture
@@ -14,12 +36,7 @@ def runner():
 @pytest.fixture
 def example_seed_file(tmp_path):
     path = tmp_path / "example.json"
-    path.write_text(json.dumps({
-        "schema": 1,
-        "cluster": ["a", "b", "c"],
-        "frozen": [],
-        "polys": ["b + 1", "a*c + 1", "a^2*b + b^2 + 2*b + 1"],
-    }))
+    path.write_text(json.dumps(EXAMPLE_SEED))
     return str(path)
 
 
@@ -38,20 +55,14 @@ def bad_seed_file(tmp_path):
 @pytest.fixture
 def hexagon_file(tmp_path):
     path = tmp_path / "hexagon.json"
-    path.write_text(json.dumps({
-        "schema": 1, "genus": 0, "cross_caps": 0,
-        "boundary": [6], "boundary_variables": True,
-    }))
+    path.write_text(json.dumps(HEXAGON))
     return str(path)
 
 
 @pytest.fixture
 def m2_file(tmp_path):
     path = tmp_path / "m2.json"
-    path.write_text(json.dumps({
-        "schema": 1, "genus": 0, "cross_caps": 1,
-        "boundary": [2], "boundary_variables": True,
-    }))
+    path.write_text(json.dumps(M2))
     return str(path)
 
 
@@ -171,3 +182,131 @@ class TestSurfaceCommands:
             main, ["explore", "--surface", m2_file, "--format", "json", "--jobs", "2"]
         )
         assert r1.output == r2.output
+
+
+def _edit(doc, **changes):
+    """``doc`` with fields replaced; a field set to ``...`` is removed."""
+    out = {**doc, **changes}
+    return {k: v for k, v in out.items() if v is not ...}
+
+
+# (input file content, command with FILE for its path, environment, exit code,
+# part of the output)
+MALFORMED = [
+    pytest.param(_edit(EXAMPLE_SEED, polys=["b + 1", 5, "a + 1"]), "validate --seed FILE", {},
+                 1, "seed field 'polys' must be a JSON list of strings", id="non-string-poly"),
+    pytest.param(_edit(EXAMPLE_SEED, polys=["b + 1", "a*c + 1", "b^\u00b2"]),
+                 "validate --seed FILE", {}, 1, "parse error", id="superscript-exponent"),
+    pytest.param(_edit(EXAMPLE_SEED, cluster="ab", polys=["b + 1", "a + 1"]),
+                 "validate --seed FILE", {}, 1, "seed field 'cluster'", id="cluster-string"),
+    pytest.param(_edit(EXAMPLE_SEED, frozen="t"), "normalize --seed FILE", {}, 1,
+                 "seed field 'frozen'", id="frozen-string"),
+    pytest.param(["a", "b"], "explore --seed FILE", {}, 1, "seed JSON must be an object",
+                 id="seed-list"),
+    pytest.param(_edit(EXAMPLE_SEED, schema=...), "validate --seed FILE", {}, 1,
+                 'seed JSON needs "schema": 1', id="seed-no-schema"),
+    pytest.param(_edit(EXAMPLE_SEED, cluster=[], polys=[]), "verify-laurent --seed FILE", {},
+                 1, "empty cluster", id="empty-seed"),
+    pytest.param(_edit(HEXAGON, genus="x"), "validate --surface FILE", {}, 1,
+                 "surface field 'genus' must be a JSON integer", id="genus-string"),
+    pytest.param(_edit(HEXAGON, genus=True), "validate --surface FILE", {}, 1,
+                 "surface field 'genus'", id="genus-bool"),
+    pytest.param(_edit(HEXAGON, cross_caps="1"), "validate --surface FILE", {}, 1,
+                 "surface field 'cross_caps'", id="cross-caps-string"),
+    pytest.param([6], "validate --surface FILE", {}, 1, "surface JSON must be an object",
+                 id="surface-list"),
+    pytest.param(_edit(HEXAGON, boundary=6), "compare-graphs --surface FILE", {}, 1,
+                 "surface field 'boundary' must be a JSON list of integers", id="boundary-int"),
+    pytest.param(_edit(HEXAGON, boundary=["6"]), "validate --surface FILE", {}, 1,
+                 "surface field 'boundary'", id="boundary-strings"),
+    pytest.param(_edit(HEXAGON, boundary=...), "validate --surface FILE", {}, 1,
+                 "surface JSON needs field 'boundary'", id="boundary-missing"),
+    pytest.param(_edit(HEXAGON, boundary_variables="no"), "validate --surface FILE", {}, 1,
+                 "surface field 'boundary_variables'", id="boundary-variables-string"),
+    pytest.param(_edit(HEXAGON, schema=7), "validate --surface FILE", {}, 1,
+                 'surface JSON needs "schema": 1', id="schema-7"),
+    pytest.param(HEXAGON, "explore --surface FILE", {"LP_SURFACE_SEED_CAP": "lots"}, 1,
+                 "LP_SURFACE_SEED_CAP must be a positive integer", id="cap-lots"),
+    pytest.param(HEXAGON, "explore --surface FILE", {"LP_SURFACE_SEED_CAP": "0"}, 1,
+                 "LP_SURFACE_SEED_CAP must be a positive integer", id="cap-zero"),
+    pytest.param(M2, "verify-laurent --surface FILE --max-length 0", {}, 2, "--max-length",
+                 id="max-length-0"),
+    pytest.param(M2, "verify-laurent --surface FILE --sequences -1", {}, 2, "--sequences",
+                 id="sequences-negative"),
+    pytest.param(HEXAGON, "compare-graphs --surface FILE --depth -1", {}, 2, "--depth",
+                 id="depth-negative"),
+    pytest.param(M2, "explore --surface FILE --jobs 0", {}, 2, "--jobs", id="jobs-0"),
+    pytest.param(M2, "explore --surface FILE --out FILE/graph.json", {}, 1, "Error: ",
+                 id="out-not-writable"),
+    pytest.param(b"\xff\xfe{}", "validate --surface FILE", {}, 1, "cannot read",
+                 id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "validate --seed FILE", {}, 1,
+                 "cannot read", id="nested-too-deep"),
+]
+
+
+def _run(runner, content, command, env):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        args = [a.replace("FILE", str(path)) for a in command.split()]
+        return runner.invoke(main, args, env=env)
+
+
+def _assert_clean_exit(result, codes=(0, 1, 2)):
+    assert result.exit_code in codes, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("content, command, env, code, message", MALFORMED)
+def test_malformed_input_is_a_one_line_error(runner, content, command, env, code, message):
+    result = _run(runner, content, command, env)
+    _assert_clean_exit(result, (code,))
+    assert "Error: " in result.output and message in result.output
+
+
+# Integers stay small: a large genus or boundary is a valid surface whose
+# exploration is slow by nature, not malformed input.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                   max_size=2),
+    max_leaves=6,
+)
+_env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                    max_size=4)
+
+SEED_COMMANDS = ["validate --seed FILE", "normalize --seed FILE", "explore --seed FILE --depth 1",
+                 "verify-laurent --seed FILE --sequences 2"]
+SURFACE_COMMANDS = ["validate --surface FILE", "explore --surface FILE --depth 1",
+                    "compare-graphs --surface FILE --depth 1",
+                    "verify-laurent --surface FILE --sequences 2"]
+
+
+@st.composite
+def _corrupted_inputs(draw):
+    """A valid hexagon or M2 seed or surface file with one field set to a random
+    JSON value or removed, or replaced whole by a random JSON value; or the valid
+    file with a random LP_SURFACE_SEED_CAP."""
+    doc = draw(st.sampled_from([HEXAGON_SEED, M2_SEED, HEXAGON, M2]))
+    commands = SEED_COMMANDS if "polys" in doc else SURFACE_COMMANDS
+    how = draw(st.sampled_from(["field", "drop", "document", "env"]))
+    if how == "env":
+        return doc, commands, {"LP_SURFACE_SEED_CAP": draw(_env_text)}
+    if how == "document":
+        return draw(_json_values), commands, {}
+    key = draw(st.sampled_from(sorted(doc)))
+    return _edit(doc, **{key: ... if how == "drop" else draw(_json_values)}), commands, {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_corrupted_inputs())
+def test_no_input_ends_in_a_traceback(case):
+    content, commands, env = case
+    runner = CliRunner()
+    for command in commands:
+        _assert_clean_exit(_run(runner, content, command, env))

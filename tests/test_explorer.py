@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -184,19 +185,24 @@ class TestExport:
         assert back.edges == g.edges
         assert back.kind == g.kind and back.truncated == g.truncated
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: {**d, "schema": 2},
+        lambda d: {k: v for k, v in d.items() if k != "edges"},
+        lambda d: {**d, "truncated": "no"},
+        lambda d: {**d, "edges": [[str(u), str(v), e] for u, v, e in d["edges"]]},
+        lambda d: {**d, "nodes": [{"id": n["id"]} for n in d["nodes"]]},
+    ], ids=["list", "schema", "no-edges", "truncated-string", "edge-strings", "no-labels"])
+    def test_json_rejects_malformed(self, hexagon_seed, edit):
+        data = json.loads(export(explore_seeds(hexagon_seed, depth=1), "json"))
+        with pytest.raises(PolyError):
+            graph_from_json(json.dumps(edit(data)))
+
+    def test_json_rejects_unparsable_text(self, hexagon_seed):
+        with pytest.raises(PolyError):
+            graph_from_json(export(explore_seeds(hexagon_seed, depth=1), "json")[:-3])
+
     def test_unknown_format(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=0)
         with pytest.raises(PolyError):
             export(g, "svg")
-
-    def test_exports_deterministic_across_jobs(self, mobius3):
-        t = initial_quasi_triangulation(mobius3)
-        g1 = explore_flips(t, jobs=1)
-        g2 = explore_flips(t, jobs=3)
-        assert export(g1, "json") == export(g2, "json")
-        assert export(g1, "dot") == export(g2, "dot")
-
-        s = seed_from_quasi_triangulation(t)
-        h1 = explore_seeds(s, jobs=1)
-        h2 = explore_seeds(s, jobs=2)
-        assert export(h1, "json") == export(h2, "json")

@@ -271,3 +271,14 @@ class TestJson:
         assert data["schema"] == 1
         back = quiver_from_json(data)
         assert back.b == q.b and back.frozen == q.frozen and back.pairs == q.pairs
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: {k: v for k, v in d.items() if k != "schema"},
+        lambda d: {**d, "n": str(d["n"])},
+        lambda d: {**d, "b": [[str(x) for x in row] for row in d["b"]]},
+        lambda d: {**d, "frozen": "0"},
+    ], ids=["list", "no-schema", "n-string", "b-strings", "frozen-string"])
+    def test_rejects_malformed(self, edit):
+        with pytest.raises(PolyError):
+            quiver_from_json(edit(quiver_to_json(m2_lifted_quiver())))

@@ -90,7 +90,7 @@ class TestSurfaceValidity:
 
     def test_punctures_rejected_in_json(self):
         with pytest.raises(SurfaceError):
-            surface_from_json({"boundary": [4], "punctures": 1})
+            surface_from_json({"schema": 1, "boundary": [4], "punctures": 1})
 
     def test_json_round_trip(self):
         s = MarkedSurface(1, 2, (2, 3), boundary_variables=False)
@@ -124,7 +124,20 @@ class TestInitialTriangulation:
     def test_triangulation_json_round_trip(self, mobius3):
         t = initial_quasi_triangulation(mobius3)
         back = triangulation_from_json(triangulation_to_json(t))
-        assert canonical_code(back) == canonical_code(t)
+        assert back == t and canonical_code(back) == canonical_code(t)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: {**d, "schema": 2},
+        lambda d: {**d, "surface": {**d["surface"], "schema": None}},
+        lambda d: {**d, "next_id": str(d["next_id"])},
+        lambda d: {**d, "boundary": [[str(e), lbl] for e, lbl in d["boundary"]]},
+        lambda d: {**d, "regions": [[r[0]] + [str(x) for x in r[1:]] for r in d["regions"]]},
+    ], ids=["list", "schema", "surface-schema", "next-id", "boundary", "region-entries"])
+    def test_triangulation_json_rejects_malformed(self, mobius3, edit):
+        data = triangulation_to_json(initial_quasi_triangulation(mobius3))
+        with pytest.raises(SurfaceError):
+            triangulation_from_json(edit(data))
 
 
 class TestFlips:
