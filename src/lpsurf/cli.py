@@ -21,7 +21,7 @@ from .lp_core import (
     seed_to_json,
     validate_seed,
 )
-from .poly import PolyError
+from .poly import PolyError, Polynomial
 from .schema import SCHEMA_VERSION
 from .surface import (
     MarkedSurface,
@@ -61,6 +61,12 @@ def _emit(data: dict, out: str | None) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _fraction_string(value: Polynomial) -> str:
+    """A Laurent value as ``num``, or ``(num) / (den)`` when it has a denominator."""
+    den = value.den
+    return str(value) if den.is_constant else f"({value.num}) / ({den})"
 
 
 class _Main(click.Group):
@@ -140,7 +146,7 @@ def mutate_cmd(seed_path, at, new_name, out):
     data["mutated_at"] = at
     data["new_variable"] = {
         "name": result.names[slot],
-        "value": str(result.values[slot]),
+        "value": _fraction_string(result.values[slot]),
     }
     _emit(data, out)
 

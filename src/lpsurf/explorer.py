@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import networkx as nx
 
-from .lp_core import LPSeed, mutate, seed_key
-from .poly import PolyError, RationalFunction
+from .lp_core import LaurentViolation, LPSeed, mutate, seed_key
+from .poly import PolyError
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import QuasiTriangulation, canonical_code, flip
 
@@ -195,32 +195,24 @@ class LaurentReport:
         return not self.violations
 
 
-def _is_laurent(value: RationalFunction, n_cluster: int) -> bool:
-    """Denominator is a monomial in the initial cluster variables with unit content."""
-    den = value.den
-    if len(den.terms) != 1:
-        return False
-    exps, coeff = den.terms[0]
-    if abs(coeff) != 1:
-        return False
-    return all(e == 0 for e in exps[n_cluster:])
-
-
 def verify_laurent(seed: LPSeed, sequences: Iterable[Sequence[int]]) -> LaurentReport:
-    """Check every tracked variable stays Laurent along each mutation sequence."""
+    """Check every tracked variable stays Laurent along each mutation sequence.
+
+    A sequence stops at its first violation, recorded as (sequence prefix,
+    variable name, "(N) / (D)" with the division that failed).
+    """
     checked = 0
     vars_checked = 0
     violations = []
     for seq in sequences:
         s = seed
         for step, i in enumerate(seq):
-            s = mutate(s, i)
-            for slot, value in enumerate(s.values):
-                vars_checked += 1
-                if not _is_laurent(value, seed.n):
-                    violations.append(
-                        (tuple(seq[: step + 1]), s.names[slot], str(value))
-                    )
+            try:
+                s = mutate(s, i)
+            except LaurentViolation as exc:
+                violations.append((tuple(seq[: step + 1]), exc.name, f"({exc.num}) / ({exc.den})"))
+                break
+            vars_checked += s.n
         checked += 1
     return LaurentReport(checked, vars_checked, violations)
 
@@ -258,5 +250,11 @@ def graph_from_json(text: str) -> ExchangeGraph:
         "kind": (str, REQUIRED), "truncated": (bool, REQUIRED),
         "nodes": ([{"id": int, "label": str}], REQUIRED), "edges": ([(int, int, str)], REQUIRED),
     })
-    labels = [n["label"] for n in sorted(nodes, key=lambda n: n["id"])]
+    nodes = sorted(nodes, key=lambda n: n["id"])
+    if [n["id"] for n in nodes] != list(range(len(nodes))):
+        raise PolyError(f"graph node ids must be 0..{len(nodes) - 1}, each once")
+    for u, v, _ in edges:
+        if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
+            raise PolyError(f"graph edge [{u}, {v}] names a node that does not exist")
+    labels = [n["label"] for n in nodes]
     return ExchangeGraph(kind, labels, {(u, v): d for u, v, d in edges}, truncated)

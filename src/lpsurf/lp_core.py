@@ -4,7 +4,13 @@ A seed keeps a fixed "slot" context (the initial cluster names plus the
 frozen names).  Mutating slot ``i`` replaces the meaning of that slot: the
 exchange polynomials stay written in slot symbols, the per-slot ``names``
 carry the human-facing labels (``a`` becomes ``a'`` and so on), and
-``values`` track each slot's rational function in the initial variables.
+``values`` track each slot's value in the initial variables.
+
+By the Laurent phenomenon for LP algebras (Lam-Pylyavskyy), every value is a
+Laurent polynomial in the initial cluster with coefficients in Z[frozen], so
+values are :class:`Polynomial` objects, canonical like any other.  Mutation
+computes the new value by one exact division; a value that is not such a
+Laurent polynomial raises :class:`LaurentViolation`.
 """
 
 from __future__ import annotations
@@ -16,10 +22,8 @@ from .poly import (
     ContextMismatch,
     PolyError,
     Polynomial,
-    RationalFunction,
     VariableContext,
     divide_exact,
-    evaluate,
     is_irreducible,
     parse_polynomial,
     poly_gcd,
@@ -31,6 +35,7 @@ __all__ = [
     "LPSeed",
     "InvalidSeed",
     "MutationError",
+    "LaurentViolation",
     "validate_seed",
     "normalize",
     "mutate",
@@ -53,6 +58,16 @@ class MutationError(PolyError):
     """Internal contract failure during mutation (should not happen on valid seeds)."""
 
 
+class LaurentViolation(PolyError):
+    """A new cluster value ``num / den`` is not Laurent with coefficients in Z[frozen]."""
+
+    def __init__(self, name: str, num: Polynomial, den: Polynomial):
+        super().__init__(f"value of {name} = ({num}) / ({den}) is not a Laurent polynomial")
+        self.name = name
+        self.num = num
+        self.den = den
+
+
 @dataclass(frozen=True)
 class LPSeed:
     """Cluster slots with exchange polynomials, display names, tracked values."""
@@ -60,7 +75,7 @@ class LPSeed:
     ctx: VariableContext
     polys: tuple[Polynomial, ...]
     names: tuple[str, ...]
-    values: tuple[RationalFunction, ...]
+    values: tuple[Polynomial, ...]
     provenance: Optional[str] = None
 
     @property
@@ -83,10 +98,10 @@ class LPSeed:
             raise InvalidSeed(["empty cluster"])
         if len(parsed) != len(ctx.cluster):
             raise InvalidSeed(["cluster and exchange polynomial counts differ"])
-        values = tuple(RationalFunction.var(ctx, name) for name in ctx.cluster)
+        values = tuple(Polynomial.variable(ctx, name) for name in ctx.cluster)
         return LPSeed(ctx, parsed, tuple(ctx.cluster), values, provenance)
 
-    def with_values(self, values: Sequence[RationalFunction]) -> "LPSeed":
+    def with_values(self, values: Sequence[Polynomial]) -> "LPSeed":
         return replace(self, values=tuple(values))
 
     def slot_of(self, name: str) -> int:
@@ -180,13 +195,8 @@ def normalize(seed: LPSeed, j: int, check: bool = True) -> tuple[Polynomial, tup
     ctx = seed.ctx
     # a Laurent entry (an already-normalized polynomial) is handled on its
     # denominator-cleared part: clearing x_k^-m trades m powers of F_k away
-    borrowed = [0] * ctx.nvars
-    if not f.is_ordinary:
-        for k in range(ctx.nvars):
-            v = f.valuation_in(k)
-            if v < 0:
-                borrowed[k] = -v
-        f = f.times_monomial(borrowed)
+    borrowed = f.den.terms[0][0]
+    f = f.num
     exts = ctx.extended(_AUX)
     aux = exts.nvars - 1
     exponents = [0] * seed.n
@@ -223,6 +233,58 @@ def _fresh_name(name: str) -> str:
     return name + "'"
 
 
+def _new_value(seed: LPSeed, i: int, fhat: Polynomial, name: str) -> Polynomial:
+    """``Fhat_i(values) / value_i`` as a Laurent polynomial, by one exact division.
+
+    With ``b_k = max(0, -valuation_k(Fhat_i))`` borrowed powers, the numerator
+    ``N = sum c * frozen^e * prod_k value_k^(e_k + b_k)`` has no negative
+    powers of values, and the value is ``N / (value_i * prod_k value_k^b_k)``.
+    """
+    n = seed.n
+    borrow = [max(0, -fhat.valuation_in(k)) for k in range(n)]
+    powers: dict[tuple[int, int], Polynomial] = {}
+
+    def power(k: int, m: int) -> Polynomial:
+        if (k, m) not in powers:
+            powers[(k, m)] = seed.values[k].pow(m)
+        return powers[(k, m)]
+
+    num: dict[tuple[int, ...], int] = {}
+    for e, c in fhat.terms:
+        term = Polynomial(seed.ctx, (((0,) * n + e[n:], c),))
+        for k in range(n):
+            if e[k] + borrow[k]:
+                term = term.mul(power(k, e[k] + borrow[k]))
+        for te, tc in term.terms:
+            num[te] = num.get(te, 0) + tc
+    numerator = Polynomial.from_dict(seed.ctx, num)
+    den = seed.values[i]
+    for k in range(n):
+        if borrow[k]:
+            den = den.mul(power(k, borrow[k]))
+    value = divide_exact(numerator, den)
+    if value is None or any(k < 0 for e, _ in value.terms for k in e[n:]):
+        raise LaurentViolation(name, numerator, den)
+    return value
+
+
+def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
+    """``h`` with every common non-unit factor with ``p`` divided out (step 2)."""
+    if p.is_monomial and abs(p.leading_coefficient()) == 1:
+        return strip_laurent_monomial(h, p.involved_indices())[0]
+    if not p.is_monomial and p.is_ordinary and is_irreducible(p):
+        # divide_exact treats monomials as units and never fails on one, so
+        # this loop ends only because p is not a monomial
+        while (q := divide_exact(h, p)) is not None:
+            h = q
+        return h
+    while True:
+        d = poly_gcd(h, p)
+        if d.is_unit:
+            return h
+        h = divide_exact(h, d)
+
+
 def mutate(
     seed: LPSeed,
     i: int,
@@ -233,7 +295,9 @@ def mutate(
 
     The slot keeps its internal symbol; the new cluster variable gets
     ``new_name`` (default: the old display name with a prime appended) and its
-    tracked value ``Fhat_i(values) / value_i``.  The result is validated.
+    tracked value ``Fhat_i(values) / value_i``, which raises
+    :class:`LaurentViolation` when it is not a Laurent polynomial.  The result
+    is validated.
     """
     if validate:
         _require_valid(seed)
@@ -241,9 +305,12 @@ def mutate(
         raise PolyError(f"mutation direction {i} out of range")
     ctx = seed.ctx
     fhat_i, _ = normalize(seed, i, check=False)
-
-    value_map = {k: v for k, v in enumerate(seed.values)}
-    new_value = evaluate(fhat_i, value_map).div(seed.values[i])
+    if fhat_i.is_zero:
+        raise MutationError("normalized polynomial vanished")
+    names = list(seed.names)
+    names[i] = new_name if new_name is not None else _fresh_name(seed.names[i])
+    values = list(seed.values)
+    values[i] = _new_value(seed, i, fhat_i, names[i])
 
     cluster_idx = list(ctx.cluster_indices())
     new_polys: list[Polynomial] = []
@@ -252,8 +319,6 @@ def mutate(
             new_polys.append(fj)
             continue
         # Step 1: substitute x_i <- (Fhat_i|_{x_j<-0}) / x_i'
-        if fhat_i.is_zero:
-            raise MutationError("normalized polynomial vanished")
         try:
             numerator = fhat_i.subs_zero(j)
         except PolyError as exc:
@@ -268,13 +333,7 @@ def mutate(
         # Fhat_i|_{x_j<-0}; monomials are units of the Laurent ring.
         h, _ = strip_laurent_monomial(g, cluster_idx)
         n_stripped, _ = strip_laurent_monomial(numerator, cluster_idx)
-        while True:
-            d = poly_gcd(h, n_stripped)
-            if d.is_unit:
-                break
-            nxt = divide_exact(h, d)
-            assert nxt is not None
-            h = nxt
+        h = _divide_out_common(h, n_stripped)
         # Step 3: the unique monic Laurent monomial making the result an
         # ordinary polynomial not divisible by any cluster variable, with the
         # canonical positive leading coefficient.
@@ -283,10 +342,6 @@ def mutate(
             raise MutationError("mutated exchange polynomial left the coefficient ring")
         new_polys.append(fj_new)
 
-    names = list(seed.names)
-    names[i] = new_name if new_name is not None else _fresh_name(seed.names[i])
-    values = list(seed.values)
-    values[i] = new_value
     result = LPSeed(ctx, tuple(new_polys), tuple(names), tuple(values), seed.provenance)
     if validate:
         violations = validate_seed(result)
@@ -301,13 +356,14 @@ def mutate(
 def seed_key(seed: LPSeed) -> tuple:
     """Canonical key: values as a set, polynomials up to unit and slot relabeling.
 
-    Slots are ranked by their tracked values' canonical forms; exponent
-    vectors of the exchange polynomials are permuted into rank order so that
-    two seeds whose clusters coincide as sets of rational functions compare
-    equal exactly when the attached polynomials match up to sign.
+    Slots are ranked by their values' terms, which are canonical for Laurent
+    polynomials; exponent vectors of the exchange polynomials are permuted
+    into rank order so that two seeds whose clusters coincide as sets of
+    values compare equal exactly when the attached polynomials match up to
+    sign.
     """
-    ranked = sorted(range(seed.n), key=lambda i: seed.values[i].key())
-    keys = [seed.values[i].key() for i in ranked]
+    ranked = sorted(range(seed.n), key=lambda i: seed.values[i].terms)
+    keys = [seed.values[i].terms for i in ranked]
     if len(set(keys)) != len(keys):
         raise PolyError("cluster values are not distinct; not a transcendence basis")
     perm = [0] * seed.n

@@ -18,15 +18,12 @@ import sympy
 __all__ = [
     "VariableContext",
     "Polynomial",
-    "RationalFunction",
     "PolyError",
     "ContextMismatch",
     "divide_exact",
-    "evaluate",
     "poly_gcd",
     "is_irreducible",
     "strip_laurent_monomial",
-    "substitute",
     "parse_polynomial",
 ]
 
@@ -212,6 +209,25 @@ class Polynomial:
             raise PolyError("zero polynomial has no valuation")
         return min(e[i] for e, _ in self.terms)
 
+    def _den_exponents(self) -> Exponents:
+        exps = [0] * self.ctx.nvars
+        for e, _ in self.terms:
+            for i, k in enumerate(e):
+                if k < -exps[i]:
+                    exps[i] = -k
+        return tuple(exps)
+
+    @property
+    def den(self) -> "Polynomial":
+        """Monic monomial clearing the negative exponents: prod x^max(0, -valuation)."""
+        return Polynomial(self.ctx, ((self._den_exponents(), 1),))
+
+    @property
+    def num(self) -> "Polynomial":
+        """``self * den``, an ordinary polynomial that keeps its positive monomial content."""
+        exps = self._den_exponents()
+        return self.times_monomial(exps) if any(exps) else self
+
     def involves(self, i: int) -> bool:
         return any(e[i] != 0 for e, _ in self.terms)
 
@@ -288,7 +304,7 @@ class Polynomial:
 
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
-            raise PolyError("negative power of a polynomial; use RationalFunction")
+            raise PolyError("negative power of a polynomial")
         result = Polynomial.const(self.ctx, 1)
         base = self
         while k:
@@ -476,23 +492,11 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
 # -- gcd: primitive-part recursion one variable at a time --------------------
 
 
-def _clear_denominators(p: Polynomial) -> Polynomial:
-    """Lift negative exponents to zero valuation, keeping positive monomial content."""
-    shift = [0] * p.ctx.nvars
-    changed = False
-    for i in range(p.ctx.nvars):
-        v = p.valuation_in(i)
-        if v < 0:
-            shift[i] = -v
-            changed = True
-    return p.times_monomial(shift) if changed else p
-
-
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Greatest common divisor in Z[vars], canonical-positive.
 
-    Laurent inputs are first cleared of denominators (the gcd of Laurent
-    polynomials is only defined up to monomial units anyway).  Monomial and
+    Laurent inputs are replaced by their numerators ``num`` (the gcd of
+    Laurent polynomials is only defined up to monomial units anyway).  Monomial and
     integer content are genuine common factors here: gcd(x^2*y, x*y^2) is x*y.
     gcd(p, p) is p up to sign; gcd with zero returns the other argument.
     """
@@ -501,12 +505,10 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     if p.is_zero and q.is_zero:
         raise PolyError("gcd(0, 0) is undefined")
     if p.is_zero:
-        return _clear_denominators(q).canonical_sign()
+        return q.num.canonical_sign()
     if q.is_zero:
-        return _clear_denominators(p).canonical_sign()
-    a = _clear_denominators(p)
-    b = _clear_denominators(q)
-    return _gcd_rec(a, b).canonical_sign()
+        return p.num.canonical_sign()
+    return _gcd_rec(p.num, q.num).canonical_sign()
 
 
 def _int_content_part(p: Polynomial) -> tuple[int, Polynomial]:
@@ -702,156 +704,25 @@ def _sympy_irreducible(p: Polynomial) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
-# -- rational functions -------------------------------------------------------
+# -- the former value type --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalFunction:
-    """Reduced fraction of ordinary polynomials.
+    """Name kept from the removed gcd-reduced rational-function value type.
 
-    Invariants: denominator nonzero with positive leading coefficient, the
-    gcd of numerator and denominator is 1, and no variable divides both.
+    Cluster values are Laurent :class:`Polynomial` objects, printed through
+    ``Polynomial.num`` and ``Polynomial.den``.  Nothing in lpsurf uses this
+    class; it stays because the benchmark tracer (``bench/tracer.py``) looks
+    up ``RationalFunction.make`` by name.
     """
 
-    num: Polynomial
-    den: Polynomial
-
     @staticmethod
-    def make(num: Polynomial, den: Polynomial) -> "RationalFunction":
-        if den.is_zero:
-            raise PolyError("zero denominator")
-        if num.ctx != den.ctx:
-            raise ContextMismatch("rational function over mixed contexts")
-        ctx = num.ctx
-        if num.is_zero:
-            return RationalFunction(num, Polynomial.const(ctx, 1))
-        # clear Laurent exponents into the denominator
-        allv = range(ctx.nvars)
-        nums, nshift = _strip_raw(num, allv)
-        dens, dshift = _strip_raw(den, allv)
-        # num/den = nums*x^-nshift / (dens*x^-dshift) = (nums/dens) * x^(dshift-nshift)
-        net = tuple(b - a for a, b in zip(nshift, dshift))
-        g = poly_gcd(nums, dens)
-        if not g.is_unit:
-            nums = divide_exact(nums, g)
-            dens = divide_exact(dens, g)
-            assert nums is not None and dens is not None
-        pos = [max(e, 0) for e in net]
-        neg = [max(-e, 0) for e in net]
-        nums = nums.times_monomial(pos)
-        dens = dens.times_monomial(neg)
-        if dens.leading_coefficient() < 0:
-            nums, dens = nums.neg(), dens.neg()
-        return RationalFunction(nums, dens)
-
-    @staticmethod
-    def from_poly(p: Polynomial) -> "RationalFunction":
-        return RationalFunction.make(p, Polynomial.const(p.ctx, 1))
-
-    @staticmethod
-    def var(ctx: VariableContext, name: str) -> "RationalFunction":
-        return RationalFunction.from_poly(Polynomial.variable(ctx, name))
-
-    @property
-    def ctx(self) -> VariableContext:
-        return self.num.ctx
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def add(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            self.num.mul(other.den).add(other.num.mul(self.den)),
-            self.den.mul(other.den),
-        )
-
-    def mul(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(self.num.mul(other.num), self.den.mul(other.den))
-
-    def div(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise PolyError("division by zero rational function")
-        return RationalFunction.make(self.num.mul(other.den), self.den.mul(other.num))
-
-    def pow(self, k: int) -> "RationalFunction":
-        if k >= 0:
-            return RationalFunction.make(self.num.pow(k), self.den.pow(k))
-        if self.is_zero:
-            raise PolyError("negative power of zero")
-        return RationalFunction.make(self.den.pow(-k), self.num.pow(-k))
-
-    __add__ = add
-    __mul__ = mul
-    __truediv__ = div
-    __pow__ = pow
-
-    def key(self) -> tuple:
-        return (self.num.terms, self.den.terms)
-
-    def to_string(self, names: Optional[Sequence[str]] = None) -> str:
-        if self.den.is_unit and self.den.leading_coefficient() == 1:
-            return self.num.to_string(names)
-        return f"({self.num.to_string(names)}) / ({self.den.to_string(names)})"
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.to_string()!r})"
-
-
-def substitute(p: Polynomial, name: str, value: RationalFunction) -> RationalFunction:
-    """Exact substitution of one variable by a rational function, reduced."""
-    i = p.ctx.index(name)
-    if value.ctx != p.ctx:
-        raise ContextMismatch("substitution value over a different context")
-    by_power: dict[int, Polynomial] = {}
-    for e, c in p.terms:
-        k = e[i]
-        rest = list(e)
-        rest[i] = 0
-        mono = Polynomial.monomial(p.ctx, rest, c)
-        by_power[k] = by_power.get(k, Polynomial.zero(p.ctx)).add(mono)
-    out = RationalFunction.from_poly(Polynomial.zero(p.ctx))
-    for k, coeff in sorted(by_power.items()):
-        term = RationalFunction.from_poly(coeff)
-        if k:
-            term = term.mul(value.pow(k))
-        out = out.add(term)
-    return out
-
-
-def evaluate(p: Polynomial, values: Mapping[int, RationalFunction]) -> RationalFunction:
-    """Evaluate a Laurent polynomial at rational-function values.
-
-    ``values`` maps variable indices to values; unmapped variables stay
-    symbolic (their context must match the values' context).
-    """
-    ctx = p.ctx
-    out: Optional[RationalFunction] = None
-    for e, c in p.terms:
-        rest = [0] * ctx.nvars
-        term = RationalFunction.from_poly(Polynomial.const(ctx, c))
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            if i in values:
-                term = term.mul(values[i].pow(k))
-            else:
-                if k < 0:
-                    term = term.div(RationalFunction.from_poly(
-                        Polynomial.monomial(ctx, [(-k if j == i else 0) for j in range(ctx.nvars)])
-                    ))
-                else:
-                    rest[i] = k
-        if any(rest):
-            term = term.mul(RationalFunction.from_poly(Polynomial.monomial(ctx, rest)))
-        out = term if out is None else out.add(term)
-    if out is None:
-        return RationalFunction.from_poly(Polynomial.zero(ctx))
-    return out
-
+    def make(num: Polynomial, den: Polynomial) -> Polynomial:
+        """``num / den`` as a Laurent polynomial; PolyError when it is not one."""
+        q = divide_exact(num, den)
+        if q is None:
+            raise PolyError(f"({num}) / ({den}) is not a Laurent polynomial")
+        return q
 
 # -- parsing ------------------------------------------------------------------
 

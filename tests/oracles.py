@@ -2,14 +2,16 @@
 
 These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
-hexagon flip graph from non-crossing diagonal sets, and the depth-first
-traversal double-checks breadth-first enumeration counts.
+hexagon flip graph from non-crossing diagonal sets, the depth-first
+traversal double-checks breadth-first enumeration counts, and cluster values
+are followed as exact rationals at a point, reading only ``.terms``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from lpsurf.poly import Polynomial, divide_exact
 
@@ -132,3 +134,31 @@ def dfs_count(start_key, start_payload, neighbors) -> tuple[int, int]:
                 stack.append(v)
             edges.add(frozenset((u, v)))
     return len(payloads), len(edges)
+
+
+# -- cluster values at a rational point -------------------------------------------
+
+
+def value_at(p: Polynomial, point: Sequence[Fraction]) -> Fraction:
+    """The Laurent polynomial ``p`` at ``point``, one coordinate per context variable."""
+    total = Fraction(0)
+    for exps, c in p.terms:
+        term = Fraction(c)
+        for x, k in zip(point, exps):
+            term *= x ** k
+        total += term
+    return total
+
+
+def mutated_values_at(
+    fhat: Polynomial, i: int, values: Sequence[Fraction], point: Sequence[Fraction]
+) -> list[Fraction]:
+    """Slot values at ``point`` after mutating in direction ``i``.
+
+    ``values`` are the slots' values at ``point`` before the mutation; slot
+    ``i`` becomes ``Fhat_i(values) / value_i``, with the frozen variables of
+    ``Fhat_i`` at their coordinates of ``point``.
+    """
+    out = list(values)
+    out[i] = value_at(fhat, list(values) + list(point[len(values):])) / values[i]
+    return out

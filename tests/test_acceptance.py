@@ -15,7 +15,7 @@ from lpsurf.lp_core import (
     seeds_equal,
     validate_seed,
 )
-from lpsurf.poly import VariableContext, evaluate, parse_polynomial
+from lpsurf.poly import VariableContext, parse_polynomial
 from lpsurf.quiver import double_mutate, has_bad_path, lp_seed_from_quiver
 from lpsurf.surface import (
     MarkedSurface,
@@ -205,10 +205,11 @@ def test_criterion_6_double_mutation_equivalence():
                 lp = mutate(seed, pair)
                 q2 = double_mutate(q, pair)
                 seed2 = lp_seed_from_quiver(q2, ctx)
+                # the seed is initial, so its new value is F_pair * x_pair^-1
                 values = list(seed2.values)
-                values[pair] = evaluate(
-                    seed.polys[pair], dict(enumerate(seed.values))
-                ).div(seed.values[pair])
+                values[pair] = seed.polys[pair].times_monomial(
+                    [-1 if k == pair else 0 for k in range(ctx.nvars)]
+                )
                 seed2 = seed2.with_values(values)
                 checked += 1
                 if not seeds_equal(lp, seed2):

@@ -12,8 +12,8 @@ from lpsurf.explorer import (
     graphs_isomorphic,
     verify_laurent,
 )
-from lpsurf.lp_core import mutate, seed_key
-from lpsurf.poly import PolyError
+from lpsurf.lp_core import LaurentViolation, LPSeed, mutate, seed_key
+from lpsurf.poly import PolyError, parse_polynomial
 from lpsurf.surface import (
     canonical_code,
     flip,
@@ -155,6 +155,27 @@ class TestVerifyLaurent:
         report = verify_laurent(mutation_example_seed, [[0]])
         assert report.ok
 
+    def test_non_laurent_value_is_reported(self):
+        """(b+1)/(a+1) is not Laurent: one violation, at [0], for a'."""
+        s = LPSeed.initial(("a", "b"), (), ("b+1", "a+1"))
+        s = s.with_values([parse_polynomial("a+1", s.ctx), parse_polynomial("b", s.ctx)])
+        report = verify_laurent(s, [[0]])
+        assert report.violations == [((0,), "a'", "(b + 1) / (a + 1)")]
+        assert report.sequences_checked == 1 and not report.ok
+
+    def test_negative_frozen_exponent_is_reported(self):
+        """(t+1)/(t*x) has t in its denominator: not Laurent over Z[t]."""
+        s = LPSeed.initial(("x",), ("t",), ("t+1",))
+        s = s.with_values([parse_polynomial("t*x", s.ctx)])
+        report = verify_laurent(s, [[0, 0], [0]])
+        assert [(seq, name) for seq, name, _ in report.violations] == [((0,), "x'"), ((0,), "x'")]
+        assert report.sequences_checked == 2 and report.variables_checked == 0
+
+    def test_mutate_raises_laurent_violation(self):
+        s = LPSeed.initial(("x",), ("t",), ("t+1",))
+        with pytest.raises(LaurentViolation, match="not a Laurent polynomial"):
+            mutate(s.with_values([parse_polynomial("t*x", s.ctx)]), 0)
+
     def test_random_sequences_stay_laurent(self, mobius2):
         s = seed_from_quasi_triangulation(initial_quasi_triangulation(mobius2))
         rng = random.Random(5)
@@ -197,6 +218,22 @@ class TestExport:
         data = json.loads(export(explore_seeds(hexagon_seed, depth=1), "json"))
         with pytest.raises(PolyError):
             graph_from_json(json.dumps(edit(data)))
+
+    @pytest.mark.parametrize("nodes, edges", [
+        ([0, 2], [[0, 1, "0"]]),
+        ([0, 0], [[0, 1, "0"]]),
+        ([1, 2], [[0, 1, "0"]]),
+        ([-1, 0], [[0, 1, "0"]]),
+        ([0], [[0, 5, "0"]]),
+        ([0, 1], [[-1, 1, "0"]]),
+    ], ids=["id-gap", "duplicate-id", "not-from-zero", "negative-id", "dangling-edge",
+            "negative-endpoint"])
+    def test_json_rejects_bad_node_ids(self, nodes, edges):
+        data = {"schema": 1, "kind": "seeds", "truncated": False,
+                "nodes": [{"id": i, "label": "a"} for i in nodes], "edges": edges}
+        with pytest.raises(PolyError) as info:
+            graph_from_json(json.dumps(data))
+        assert "\n" not in str(info.value)
 
     def test_json_rejects_unparsable_text(self, hexagon_seed):
         with pytest.raises(PolyError):

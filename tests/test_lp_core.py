@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,9 +15,17 @@ from lpsurf.lp_core import (
     seeds_equal,
     validate_seed,
 )
-from lpsurf.poly import RationalFunction, parse_polynomial
+from lpsurf.explorer import explore_seeds
+from lpsurf.poly import parse_polynomial, strip_laurent_monomial
+from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
 
 from conftest import random_valid_seed
+from oracles import mutated_values_at, value_at
+
+
+def surface_seed(genus, cross_caps, boundary):
+    surface = MarkedSurface(genus, cross_caps, boundary)
+    return seed_from_quasi_triangulation(initial_quasi_triangulation(surface))
 
 
 class TestValidate:
@@ -98,10 +108,7 @@ class TestMutate:
         assert m.polys[1] == parse_polynomial("a + c", ctx)  # slot a now displays d
         assert m.polys[2] == parse_polynomial("a^2 + b", ctx)
         assert m.poly_strings() == ("b + 1", "d + c", "d^2 + b")
-        want = RationalFunction.make(
-            parse_polynomial("b+1", ctx), parse_polynomial("a", ctx)
-        )
-        assert m.values[0] == want
+        assert m.values[0] == parse_polynomial("(b+1)*a^-1", ctx)
 
     def test_literal_seed_display_documents_discrepancy(self, example_norm_seed):
         """With the literal middle entry a+c, mutation yields cd+1, not c+d.
@@ -140,10 +147,7 @@ class TestMutate:
         seed = LPSeed.initial(("x",), ("t",), ("t+1",))
         m = mutate(seed, 0)
         assert m.polys[0] == seed.polys[0]
-        want = RationalFunction.make(
-            parse_polynomial("t+1", seed.ctx), parse_polynomial("x", seed.ctx)
-        )
-        assert m.values[0] == want
+        assert m.values[0] == parse_polynomial("(t+1)*x^-1", seed.ctx)
         assert seeds_equal(mutate(m, 0), seed)
 
     def test_mutated_seed_new_name_collision_is_fine(self, mutation_example_seed):
@@ -151,6 +155,83 @@ class TestMutate:
         m2 = mutate(m1, 0)
         assert m2.names[0] == "a''"
         assert seeds_equal(m2, mutation_example_seed)
+
+
+class TestStepTwo:
+    # sha256 of the exchange polynomials after every step of 400 random 4-step
+    # chains, frozen from the gcd-loop implementation of step 2
+    CHAINS_SHA256 = "f04876079cf78dd75eec2b71cffd882f21de54beefe723779d753638107935c6"
+
+    def test_random_chains_golden(self):
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            s = random_valid_seed(rng, n=n, n_frozen=rng.randint(0, 2))
+            for _ in range(4):
+                s = mutate(s, rng.randrange(n))
+                digest.update("\n".join(s.poly_strings()).encode() + b"\n\n")
+        assert digest.hexdigest() == self.CHAINS_SHA256
+
+    def test_octagon_frozen_monomial_numerator(self):
+        """On the 8-gon, Fhat_i|_{x_j<-0} is a monomial in boundary variables.
+
+        Exact division by a monomial always succeeds in the Laurent ring, so
+        step 2 must strip its variables rather than divide until failure.
+        """
+        s = surface_seed(0, 0, (8,))
+        fhat, _ = normalize(s, 0)
+        numerator, _ = strip_laurent_monomial(fhat.subs_zero(1), range(s.n))
+        assert numerator == parse_polynomial("b1*b3", s.ctx)
+        m = mutate(s, 0)
+        # F_x9 = x8*b4 + x10*b3 becomes x8'*x10 + b1*b4: b1*b3*b4 + x8'*x10*b3 with b3 stripped
+        assert m.poly_strings() == (
+            "x9*b2 + b1*b3", "x8'*x10 + b1*b4", "x9*b5 + x11*b4", "x10*b6 + x12*b5",
+            "x11*b7 + b6*b8",
+        )
+        assert seeds_equal(mutate(m, 0), s)
+
+
+class TestValueOracle:
+    """Every new value agrees with Fhat_i(values) / value_i at a rational point."""
+
+    @staticmethod
+    def point(seed):
+        rng = random.Random(2016)
+        return [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in seed.ctx.names]
+
+    @staticmethod
+    def check(seed, i, point, before):
+        """Mutate ``seed`` at ``i``; its values at ``point`` must follow ``before``."""
+        fhat, _ = normalize(seed, i)
+        want = mutated_values_at(fhat, i, before, point)
+        m = mutate(seed, i)
+        assert [value_at(v, point) for v in m.values] == want
+        return m, want
+
+    @pytest.mark.parametrize("surface, depth", [
+        ((0, 1, (4,)), None), ((0, 0, (7,)), None), ((0, 0, (2, 2)), 3),
+    ], ids=["M4", "7-gon", "annulus22-depth3"])
+    def test_every_mutation_of_a_seed_graph(self, surface, depth):
+        g = explore_seeds(surface_seed(*surface), depth=depth)
+        point = self.point(g.payloads[0])
+        mutations = 0
+        for s in g.payloads:
+            before = [value_at(v, point) for v in s.values]
+            for i in range(s.n):
+                self.check(s, i, point, before)
+                mutations += 1
+        assert mutations == g.node_count * g.payloads[0].n
+
+    def test_random_chains(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            s = random_valid_seed(rng, n=n, n_frozen=rng.randint(0, 2))
+            point = self.point(s)
+            numeric = point[:n]
+            for _ in range(4):
+                s, numeric = self.check(s, rng.randrange(n), point, numeric)
 
 
 class TestWellDefinedGuard:
@@ -190,8 +271,8 @@ class TestSeedsEqual:
         """Same cluster as a set, polynomials must follow the values."""
         s1 = LPSeed.initial(("x", "y"), ("t",), ("y+t", "x+1"))
         ctx = s1.ctx
-        vx = RationalFunction.var(ctx, "x")
-        vy = RationalFunction.var(ctx, "y")
+        vx = parse_polynomial("x", ctx)
+        vy = parse_polynomial("y", ctx)
         # same data with the two slots' roles exchanged: slot 0 now holds the
         # value y (its polynomial refers to slot 1, which holds x)
         s2 = LPSeed(
@@ -229,4 +310,4 @@ class TestJson:
         assert back.names == ("a''", "b", "c")
         assert [p.terms for p in back.polys] == [p.terms for p in orig.polys]
         assert back.ctx.frozen == orig.ctx.frozen
-        assert [v.key() for v in back.values] == [v.key() for v in orig.values]
+        assert [v.terms for v in back.values] == [v.terms for v in orig.values]

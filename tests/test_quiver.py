@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lpsurf.lp_core import InvalidSeed, mutate, normalize, seeds_equal
-from lpsurf.poly import PolyError, VariableContext, evaluate
+from lpsurf.poly import PolyError, VariableContext
 from lpsurf.quiver import (
     Quiver,
     cancel_two_cycles,
@@ -230,10 +230,10 @@ class TestDoubleMutationEquivalence:
                 seed2 = lp_seed_from_quiver(q2, ctx)
             except InvalidSeed:
                 continue
-            value_map = dict(enumerate(seed.values))
+            # the seed is initial, so its new value is F_i * x_i^-1
             vals = list(seed2.values)
-            vals[mutable_index] = evaluate(seed.polys[mutable_index], value_map).div(
-                seed.values[mutable_index]
+            vals[mutable_index] = seed.polys[mutable_index].times_monomial(
+                [-1 if k == mutable_index else 0 for k in range(ctx.nvars)]
             )
             seed2 = seed2.with_values(vals)
             assert seeds_equal(lp, seed2)
