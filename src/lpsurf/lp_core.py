@@ -195,8 +195,9 @@ def normalize(seed: LPSeed, j: int, check: bool = True) -> tuple[Polynomial, tup
     ctx = seed.ctx
     # a Laurent entry (an already-normalized polynomial) is handled on its
     # denominator-cleared part: clearing x_k^-m trades m powers of F_k away
-    borrowed = f.den.terms[0][0]
-    f = f.num
+    borrowed = f.den_exponents()
+    if any(borrowed):
+        f = f.times_monomial(borrowed)
     exts = ctx.extended(_AUX)
     aux = exts.nvars - 1
     exponents = [0] * seed.n

@@ -209,7 +209,8 @@ class Polynomial:
             raise PolyError("zero polynomial has no valuation")
         return min(e[i] for e, _ in self.terms)
 
-    def _den_exponents(self) -> Exponents:
+    def den_exponents(self) -> Exponents:
+        """Exponent vector of ``den``: max(0, -valuation) in every variable."""
         exps = [0] * self.ctx.nvars
         for e, _ in self.terms:
             for i, k in enumerate(e):
@@ -220,12 +221,12 @@ class Polynomial:
     @property
     def den(self) -> "Polynomial":
         """Monic monomial clearing the negative exponents: prod x^max(0, -valuation)."""
-        return Polynomial(self.ctx, ((self._den_exponents(), 1),))
+        return Polynomial(self.ctx, ((self.den_exponents(), 1),))
 
     @property
     def num(self) -> "Polynomial":
         """``self * den``, an ordinary polynomial that keeps its positive monomial content."""
-        exps = self._den_exponents()
+        exps = self.den_exponents()
         return self.times_monomial(exps) if any(exps) else self
 
     def involves(self, i: int) -> bool:
@@ -713,16 +714,13 @@ class RationalFunction:
     Cluster values are Laurent :class:`Polynomial` objects, printed through
     ``Polynomial.num`` and ``Polynomial.den``.  Nothing in lpsurf uses this
     class; it stays because the benchmark tracer (``bench/tracer.py``) looks
-    up ``RationalFunction.make`` by name.
+    up ``RationalFunction.make`` by name.  Delete it with that lookup.
     """
 
     @staticmethod
     def make(num: Polynomial, den: Polynomial) -> Polynomial:
-        """``num / den`` as a Laurent polynomial; PolyError when it is not one."""
-        q = divide_exact(num, den)
-        if q is None:
-            raise PolyError(f"({num}) / ({den}) is not a Laurent polynomial")
-        return q
+        raise NotImplementedError("cluster values are Laurent Polynomials")
+
 
 # -- parsing ------------------------------------------------------------------
 
