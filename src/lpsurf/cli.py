@@ -19,7 +19,6 @@ from .lp_core import (
     normalize,
     seed_from_json,
     seed_to_json,
-    validate_seed,
 )
 from .poly import PolyError, Polynomial
 from .schema import SCHEMA_VERSION
@@ -100,9 +99,8 @@ def validate(seed_path, surface_path):
         raise click.UsageError("pass --seed or --surface")
     if seed_path:
         seed = seed_from_json(_load_json(seed_path))
-        violations = validate_seed(seed)
-        if violations:
-            for v in violations:
+        if seed.violations:
+            for v in seed.violations:
                 click.echo(f"violation: {v}", err=True)
             raise click.ClickException("invalid seed")
         click.echo("seed ok")

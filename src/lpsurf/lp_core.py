@@ -16,6 +16,7 @@ Laurent polynomial raises :class:`LaurentViolation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .poly import (
@@ -23,6 +24,9 @@ from .poly import (
     PolyError,
     Polynomial,
     VariableContext,
+    _as_univariate,
+    _check_name,
+    _divide_ordinary,
     divide_exact,
     is_irreducible,
     parse_polynomial,
@@ -101,6 +105,21 @@ class LPSeed:
         values = tuple(Polynomial.variable(ctx, name) for name in ctx.cluster)
         return LPSeed(ctx, parsed, tuple(ctx.cluster), values, provenance)
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every violated seed condition (see :func:`validate_seed`), computed once.
+
+        Validity is not a constructor invariant: ``validate_seed`` and the
+        ``validate`` command must be able to build and report invalid seeds.
+        """
+        return tuple(validate_seed(self))
+
+    def require_valid(self) -> "LPSeed":
+        """This seed, or :class:`InvalidSeed` listing its violations."""
+        if self.violations:
+            raise InvalidSeed(list(self.violations))
+        return self
+
     def with_values(self, values: Sequence[Polynomial]) -> "LPSeed":
         return replace(self, values=tuple(values))
 
@@ -170,61 +189,41 @@ def _is_cluster_variable(ctx: VariableContext, f: Polynomial) -> bool:
     return e[i] == 1 and ctx.is_cluster_index(i)
 
 
-def _require_valid(seed: LPSeed) -> None:
-    violations = validate_seed(seed)
-    if violations:
-        raise InvalidSeed(violations)
-
-
 # -- normalization ------------------------------------------------------------
 
-_AUX = "_normalization_aux"
 
-
-def normalize(seed: LPSeed, j: int, check: bool = True) -> tuple[Polynomial, tuple[int, ...]]:
+def normalize(seed: LPSeed, j: int) -> tuple[Polynomial, tuple[int, ...]]:
     """Normalized exchange polynomial of slot ``j`` and its exponent vector.
 
     Returns ``(Fhat_j, (a_1..a_n))`` with
     ``Fhat_j = F_j / prod_{k != j} x_k^{a_k}`` where ``a_k`` is maximal such
-    that ``F_k^{a_k}`` exactly divides ``F_j`` after the substitution
-    ``x_k <- F_k / x`` in an auxiliary variable ``x``.
+    that ``F_k^{a_k}`` divides ``F_j(x_k <- F_k / x)`` over ``Z[frozen]``
+    (frozen variables are not units).  Writing ``F_j = sum_m c_m x_k^m``,
+    that is ``a_k = min_m (m + v(c_m))`` with ``v`` the number of factors
+    ``F_k`` in ``c_m``, counted by exact division in the polynomial ring.
+    Raises :class:`InvalidSeed` on an invalid seed.
     """
-    if check:
-        _require_valid(seed)
+    seed.require_valid()
     f = seed.polys[j]
-    ctx = seed.ctx
-    # a Laurent entry (an already-normalized polynomial) is handled on its
-    # denominator-cleared part: clearing x_k^-m trades m powers of F_k away
-    borrowed = f.den_exponents()
-    if any(borrowed):
-        f = f.times_monomial(borrowed)
-    exts = ctx.extended(_AUX)
-    aux = exts.nvars - 1
     exponents = [0] * seed.n
     for k in range(seed.n):
-        if k == j:
-            continue
-        fk = seed.polys[k]
-        if f.involves(k):
-            value = fk.map_context(exts).times_monomial(
-                tuple(-1 if t == aux else 0 for t in range(exts.nvars))
-            )
-            s = f.map_context(exts).subs_poly(k, value)
-        else:
-            s = f.map_context(exts)
-        fk_ext = fk.map_context(exts)
-        a = 0
-        while True:
-            nxt = divide_exact(s, fk_ext)
-            if nxt is None:
-                break
-            s = nxt
-            a += 1
-        exponents[k] = max(0, a - borrowed[k])
-    shift = [-borrowed[k] for k in range(ctx.nvars)]
-    for k in range(seed.n):
-        shift[k] -= exponents[k]
+        if k != j:
+            exponents[k] = _power_of(seed.polys[k], f, k)
+    shift = [-a for a in exponents] + [0] * len(seed.ctx.frozen)
     return f.times_monomial(shift), tuple(exponents)
+
+
+def _power_of(fk: Polynomial, f: Polynomial, k: int) -> int:
+    """``min_m (m + v(c_m))`` over ``f = sum_m c_m x_k^m``; ``v`` counts factors ``fk``."""
+    best: Optional[int] = None
+    for m, c in sorted(_as_univariate(f, k).items()):
+        if best is not None and m >= best:
+            break
+        a = m
+        while (best is None or a < best) and (c := _divide_ordinary(c, fk)) is not None:
+            a += 1
+        best = a
+    return best
 
 
 # -- mutation -----------------------------------------------------------------
@@ -286,30 +285,29 @@ def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
         h = divide_exact(h, d)
 
 
-def mutate(
-    seed: LPSeed,
-    i: int,
-    new_name: Optional[str] = None,
-    validate: bool = True,
-) -> LPSeed:
+def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
     """Three-step LP mutation of a seed in direction ``i``.
 
     The slot keeps its internal symbol; the new cluster variable gets
-    ``new_name`` (default: the old display name with a prime appended) and its
-    tracked value ``Fhat_i(values) / value_i``, which raises
-    :class:`LaurentViolation` when it is not a Laurent polynomial.  The result
-    is validated.
+    ``new_name`` (default: the old display name with a prime appended), which
+    must be a variable name not used by another slot or a frozen variable, and
+    its tracked value ``Fhat_i(values) / value_i``, which raises
+    :class:`LaurentViolation` when it is not a Laurent polynomial.  Raises
+    :class:`InvalidSeed` on an invalid seed; the result is checked to be valid.
     """
-    if validate:
-        _require_valid(seed)
+    seed.require_valid()
     if not 0 <= i < seed.n:
         raise PolyError(f"mutation direction {i} out of range")
+    name = new_name if new_name is not None else _fresh_name(seed.names[i])
+    _check_name(name)
+    if name in seed.names[:i] + seed.names[i + 1:] + seed.ctx.frozen:
+        raise PolyError(f"new variable name {name!r} is already in use")
     ctx = seed.ctx
-    fhat_i, _ = normalize(seed, i, check=False)
+    fhat_i, _ = normalize(seed, i)
     if fhat_i.is_zero:
         raise MutationError("normalized polynomial vanished")
     names = list(seed.names)
-    names[i] = new_name if new_name is not None else _fresh_name(seed.names[i])
+    names[i] = name
     values = list(seed.values)
     values[i] = _new_value(seed, i, fhat_i, names[i])
 
@@ -344,10 +342,8 @@ def mutate(
         new_polys.append(fj_new)
 
     result = LPSeed(ctx, tuple(new_polys), tuple(names), tuple(values), seed.provenance)
-    if validate:
-        violations = validate_seed(result)
-        if violations:
-            raise MutationError("mutation produced an invalid seed: " + "; ".join(violations))
+    if result.violations:
+        raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
     return result
 
 

@@ -88,10 +88,6 @@ class VariableContext:
     def cluster_indices(self) -> range:
         return range(len(self.cluster))
 
-    def extended(self, extra: str) -> "VariableContext":
-        """Context with one auxiliary frozen-position variable appended."""
-        return VariableContext(self.cluster, self.frozen + (extra,))
-
 
 Exponents = tuple[int, ...]
 Terms = tuple[tuple[Exponents, int], ...]
@@ -352,23 +348,6 @@ class Polynomial:
             if e[i] == 0:
                 d[e] = d.get(e, 0) + c
         return Polynomial(self.ctx, _sorted_terms(d))
-
-    def map_context(self, new_ctx: VariableContext) -> "Polynomial":
-        """Re-express over a context containing all involved variables by name."""
-        pos = {name: j for j, name in enumerate(new_ctx.names)}
-        d: dict[Exponents, int] = {}
-        for e, c in self.terms:
-            out = [0] * new_ctx.nvars
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = self.ctx.names[i]
-                if name not in pos:
-                    raise PolyError(f"variable {name!r} missing from target context")
-                out[pos[name]] += k
-            key = tuple(out)
-            d[key] = d.get(key, 0) + c
-        return Polynomial(new_ctx, _sorted_terms(d))
 
     def permute_cluster(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel cluster coordinates: new exponent at slot ``perm[i]`` is old slot ``i``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lp_core import LPSeed, validate_seed
+from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 
@@ -174,13 +174,7 @@ def lp_seed_from_quiver(
 ) -> LPSeed:
     """The seed with the quiver's exchange polynomials, rejected if invalid."""
     polys = exchange_polys(q, ctx)
-    seed = LPSeed.initial(ctx.cluster, ctx.frozen, polys, provenance=provenance)
-    violations = validate_seed(seed)
-    if violations:
-        from .lp_core import InvalidSeed
-
-        raise InvalidSeed(violations)
-    return seed
+    return LPSeed.initial(ctx.cluster, ctx.frozen, polys, provenance=provenance).require_valid()
 
 
 # -- serialization -------------------------------------------------------------

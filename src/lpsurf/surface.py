@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .lp_core import InvalidSeed, LPSeed, validate_seed
+from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext
 from .quiver import Quiver, cancel_two_cycles
 from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
@@ -586,11 +586,7 @@ def seed_from_quasi_triangulation(
                     break
         else:
             polys.append(_triangle_arc_poly(t, q, lam))
-    seed = LPSeed.initial(cluster, frozen, polys, provenance=provenance)
-    violations = validate_seed(seed)
-    if violations:
-        raise InvalidSeed(violations)
-    return seed
+    return LPSeed.initial(cluster, frozen, polys, provenance=provenance).require_valid()
 
 
 def _triangle_arc_poly(t: QuasiTriangulation, q: int, lam) -> Polynomial:

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from lpsurf.lp_core import LPSeed
@@ -8,6 +10,26 @@ from lpsurf.surface import MarkedSurface
 @pytest.fixture
 def abc_ctx():
     return VariableContext(("a", "b", "c"))
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test that runs for more than 10 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no result within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def frozen_variable_seed():
+    """A valid seed whose exchange polynomial F_x is the frozen variable t."""
+    return LPSeed.initial(("x", "y"), ("t",), ("t", "x + 1"))
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
-traversal double-checks breadth-first enumeration counts, and cluster values
-are followed as exact rationals at a point, reading only ``.terms``.
+traversal double-checks breadth-first enumeration counts, cluster values
+are followed as exact rationals at a point, and normalization exponents come
+from the definition computed in sympy; the last two read only ``.terms``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import sympy
 
 from lpsurf.poly import Polynomial, divide_exact
 
@@ -162,3 +165,42 @@ def mutated_values_at(
     out = list(values)
     out[i] = value_at(fhat, list(values) + list(point[len(values):])) / values[i]
     return out
+
+
+# -- normalization exponents from the definition ------------------------------------
+
+
+def _to_sympy(terms, gens: Sequence[sympy.Symbol]) -> sympy.Poly:
+    return sympy.Poly.from_dict(dict(terms), *gens, domain=sympy.ZZ)
+
+
+def normalization_exponents(polys: Sequence[Polynomial], j: int) -> tuple[int, ...]:
+    """``a_k``: the largest power of ``F_k`` dividing ``F_j(x_k <- F_k / X)``.
+
+    Each term ``c * x^e`` of ``F_j`` becomes ``c * x^e|_{x_k=1} * F_k^(e_k) *
+    X^(d - e_k)`` with ``d = deg_k(F_j)``: the substitution times ``X^d``,
+    which clears the powers of ``X`` (a unit).  ``a_k`` counts exact
+    divisions by ``F_k`` in sympy over ``Z[cluster, frozen, X]``, where
+    frozen variables are not units.
+    """
+    nvars = polys[0].ctx.nvars
+    gens = sympy.symbols(f"v:{nvars + 1}")
+    out = []
+    for k in range(len(polys)):
+        if k == j:
+            out.append(0)
+            continue
+        fk = _to_sympy(((e + (0,), c) for e, c in polys[k].terms), gens)
+        d = polys[j].degree_in(k)
+        s = _to_sympy({}, gens)
+        for e, c in polys[j].terms:
+            rest = e[:k] + (0,) + e[k + 1:] + (d - e[k],)
+            s += _to_sympy([(rest, c)], gens) * fk ** e[k]
+        a = 0
+        while True:
+            q, r = s.div(fk, auto=False)
+            if not r.is_zero:
+                break
+            s, a = q, a + 1
+        out.append(a)
+    return tuple(out)

@@ -1,4 +1,5 @@
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,12 @@ HEXAGON_SEED = {
 }
 M2_SEED = {"schema": 1, "cluster": ["x2", "x3"], "frozen": ["b1", "b2"],
            "polys": ["b1 + b2", "x2^2 + b1*b2"]}
+# A valid seed whose exchange polynomial F_x is the frozen variable t.
+FROZEN_VARIABLE_SEED = {"schema": 1, "cluster": ["x", "y"], "frozen": ["t"],
+                        "polys": ["t", "x + 1"]}
+# EXAMPLE_SEED with b renamed a', the default name for a mutated a.
+PRIMED_SEED = {**EXAMPLE_SEED, "cluster": ["a", "a'", "c"],
+               "polys": ["a' + 1", "a*c + 1", "a^2*a' + a'^2 + 2*a' + 1"]}
 
 
 @pytest.fixture
@@ -242,6 +249,16 @@ MALFORMED = [
                  id="not-utf8"),
     pytest.param(b"[" * 100_000 + b"]" * 100_000, "validate --seed FILE", {}, 1,
                  "cannot read", id="nested-too-deep"),
+    pytest.param(EXAMPLE_SEED, "mutate --seed FILE --at a --name 1x", {}, 1,
+                 "bad variable name '1x'", id="new-name-digit"),
+    pytest.param(EXAMPLE_SEED, "mutate --seed FILE --at a --name 'a b'", {}, 1,
+                 "bad variable name 'a b'", id="new-name-space"),
+    pytest.param(HEXAGON_SEED, "mutate --seed FILE --at x6 --name b1", {}, 1,
+                 "new variable name 'b1' is already in use", id="new-name-frozen"),
+    pytest.param(EXAMPLE_SEED, "mutate --seed FILE --at a --name c", {}, 1,
+                 "new variable name 'c' is already in use", id="new-name-other-slot"),
+    pytest.param(PRIMED_SEED, "mutate --seed FILE --at a", {}, 1,
+                 "new variable name \"a'\" is already in use", id="default-name-taken"),
 ]
 
 
@@ -252,8 +269,17 @@ def _run(runner, content, command, env):
             path.write_bytes(content)
         else:
             path.write_text(json.dumps(content))
-        args = [a.replace("FILE", str(path)) for a in command.split()]
+        args = [a.replace("FILE", str(path)) for a in shlex.split(command)]
         return runner.invoke(main, args, env=env)
+
+
+@pytest.mark.parametrize("command", [
+    "normalize --seed FILE", "mutate --seed FILE --at y", "explore --seed FILE",
+    "verify-laurent --seed FILE",
+])
+def test_frozen_variable_exchange_polynomial_terminates(runner, command, time_limit):
+    result = _run(runner, FROZEN_VARIABLE_SEED, command, {})
+    assert result.exit_code == 0, result.output
 
 
 def _assert_clean_exit(result, codes=(0, 1, 2)):
@@ -281,7 +307,7 @@ _env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charac
                     max_size=4)
 
 SEED_COMMANDS = ["validate --seed FILE", "normalize --seed FILE", "explore --seed FILE --depth 1",
-                 "verify-laurent --seed FILE --sequences 2"]
+                 "verify-laurent --seed FILE --sequences 2", "mutate --seed FILE --at x7"]
 SURFACE_COMMANDS = ["validate --surface FILE", "explore --surface FILE --depth 1",
                     "compare-graphs --surface FILE --depth 1",
                     "verify-laurent --surface FILE --sequences 2"]

@@ -20,12 +20,11 @@ from lpsurf.poly import parse_polynomial, strip_laurent_monomial
 from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
 
 from conftest import random_valid_seed
-from oracles import mutated_values_at, value_at
+from oracles import mutated_values_at, normalization_exponents, value_at
 
 
-def surface_seed(genus, cross_caps, boundary):
-    surface = MarkedSurface(genus, cross_caps, boundary)
-    return seed_from_quasi_triangulation(initial_quasi_triangulation(surface))
+def surface_seed(*surface):
+    return seed_from_quasi_triangulation(initial_quasi_triangulation(MarkedSurface(*surface)))
 
 
 class TestValidate:
@@ -67,17 +66,6 @@ class TestNormalize:
         minus2 = (-2, 0, 0)
         assert fc == s.polys[2].times_monomial(minus2)
 
-    def test_idempotence(self, example_norm_seed):
-        """Normalizing with the already-normalized entry finds no further powers."""
-        s = example_norm_seed
-        fc, _ = normalize(s, 2)
-        renorm = LPSeed(
-            s.ctx, (s.polys[0], s.polys[1], fc), s.names, s.values
-        )
-        # the Laurent entry cannot be divided further by the others
-        _, exps = normalize(renorm, 2, check=False)
-        assert exps == (0, 0, 0)
-
     def test_no_divisibility_means_identity(self):
         seed = LPSeed.initial(("x1", "x2"), (), ("x2+2", "x1+1"))
         for j in range(2):
@@ -95,6 +83,49 @@ class TestNormalize:
         seed = LPSeed.initial(("x1", "x2"), (), ("x1+1", "x1+1"))
         with pytest.raises(InvalidSeed):
             normalize(seed, 0)
+        with pytest.raises(InvalidSeed):
+            mutate(seed, 0)
+
+    def test_frozen_variable_is_not_a_unit(self, frozen_variable_seed, time_limit):
+        """F_x = t divides nothing in x + 1; dividing by t in the Laurent ring never stops."""
+        s = frozen_variable_seed
+        assert normalize(s, 0) == (s.polys[0], (0, 0))
+        assert normalize(s, 1) == (parse_polynomial("x + 1", s.ctx), (0, 0))
+
+    def test_a_higher_coefficient_sets_the_power(self):
+        """F_x = (z+1)^2 + y: c_0 = F_y^2 but c_1 = 1, so a_y = min(0 + 2, 1 + 0) = 1."""
+        seed = LPSeed.initial(("x", "y", "z"), (), ("(z+1)^2 + y", "z + 1", "x + 1"))
+        fhat, exps = normalize(seed, 0)
+        assert exps == (0, 1, 0)
+        assert fhat == parse_polynomial("(z+1)^2*y^-1 + 1", seed.ctx)
+
+
+class TestNormalizeOracle:
+    """normalize agrees with the definition of a_k computed in sympy."""
+
+    @staticmethod
+    def check(seed):
+        frozen = (0,) * len(seed.ctx.frozen)
+        for j in range(seed.n):
+            fhat, exps = normalize(seed, j)
+            assert exps == normalization_exponents(seed.polys, j), (seed, j)
+            assert fhat.times_monomial(exps + frozen) == seed.polys[j]
+
+    @pytest.mark.parametrize("surface, depth", [
+        ((0, 1, (4,)), None), ((0, 0, (7,)), None), ((0, 0, (6,), False), None),
+        ((0, 0, (2, 2)), 3),
+    ], ids=["M4", "7-gon", "hexagon-no-boundary-variables", "annulus22-depth3"])
+    def test_every_seed_of_a_seed_graph(self, surface, depth):
+        for s in explore_seeds(surface_seed(*surface), depth=depth).payloads:
+            self.check(s)
+
+    def test_random_seeds(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            self.check(random_valid_seed(rng, n=rng.randint(2, 4), n_frozen=rng.randint(0, 2)))
+
+    def test_frozen_variable_seed(self, frozen_variable_seed, time_limit):
+        self.check(frozen_variable_seed)
 
 
 class TestMutate:
@@ -192,6 +223,20 @@ class TestStepTwo:
         assert seeds_equal(mutate(m, 0), s)
 
 
+class TestValidateOnce:
+    def test_each_explored_seed_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counting(seed):
+            calls.append(seed)
+            return validate_seed(seed)
+
+        monkeypatch.setattr("lpsurf.lp_core.validate_seed", counting)
+        g = explore_seeds(surface_seed(0, 0, (6,)))
+        # the initial seed once, then each of the 14 seeds' 3 mutation results once
+        assert (g.node_count, len(calls)) == (14, 1 + 42)
+
+
 class TestValueOracle:
     """Every new value agrees with Fhat_i(values) / value_i at a rational point."""
 
@@ -244,7 +289,7 @@ class TestWellDefinedGuard:
                 for k in range(seed.n):
                     if i == k or not seed.polys[i].involves(k):
                         continue
-                    fhat_k, _ = normalize(seed, k, check=False)
+                    fhat_k, _ = normalize(seed, k)
                     # substituting zero must not hit a negative exponent
                     fhat_k.subs_zero(i)
 

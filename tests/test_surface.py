@@ -598,7 +598,7 @@ class TestEquivariance:
                         for k in sorted(names2)
                     ]
                     # map seed_b's polys into seed.ctx by variable names
-                    polys_b = [pp.map_context(seed.ctx) for pp in seed_b.polys]
+                    polys_b = [parse_polynomial(str(pp), seed.ctx) for pp in seed_b.polys]
                     want = {pp.canonical_sign().terms for pp in polys_b}
                     got = {pp.canonical_sign().terms for pp in polys_a}
                     assert got == want
