@@ -45,7 +45,9 @@ def _surface_seed(s: MarkedSurface):
 
 
 def _seed_arg(seed_path: str | None, surface_path: str | None) -> LPSeed:
-    """The seed of ``--seed``, else the initial seed of ``--surface``."""
+    """The seed of ``--seed`` or the initial seed of ``--surface``."""
+    if seed_path and surface_path:
+        raise click.UsageError("pass --seed or --surface, not both")
     if seed_path:
         return seed_from_json(_load_json(seed_path))
     if surface_path:
@@ -176,6 +178,8 @@ def explore(seed_path, surface_path, mode, depth, fmt, out):
     if mode == "flips":
         if not surface_path:
             raise click.UsageError("--mode flips needs --surface")
+        if seed_path:
+            raise click.UsageError("--mode flips takes no --seed")
         t = initial_quasi_triangulation(surface_from_json(_load_json(surface_path)))
         graph = explorer.explore_flips(t, depth=depth)
     else:

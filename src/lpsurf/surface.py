@@ -339,71 +339,78 @@ def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
 
 
 def canonical_code(t: QuasiTriangulation) -> tuple:
-    """Minimal BFS code over all starting flags; gauge and label invariant.
+    """Least BFS code over all starting flags; gauge and label invariant.
 
-    Boundary tokens carry the traversal sign relative to the segment's stored
-    direction, which pins the boundary orientation and keeps mirror states
-    distinct; arcs and portals are numbered in discovery order.
+    A flag is a region, an entry side and a direction; the code from a flag
+    has one row per region in BFS order.  Boundary tokens carry the traversal
+    sign relative to the segment's stored direction, which pins the boundary
+    orientation and keeps mirror states distinct; arcs and portals are
+    numbered in discovery order.
+
+    The first row depends on the flag alone (its arcs are numbered fresh), and
+    codes compare row by row, so the least code starts with the least first
+    row.  The BFS therefore runs only from flags that tie for that row, and
+    the result equals the minimum over all flags.  A pure triangulation has
+    one such flag: the least boundary label, entered against its direction.
     """
     bnd_label = dict(t.boundary)
+    sides = [t.region_sides(ri) for ri in range(len(t.regions))]
+    flags = [(ri, p, d) for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1)]
+    rows = [_row(t.regions[ri][0], sides[ri], p, d, bnd_label, {}) for ri, p, d in flags]
+    least = min(rows)
     slots = t.slots()
     pocket_by_portal = {p: ri for ri, p, _, _ in t.pockets()}
-    best: Optional[tuple] = None
-    for r0 in range(len(t.regions)):
-        arity = len(t.region_sides(r0))
-        for p0 in range(arity):
-            for d0 in (1, -1):
-                code = _bfs_code(t, bnd_label, slots, pocket_by_portal, r0, p0, d0)
-                if best is None or code < best:
-                    best = code
-    assert best is not None
-    return best
+    return min(
+        _bfs_code(t, sides, bnd_label, slots, pocket_by_portal, *flag)
+        for flag, row in zip(flags, rows)
+        if row == least
+    )
 
 
-def _bfs_code(t, bnd_label, slots, pocket_by_portal, r0, p0, d0) -> tuple:
-    visited: dict[int, int] = {}
+def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tuple:
+    """One region's code row, walking its sides from ``entry`` in direction ``d``."""
+    arity = len(sides)
+    row: list = [kind]
+    for k in range(arity):
+        e, s = sides[(entry + d * k) % arity]
+        if e in bnd_label:
+            row.append(("b", bnd_label[e], d * s))
+        else:
+            row.append(("e", edge_num.setdefault(e, len(edge_num))))
+    return tuple(row)
+
+
+def _bfs_code(t, sides, bnd_label, slots, pocket_by_portal, r0, p0, d0) -> tuple:
+    visited: set[int] = set()
     edge_num: dict[int, int] = {}
     tokens: list = []
     queue: list[tuple[int, int, int]] = [(r0, p0, d0)]
-    while queue:
-        ri, entry, d = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        ri, entry, d = queue[head]
+        head += 1
         if ri in visited:
             continue
-        visited[ri] = len(visited)
-        r = t.regions[ri]
-        sides = t.region_sides(ri)
-        arity = len(sides)
-        walk = [(entry + d * k) % arity for k in range(arity)]
-        row: list = [r[0]]
-        for pos in walk:
-            e, s = sides[pos]
-            eff = d * s
+        visited.add(ri)
+        kind = t.regions[ri][0]
+        rsides = sides[ri]
+        tokens.append(_row(kind, rsides, entry, d, bnd_label, edge_num))
+        arity = len(rsides)
+        for k in range(arity):
+            pos = (entry + d * k) % arity
+            e, s = rsides[pos]
             if e in bnd_label:
-                row.append(("b", bnd_label[e], eff))
                 continue
-            if e not in edge_num:
-                edge_num[e] = len(edge_num)
-            row.append(("e", edge_num[e]))
-            # cross to the neighbor
-            if e in pocket_by_portal and r[0] == TRI:
+            if kind == TRI and e in pocket_by_portal:
                 ni = pocket_by_portal[e]
                 if ni not in visited:
                     queue.append((ni, 0, 1))
-            elif r[0] == POCKET:
-                mi, mpos = t.portal_triangle(e)
-                if mi not in visited:
-                    # entry direction chosen so the crossing is coherent
-                    ms = t.regions[mi][1][mpos][1]
-                    queue.append((mi, mpos, -eff * ms))
-            else:
-                for (oi, opos) in slots[e]:
-                    if oi == ri and opos == pos:
-                        continue
-                    if oi not in visited:
-                        osides = t.region_sides(oi)
-                        os = osides[opos][1]
-                        queue.append((oi, opos, -eff * os))
-        tokens.append(tuple(row))
+                continue
+            # cross to the neighbor (a pocket's only slot is its portal in the
+            # mouth triangle), entering so that the crossing is coherent
+            for oi, opos in slots[e]:
+                if oi not in visited and (oi, opos) != (ri, pos):
+                    queue.append((oi, opos, -d * s * sides[oi][opos][1]))
     tokens.append(("#regions", len(visited)))
     return tuple(tokens)
 

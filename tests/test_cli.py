@@ -259,6 +259,12 @@ MALFORMED = [
                  "new variable name 'c' is already in use", id="new-name-other-slot"),
     pytest.param(PRIMED_SEED, "mutate --seed FILE --at a", {}, 1,
                  "new variable name \"a'\" is already in use", id="default-name-taken"),
+    pytest.param(M2, "explore --mode flips --surface FILE --seed FILE", {}, 2,
+                 "--mode flips takes no --seed", id="flips-with-seed"),
+    pytest.param(M2, "explore --surface FILE --seed FILE", {}, 2,
+                 "pass --seed or --surface, not both", id="explore-seed-and-surface"),
+    pytest.param(M2, "verify-laurent --surface FILE --seed FILE", {}, 2,
+                 "pass --seed or --surface, not both", id="laurent-seed-and-surface"),
 ]
 
 

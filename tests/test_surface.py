@@ -1,12 +1,18 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
+
+from lpsurf import surface as surface_module
+from lpsurf.explorer import explore_flips
 
 from lpsurf.lp_core import mutate
 from lpsurf.poly import VariableContext, parse_polynomial
 from lpsurf.quiver import double_mutate, exchange_polys, has_bad_path
 from lpsurf.surface import (
     MOB1,
+    POCKET,
     TRI,
     MarkedSurface,
     QuasiTriangulation,
@@ -242,6 +248,104 @@ class TestCanonicalCode:
         t_gauge = QuasiTriangulation(t.surface, tuple(regions), t.boundary, t.next_id)
         check_state(t_gauge)
         assert canonical_code(t_gauge) == canonical_code(t)
+
+    # sha256 of the sorted code reprs over every state of each flip graph, with
+    # and without boundary variables; computed with the full scan over all flags
+    @pytest.mark.parametrize("surface,depth,digest", [
+        (MarkedSurface(0, 0, (6,)), None,
+         "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f"),
+        (MarkedSurface(0, 0, (7,)), None,
+         "645f0323b48fd27970ec9bfd6203968ee24463f6ce7bee46028085b4eb091d69"),
+        (MarkedSurface(0, 1, (1,)), None,
+         "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0"),
+        (MarkedSurface(0, 1, (2,)), None,
+         "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3"),
+        (MarkedSurface(0, 1, (3,)), None,
+         "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51"),
+        (MarkedSurface(0, 1, (4,)), None,
+         "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275"),
+        (MarkedSurface(0, 0, (2, 2)), 4,
+         "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce"),
+        (MarkedSurface(0, 0, (1, 2)), 3,
+         "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a"),
+        (MarkedSurface(0, 1, (2, 2)), 3,
+         "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672"),
+        (MarkedSurface(0, 2, (2,)), 3,
+         "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c"),
+    ], ids=str)
+    def test_code_values_golden(self, surface, depth, digest):
+        h = hashlib.sha256()
+        for bv in (True, False):
+            s = replace(surface, boundary_variables=bv)
+            g = explore_flips(initial_quasi_triangulation(s), depth=depth)
+            h.update("\n".join(sorted(repr(canonical_code(t)) for t in g.payloads)).encode())
+        assert h.hexdigest() == digest
+
+    @staticmethod
+    def scramble(t, rng):
+        """The same state with fresh non-boundary ids, shuffled regions, rotated
+        triangles, random triangle gauges and random mob1 signs."""
+        bnd = t.boundary_ids()
+        sides = {e for ri in range(len(t.regions)) for e, _ in t.region_sides(ri)}
+        ids = sorted((sides | t.curve_ids() | t.crossing_ids()) - bnd)
+        pool = [i for i in range(3 * t.next_id) if i not in bnd]
+        new = dict(zip(ids, rng.sample(pool, len(ids))))
+        new.update((e, e) for e in bnd)
+        regions = []
+        for r in t.regions:
+            if r[0] == TRI:
+                k = rng.randrange(3)
+                sides = [(new[e], s) for e, s in r[1][k:] + r[1][:k]]
+                if rng.random() < 0.5:
+                    sides = [(e, -s) for e, s in (sides[0], sides[2], sides[1])]
+                regions.append((TRI, tuple(sides)))
+            elif r[0] == POCKET:
+                regions.append((POCKET, new[r[1]], new[r[2]], new[r[3]]))
+            else:
+                (e, s), curve = r[1], r[2]
+                regions.append((MOB1, (e, rng.choice((s, -s))), new[curve]))
+        rng.shuffle(regions)
+        return QuasiTriangulation(t.surface, tuple(regions), t.boundary, 3 * t.next_id)
+
+    @pytest.mark.parametrize("surface", [
+        MarkedSurface(0, 1, (1,)), MarkedSurface(0, 1, (2,)), MarkedSurface(0, 1, (4,)),
+        MarkedSurface(0, 0, (2, 2)), MarkedSurface(0, 1, (2, 2)), MarkedSurface(0, 2, (2,)),
+        MarkedSurface(0, 0, (7,)),
+    ], ids=str)
+    def test_invariant_under_relabeling_order_rotation_and_gauge(self, surface):
+        rng = random.Random(str(surface))
+        kinds = set()
+        for _ in range(30):
+            t = initial_quasi_triangulation(surface)
+            for _ in range(rng.randint(0, 8)):
+                t = flip(t, rng.choice(t.quasi_arcs()))
+            kinds.update(r[0] for r in t.regions)
+            code = canonical_code(t)
+            for _ in range(3):
+                t2 = self.scramble(t, rng)
+                check_state(t2)
+                assert canonical_code(t2) == code
+        # the walks on non-orientable surfaces reach pocket or mob1 regions
+        assert (kinds != {TRI}) == (not surface.orientable)
+
+    def test_one_bfs_per_code_on_the_heptagon(self, monkeypatch):
+        """Only the flag with the least first row is walked on a triangulation."""
+        codes, walks = [], []
+        real_code, real_walk = canonical_code, surface_module._bfs_code
+
+        def counting_code(t):
+            codes.append(t)
+            return real_code(t)
+
+        def counting_walk(*args):
+            walks.append(args)
+            return real_walk(*args)
+
+        monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
+        monkeypatch.setattr(surface_module, "_bfs_code", counting_walk)
+        g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
+        # the initial state once, then the 4 flips of each of the 42 states
+        assert (g.node_count, len(codes), len(walks)) == (42, 1 + 42 * 4, 1 + 42 * 4)
 
 
 class TestDoubleCover:
