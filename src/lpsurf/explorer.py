@@ -150,7 +150,7 @@ def explore_flips(
     """BFS over quasi-triangulations up to canonical labeling."""
 
     def neighbors(t: QuasiTriangulation):
-        for q in t.quasi_arcs():
+        for q in t.quasi_arcs:
             t2 = flip(t, q)
             yield q, canonical_code(t2), t2
 
@@ -158,7 +158,7 @@ def explore_flips(
         canonical_code(t0),
         t0,
         neighbors,
-        lambda t: ",".join(str(q) for q in t.quasi_arcs()),
+        lambda t: ",".join(str(q) for q in t.quasi_arcs),
         "flips",
         depth,
         _node_cap(max_nodes),

@@ -703,6 +703,17 @@ class RationalFunction:
 
 # -- parsing ------------------------------------------------------------------
 
+# The parser refuses a polynomial, or a sum, product or power inside it, whose
+# total degree (negative exponents counted by size) could pass MAX_DEGREE or
+# whose number of terms could pass MAX_TERMS, before expanding it.  Every
+# exponent counts toward the degree at least once, so constants stay small too.
+MAX_DEGREE = 100
+MAX_TERMS = 500
+
+
+def _degree(p: Polynomial) -> int:
+    return max((sum(map(abs, e)) for e, _ in p.terms), default=0)
+
 
 class _Parser:
     def __init__(self, text: str, ctx: VariableContext):
@@ -712,6 +723,12 @@ class _Parser:
 
     def error(self, msg: str):
         raise PolyError(f"parse error at {self.pos} in {self.text!r}: {msg}")
+
+    def check_size(self, degree: int, terms: int) -> None:
+        if degree > MAX_DEGREE:
+            self.error(f"degree above the limit of {MAX_DEGREE}")
+        if terms > MAX_TERMS:
+            self.error(f"more than the limit of {MAX_TERMS} terms")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -728,7 +745,10 @@ class _Parser:
         return False
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        try:
+            p = self.expr()
+        except RecursionError:
+            self.error("nested too deeply")
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
@@ -747,18 +767,24 @@ class _Parser:
                 p = p.sub(self.term())
             else:
                 return p
+            self.check_size(0, len(p.terms))
 
     def term(self) -> Polynomial:
         p = self.factor()
         while self.eat("*"):
-            p = p.mul(self.factor())
+            q = self.factor()
+            self.check_size(_degree(p) + _degree(q), len(p.terms) * len(q.terms))
+            p = p.mul(q)
         return p
 
     def factor(self) -> Polynomial:
         base = self.atom()
         if self.eat("^"):
             k = self.integer()
+            self.check_size(abs(k) * max(_degree(base), 1), 1)
             if k >= 0:
+                # base^k has at most as many terms as there are k-multisets of base's terms
+                self.check_size(0, math.comb(max(len(base.terms), 1) + k - 1, k))
                 return base.pow(k)
             if not base.is_monomial:
                 self.error("negative power of a non-monomial")
@@ -777,7 +803,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.error("integer too long")
 
     def atom(self) -> Polynomial:
         self.skip_ws()

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext
@@ -55,6 +56,10 @@ __all__ = [
 TRI = "tri"
 POCKET = "pocket"
 MOB1 = "mob1"
+
+# surface_from_json refuses a surface of higher rank: the work of building even
+# its initial seed grows faster than the square of the rank.
+MAX_RANK = 200
 
 
 class SurfaceError(PolyError):
@@ -119,7 +124,11 @@ Slot = tuple[int, int]  # (edge id, +1/-1 traversal sign)
 
 @dataclass(frozen=True)
 class QuasiTriangulation:
-    """Immutable region complex; flips return fresh states."""
+    """Immutable region complex; flips return fresh states.
+
+    The derived structure below is built on first use and cached on the
+    instance; it takes no part in equality, hashing or serialization.
+    """
 
     surface: MarkedSurface
     regions: tuple
@@ -128,31 +137,16 @@ class QuasiTriangulation:
 
     # -- derived structure -------------------------------------------------
 
-    def boundary_ids(self) -> frozenset[int]:
-        return frozenset(e for e, _ in self.boundary)
+    @cached_property
+    def boundary_labels(self) -> dict[int, str]:
+        return dict(self.boundary)
 
-    def pockets(self) -> list[tuple[int, int, int, int]]:
-        """(region index, portal, curve, crossing) per pocket."""
-        return [
-            (ri, r[1], r[2], r[3]) for ri, r in enumerate(self.regions) if r[0] == POCKET
-        ]
-
-    def mob1s(self) -> list[tuple[int, Slot, int]]:
-        return [(ri, r[1], r[2]) for ri, r in enumerate(self.regions) if r[0] == MOB1]
-
-    def portal_ids(self) -> frozenset[int]:
-        return frozenset(p for _, p, _, _ in self.pockets())
-
-    def curve_ids(self) -> frozenset[int]:
-        ids = {c for _, _, c, _ in self.pockets()}
-        ids.update(c for _, _, c in self.mob1s())
-        return frozenset(ids)
-
-    def crossing_ids(self) -> frozenset[int]:
-        return frozenset(s for _, _, _, s in self.pockets())
-
+    @cached_property
     def slots(self) -> dict[int, list[tuple[int, int]]]:
-        """Triangle and mob1 side slots per edge id: (region index, position)."""
+        """Triangle and mob1 side slots per edge id: (region index, position).
+
+        A portal's only slot is its side in the pocket's mouth triangle.
+        """
         out: dict[int, list[tuple[int, int]]] = {}
         for ri, r in enumerate(self.regions):
             if r[0] == TRI:
@@ -162,15 +156,30 @@ class QuasiTriangulation:
                 out.setdefault(r[1][0], []).append((ri, 0))
         return out
 
-    def arc_ids(self) -> frozenset[int]:
-        bnd = self.boundary_ids()
-        portals = self.portal_ids()
-        ids = {e for e in self.slots() if e not in bnd and e not in portals}
-        ids.update(self.crossing_ids())
-        return frozenset(ids)
+    @cached_property
+    def pockets(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(region index, portal, curve, crossing) per pocket."""
+        return tuple((ri, r[1], r[2], r[3]) for ri, r in enumerate(self.regions) if r[0] == POCKET)
 
+    @cached_property
+    def pocket_of(self) -> dict[int, tuple[int, int, int, int]]:
+        """The pocket of each portal, curve and crossing arc."""
+        return {e: pocket for pocket in self.pockets for e in pocket[1:]}
+
+    @cached_property
+    def mob1_of(self) -> dict[int, tuple[int, Slot]]:
+        """(region index, side) of each mob1 region, by its curve."""
+        return {r[2]: (ri, r[1]) for ri, r in enumerate(self.regions) if r[0] == MOB1}
+
+    @cached_property
     def quasi_arcs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.arc_ids() | self.curve_ids()))
+        """Arcs, crossing arcs and one-sided curves, in id order."""
+        ids = set(self.slots).difference(self.boundary_labels)
+        for _, portal, curve, crossing in self.pockets:
+            ids.discard(portal)
+            ids.update((curve, crossing))
+        ids.update(self.mob1_of)
+        return tuple(sorted(ids))
 
     def is_pure_triangulation(self) -> bool:
         return all(r[0] == TRI for r in self.regions)
@@ -183,15 +192,6 @@ class QuasiTriangulation:
             return ((r[1], 1),)
         return (r[1],)
 
-    def portal_triangle(self, portal: int) -> tuple[int, int]:
-        """(region index, position) of the portal's slot in its mouth triangle."""
-        for ri, r in enumerate(self.regions):
-            if r[0] == TRI:
-                for pos, (e, _) in enumerate(r[1]):
-                    if e == portal:
-                        return ri, pos
-        raise SurfaceError(f"portal {portal} has no mouth triangle")
-
 
 # -- flips --------------------------------------------------------------------
 
@@ -200,136 +200,90 @@ def _rooted(tri: tuple[Slot, Slot, Slot], pos: int) -> tuple[Slot, Slot, Slot]:
     return (tri[pos], tri[(pos + 1) % 3], tri[(pos + 2) % 3])
 
 
-def _quad_walk(t: QuasiTriangulation, e: int) -> tuple[tuple[Slot, Slot, Slot, Slot], int, int]:
-    """Boundary walk of the union of e's two triangles glued along e.
+def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tuple[Slot, ...]]:
+    """The local picture of quasi-arc ``q``: (kind, regions its flip replaces, sides).
 
-    The second triangle is reversed when the gluing along ``e`` is
-    orientation-reversing, so the walk is consistently oriented; the walk is
-    well defined up to rotation by two (swapping the triangles' roles).
+    The sides are what the flip and the exchange polynomial read:
+
+    * ``plain``: the boundary walk w0 w1 w2 w3 of q's two triangles glued
+      along q, the second one reversed when that gluing reverses orientation;
+    * ``to_curve``: q cuts off a Moebius piece, because two adjacent sides of
+      its walk are one arc glued with equal signs.  The sides are that arc
+      (the crossing arc of the new pocket) and the two sides of the new mouth;
+    * ``doubled``: the boundary side of q's self-folded triangle;
+    * ``mob1``: the side of the mob1 region holding the curve q;
+    * ``curve``, ``crossing``: the mouth triangle of q's pocket, rooted at the
+      portal.
     """
-    slot_list = t.slots()[e]
-    (r1, p1), (r2, p2) = slot_list
+    pocket = t.pocket_of.get(q)
+    if pocket is not None and q != pocket[1]:
+        portal = pocket[1]
+        if portal not in t.slots:
+            raise SurfaceError(f"portal {portal} has no mouth triangle")
+        mi, pos = t.slots[portal][0]
+        kind = "curve" if q == pocket[2] else "crossing"
+        return kind, (pocket[0], mi), _rooted(t.regions[mi][1], pos)
+    if q in t.mob1_of:
+        ri, side = t.mob1_of[q]
+        return "mob1", (ri,), (side,)
+    if pocket is not None or q in t.boundary_labels or q not in t.slots:
+        # a portal, a boundary segment or no edge of this state
+        raise SurfaceError(f"{q} is not a quasi-arc of this state")
+    (r1, p1), (r2, p2) = t.slots[q]
+    if r1 == r2:
+        tri = t.regions[r1][1]
+        if tri[p1][1] != tri[p2][1]:
+            raise SurfaceError("coherently self-glued arc: puncture pattern")
+        side = tri[3 - p1 - p2]
+        if side[0] not in t.boundary_labels:
+            raise SurfaceError("arc doubled against a non-boundary side is illegal")
+        return "doubled", (r1,), (side,)
     t1 = _rooted(t.regions[r1][1], p1)
     t2 = _rooted(t.regions[r2][1], p2)
-    s1, s2 = t1[0][1], t2[0][1]
-    w0, w1 = t1[1], t1[2]
-    if s1 == s2:
-        w2 = (t2[2][0], -t2[2][1])
-        w3 = (t2[1][0], -t2[1][1])
+    if t1[0][1] == t2[0][1]:
+        w = (t1[1], t1[2], (t2[2][0], -t2[2][1]), (t2[1][0], -t2[1][1]))
     else:
-        w2, w3 = t2[1], t2[2]
-    return (w0, w1, w2, w3), r1, r2
-
-
-def _flip_kind(t: QuasiTriangulation, q: int) -> str:
-    if q in t.curve_ids():
-        return "curve"
-    if q in t.crossing_ids():
-        return "crossing"
-    if q not in t.arc_ids():
-        raise SurfaceError(f"{q} is not a quasi-arc of this state")
-    slot_list = t.slots()[q]
-    (r1, _), (r2, _) = slot_list
-    if r1 == r2:
-        return "mono"
-    w, _, _ = _quad_walk(t, q)
+        w = (t1[1], t1[2], t2[1], t2[2])
     for a, b in ((1, 2), (3, 0)):
         if w[a][0] == w[b][0]:
-            if w[a][1] == w[b][1]:
-                return "to_curve"
-            raise SurfaceError("adjacent coherent self-gluing: puncture pattern")
-    return "plain"
+            if w[a][1] != w[b][1]:
+                raise SurfaceError("adjacent coherent self-gluing: puncture pattern")
+            return "to_curve", (r1, r2), (w[a], w[a - 2], w[a - 1])
+    return "plain", (r1, r2), w
 
 
 def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
-    """The unique quasi-triangulation differing from ``t`` exactly at ``q``."""
-    kind = _flip_kind(t, q)
-    if kind == "curve":
-        return _flip_curve(t, q)
-    if kind == "crossing":
-        return _flip_crossing(t, q)
-    if kind == "mono":
-        return _flip_mono_arc(t, q)
-    w, r1, r2 = _quad_walk(t, q)
-    if kind == "to_curve":
-        return _flip_to_curve(t, q, w, r1, r2)
-    return _flip_plain(t, q, w, r1, r2)
+    """The unique quasi-triangulation differing from ``t`` exactly at ``q``.
 
-
-def _replace_regions(
-    t: QuasiTriangulation, drop: Iterable[int], add: Iterable[tuple], next_id: int
-) -> QuasiTriangulation:
-    drop = set(drop)
-    regions = tuple(r for ri, r in enumerate(t.regions) if ri not in drop) + tuple(add)
-    return replace(t, regions=regions, next_id=next_id)
-
-
-def _flip_plain(t, q, w, r1, r2) -> QuasiTriangulation:
-    e_new = t.next_id
-    t1 = ((e_new, 1), w[1], w[2])
-    t2 = ((e_new, -1), w[3], w[0])
-    return _replace_regions(t, (r1, r2), ((TRI, t1), (TRI, t2)), t.next_id + 1)
-
-
-def _flip_to_curve(t, q, w, r1, r2) -> QuasiTriangulation:
-    if w[3][0] == w[0][0]:
-        w = (w[2], w[3], w[0], w[1])
-    crossing = w[1][0]
-    curve = t.next_id
-    portal = t.next_id + 1
-    mouth = ((portal, -1), w[3], w[0])
-    pocket = (POCKET, portal, curve, crossing)
-    return _replace_regions(t, (r1, r2), ((TRI, mouth), pocket), t.next_id + 2)
-
-
-def _flip_curve(t, q) -> QuasiTriangulation:
-    for ri, portal, curve, crossing in t.pockets():
-        if curve == q:
-            mi, pos = t.portal_triangle(portal)
-            rooted = _rooted(t.regions[mi][1], pos)
-            a, b = rooted[1], rooted[2]
-            e_new = t.next_id
-            t1 = ((e_new, 1), b, (crossing, 1))
-            t2 = ((e_new, -1), (crossing, 1), a)
-            return _replace_regions(t, (ri, mi), ((TRI, t1), (TRI, t2)), t.next_id + 1)
-    # bare curve in a mob1 region flips back to the doubled arc
-    for ri, side, curve in t.mob1s():
-        if curve == q:
-            e_new = t.next_id
-            tri = ((e_new, 1), (e_new, 1), side)
-            return _replace_regions(t, (ri,), ((TRI, tri),), t.next_id + 1)
-    raise SurfaceError(f"curve {q} not found")
-
-
-def _flip_crossing(t, q) -> QuasiTriangulation:
-    for ri, portal, curve, crossing in t.pockets():
-        if crossing == q:
-            mi, pos = t.portal_triangle(portal)
-            rooted = _rooted(t.regions[mi][1], pos)
-            mouth = (rooted[0], rooted[2], rooted[1])
-            s_new = t.next_id
-            pocket = (POCKET, portal, curve, s_new)
-            return _replace_regions(t, (ri, mi), ((TRI, mouth), pocket), t.next_id + 1)
-    raise SurfaceError(f"crossing arc {q} not found")
-
-
-def _flip_mono_arc(t, q) -> QuasiTriangulation:
-    (r1, p1), (r2, p2) = t.slots()[q]
-    assert r1 == r2
-    tri = t.regions[r1][1]
-    if tri[p1][1] != tri[p2][1]:
-        raise SurfaceError("coherently self-glued arc: puncture pattern")
-    fpos = 3 - p1 - p2
-    f = tri[fpos]
-    if f[0] not in t.boundary_ids():
-        raise SurfaceError("arc doubled against a non-boundary side is illegal")
-    curve = t.next_id
-    return _replace_regions(t, (r1,), ((MOB1, f, curve),), t.next_id + 1)
+    The new quasi-arc takes the id ``t.next_id``; a new pocket's portal takes
+    the id after it.
+    """
+    kind, drop, sides = _classify(t, q)
+    n = t.next_id
+    if kind == "plain":
+        w0, w1, w2, w3 = sides
+        add = ((TRI, ((n, 1), w1, w2)), (TRI, ((n, -1), w3, w0)))
+    elif kind == "to_curve":
+        crossing, a, b = sides
+        add = ((TRI, ((n + 1, -1), a, b)), (POCKET, n + 1, n, crossing[0]))
+    elif kind == "doubled":
+        add = ((MOB1, sides[0], n),)
+    elif kind == "mob1":
+        add = ((TRI, ((n, 1), (n, 1), sides[0])),)
+    else:
+        _, portal, curve, crossing = t.pocket_of[q]
+        mouth, a, b = sides
+        if kind == "curve":
+            add = ((TRI, ((n, 1), b, (crossing, 1))), (TRI, ((n, -1), (crossing, 1), a)))
+        else:  # reattach the mouth the other way around
+            add = ((TRI, (mouth, b, a)), (POCKET, portal, curve, n))
+    regions = tuple(r for ri, r in enumerate(t.regions) if ri not in drop) + add
+    return replace(t, regions=regions, next_id=n + 2 if kind == "to_curve" else n + 1)
 
 
 def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
     """The quasi-arc created by the flip taking ``before`` to ``after``."""
-    diff = set(after.quasi_arcs()) - set(before.quasi_arcs())
+    diff = set(after.quasi_arcs).difference(before.quasi_arcs)
     if len(diff) != 1:
         raise SurfaceError("states do not differ by a single flip")
     return diff.pop()
@@ -353,18 +307,11 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     the result equals the minimum over all flags.  A pure triangulation has
     one such flag: the least boundary label, entered against its direction.
     """
-    bnd_label = dict(t.boundary)
     sides = [t.region_sides(ri) for ri in range(len(t.regions))]
     flags = [(ri, p, d) for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1)]
-    rows = [_row(t.regions[ri][0], sides[ri], p, d, bnd_label, {}) for ri, p, d in flags]
+    rows = [_row(t.regions[ri][0], sides[ri], p, d, t.boundary_labels, {}) for ri, p, d in flags]
     least = min(rows)
-    slots = t.slots()
-    pocket_by_portal = {p: ri for ri, p, _, _ in t.pockets()}
-    return min(
-        _bfs_code(t, sides, bnd_label, slots, pocket_by_portal, *flag)
-        for flag, row in zip(flags, rows)
-        if row == least
-    )
+    return min(_bfs_code(t, sides, *flag) for flag, row in zip(flags, rows) if row == least)
 
 
 def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tuple:
@@ -380,7 +327,8 @@ def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tup
     return tuple(row)
 
 
-def _bfs_code(t, sides, bnd_label, slots, pocket_by_portal, r0, p0, d0) -> tuple:
+def _bfs_code(t, sides, r0, p0, d0) -> tuple:
+    bnd_label, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of
     visited: set[int] = set()
     edge_num: dict[int, int] = {}
     tokens: list = []
@@ -401,8 +349,8 @@ def _bfs_code(t, sides, bnd_label, slots, pocket_by_portal, r0, p0, d0) -> tuple
             e, s = rsides[pos]
             if e in bnd_label:
                 continue
-            if kind == TRI and e in pocket_by_portal:
-                ni = pocket_by_portal[e]
+            if kind == TRI and e in pocket_of:
+                ni = pocket_of[e][0]
                 if ni not in visited:
                     queue.append((ni, 0, 1))
                 continue
@@ -438,8 +386,8 @@ def double_cover(t: QuasiTriangulation) -> LiftedTriangulation:
     """Lift to the orientable double cover (two mirror sheets per triangle)."""
     if not t.is_pure_triangulation():
         raise SurfaceError("states containing one-sided curves have no global lift")
-    slots = t.slots()
-    bnd = t.boundary_ids()
+    slots = t.slots
+    bnd = t.boundary_labels
     # sheet holding lift 0 for each slot
     lift0_sheet: dict[tuple[int, int], int] = {}
     for e, slot_list in slots.items():
@@ -540,87 +488,45 @@ def seed_from_quasi_triangulation(
     contribute frozen variables, or the constant 1 when the surface carries no
     boundary variables.
     """
-    arcs = t.quasi_arcs()
+    arcs = t.quasi_arcs
     if names is None:
         names = {q: f"x{q}" for q in arcs}
     cluster = tuple(names[q] for q in arcs)
-    frozen = tuple(lbl for _, lbl in t.boundary) if t.surface.boundary_variables else ()
+    bv = t.surface.boundary_variables
+    frozen = tuple(lbl for _, lbl in t.boundary) if bv else ()
     ctx = VariableContext(cluster, frozen)
     var = {q: Polynomial.variable(ctx, names[q]) for q in arcs}
-    bnd_label = dict(t.boundary)
-    pocket_of_portal = {p: (c, s) for _, p, c, s in t.pockets()}
+    one = Polynomial.const(ctx, 1)
 
-    def lam(e: int) -> Polynomial:
-        if e in bnd_label:
-            if t.surface.boundary_variables:
-                return Polynomial.variable(ctx, bnd_label[e])
-            return Polynomial.const(ctx, 1)
-        if e in pocket_of_portal:
-            c, s = pocket_of_portal[e]
-            return var[c].mul(var[s])
+    def lam(side: Slot) -> Polynomial:
+        e = side[0]
+        if e in t.boundary_labels:
+            return Polynomial.variable(ctx, t.boundary_labels[e]) if bv else one
+        if e in t.pocket_of:  # a portal: its curve times its crossing arc
+            return var[t.pocket_of[e][2]].mul(var[t.pocket_of[e][3]])
         return var[e]
 
-    def mouth_sides(portal: int) -> tuple[Slot, Slot]:
-        mi, pos = t.portal_triangle(portal)
-        rooted = _rooted(t.regions[mi][1], pos)
-        return rooted[1], rooted[2]
-
     polys = []
-    curves = t.curve_ids()
-    crossings = t.crossing_ids()
     for q in arcs:
-        if q in curves:
-            placed = False
-            for _, portal, c, _ in t.pockets():
-                if c == q:
-                    a, b = mouth_sides(portal)
-                    polys.append(lam(a[0]).add(lam(b[0])))
-                    placed = True
-                    break
-            if not placed:
-                for _, side, c in t.mob1s():
-                    if c == q:
-                        polys.append(lam(side[0]).mul_int(2))
-                        placed = True
-                        break
-            assert placed
-        elif q in crossings:
-            for _, portal, c, s in t.pockets():
-                if s == q:
-                    a, b = mouth_sides(portal)
-                    la, lb = lam(a[0]), lam(b[0])
-                    polys.append(la.add(lb).pow(2).add(var[c].pow(2).mul(la).mul(lb)))
-                    break
-        else:
-            polys.append(_triangle_arc_poly(t, q, lam))
+        kind, _, sides = _classify(t, q)
+        if kind == "plain":
+            w0, w1, w2, w3 = map(lam, sides)
+            polys.append(w0.mul(w2).add(w1.mul(w3)))
+        elif kind in ("doubled", "mob1"):
+            polys.append(lam(sides[0]).mul_int(2))
+        elif kind == "crossing":
+            a, b = lam(sides[1]), lam(sides[2])
+            polys.append(a.add(b).pow(2).add(var[t.pocket_of[q][2]].pow(2).mul(a).mul(b)))
+        else:  # to_curve and curve: the two sides of the pocket's mouth
+            polys.append(lam(sides[1]).add(lam(sides[2])))
     return LPSeed.initial(cluster, frozen, polys, provenance=provenance).require_valid()
-
-
-def _triangle_arc_poly(t: QuasiTriangulation, q: int, lam) -> Polynomial:
-    slot_list = t.slots()[q]
-    (r1, p1), (r2, p2) = slot_list
-    if r1 == r2:
-        tri = t.regions[r1][1]
-        fpos = 3 - p1 - p2
-        return lam(tri[fpos][0]).mul_int(2)
-    w, _, _ = _quad_walk(t, q)
-    for a, b in ((1, 2), (3, 0)):
-        if w[a][0] == w[b][0] and w[a][1] == w[b][1]:
-            others = {0, 1, 2, 3} - {a, b}
-            i, j = sorted(others)
-            return lam(w[i][0]).add(lam(w[j][0]))
-    return lam(w[0][0]).mul(lam(w[2][0])).add(lam(w[1][0]).mul(lam(w[3][0])))
 
 
 def detect_m2(t: QuasiTriangulation) -> list[int]:
     """Arcs of a triangulation whose flip produces a one-sided curve."""
     if not t.is_pure_triangulation():
         raise SurfaceError("detect_m2 expects a triangulation")
-    out = []
-    for q in sorted(t.arc_ids()):
-        if _flip_kind(t, q) in ("to_curve", "mono"):
-            out.append(q)
-    return out
+    return [q for q in t.quasi_arcs if _classify(t, q)[0] in ("to_curve", "doubled")]
 
 
 # -- state validation ------------------------------------------------------------
@@ -677,17 +583,18 @@ def _corner_classes(t: QuasiTriangulation) -> tuple[dict, int]:
 
 def check_state(t: QuasiTriangulation) -> None:
     """Structural invariants of a state; raises SurfaceError on violation."""
-    bnd = t.boundary_ids()
-    portals = t.portal_ids()
-    slots = t.slots()
-    for e, slot_list in slots.items():
-        expected = 1 if (e in bnd or e in portals) else 2
-        if len(slot_list) != expected:
-            raise SurfaceError(f"edge {e} has {len(slot_list)} slots, expected {expected}")
-    for _, portal, curve, crossing in t.pockets():
-        t.portal_triangle(portal)
+    bnd, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of
+    for _, portal, curve, crossing in t.pockets:
+        if portal not in slots:
+            raise SurfaceError(f"portal {portal} has no mouth triangle")
         if crossing in slots or curve in slots:
             raise SurfaceError("pocket contents must not appear as region sides")
+    # the loop above keeps curves and crossing arcs off region sides, so a
+    # side in ``pocket_of`` is a portal
+    for e, slot_list in slots.items():
+        expected = 1 if (e in bnd or e in pocket_of) else 2
+        if len(slot_list) != expected:
+            raise SurfaceError(f"edge {e} has {len(slot_list)} slots, expected {expected}")
     for ri, r in enumerate(t.regions):
         if r[0] == TRI:
             by_edge: dict[int, list[int]] = {}
@@ -695,29 +602,28 @@ def check_state(t: QuasiTriangulation) -> None:
                 by_edge.setdefault(e, []).append(s)
             for e, signs in by_edge.items():
                 if len(signs) == 2:
-                    if e in bnd or e in portals:
+                    if e in bnd or e in pocket_of:
                         raise SurfaceError("boundary or portal repeated inside a triangle")
                     if signs[0] != signs[1]:
                         raise SurfaceError("coherently self-glued side: puncture pattern")
                     others = [x for x, _ in r[1] if x != e]
                     if others and others[0] not in bnd:
                         raise SurfaceError("arc doubling against a non-boundary side")
-    if len(t.quasi_arcs()) != t.surface.rank:
+    if len(t.quasi_arcs) != t.surface.rank:
         raise SurfaceError(
-            f"state has {len(t.quasi_arcs())} quasi-arcs, surface rank is {t.surface.rank}"
+            f"state has {len(t.quasi_arcs)} quasi-arcs, surface rank is {t.surface.rank}"
         )
 
 
 def surface_stats(t: QuasiTriangulation) -> dict:
     """Euler characteristic, vertex count, and boundary walk structure."""
     classes, nverts = _corner_classes(t)
-    slots = t.slots()
-    edges = set(slots) | t.portal_ids() | t.boundary_ids()
+    edges = set(t.slots).union(t.boundary_labels, (p for _, p, _, _ in t.pockets))
     ntris = sum(1 for r in t.regions if r[0] == TRI)
     chi = nverts - len(edges) + ntris
     # trace boundary cycles as an undirected multigraph on vertex classes
     # (stored edge directions are per-region gauge, so they may disagree)
-    bnd_label = dict(t.boundary)
+    bnd_label = t.boundary_labels
     endpoints: dict[int, tuple] = {}
     for ri in range(len(t.regions)):
         sides = t.region_sides(ri)
@@ -993,6 +899,8 @@ def surface_from_json(data: object) -> MarkedSurface:
         raise SurfaceError("punctured surfaces are rejected")
     s = MarkedSurface(genus, cross_caps, tuple(boundary), boundary_variables)
     s.check()
+    if s.rank > MAX_RANK:
+        raise SurfaceError(f"surface rank {s.rank} is above the limit of {MAX_RANK}")
     return s
 
 
@@ -1003,7 +911,7 @@ def triangulation_to_json(t: QuasiTriangulation) -> dict:
         "regions": [list(_region_json(r)) for r in t.regions],
         "boundary": [[e, lbl] for e, lbl in t.boundary],
         "next_id": t.next_id,
-        "quasi_arcs": list(t.quasi_arcs()),
+        "quasi_arcs": list(t.quasi_arcs),
     }
 
 

@@ -104,8 +104,8 @@ def random_valid_seed(rng, n=3, n_frozen=1, max_degree=2):
             p = random_polynomial(rng, ctx, max_degree=max_degree, avoid=i)
             if p.is_unit or p.is_zero or p.involves(i):
                 continue
-            if len(p.terms) == 1 and p.total_degree() == 1 and i < n:
-                continue  # skip bare variables: cluster variables are not allowed
+            if len(p.terms) == 1 and p.total_degree() == 1:
+                continue  # skip bare variables; random_frozen_variable_seed draws frozen ones
             try:
                 if is_irreducible(p):
                     polys.append(p)
@@ -115,3 +115,13 @@ def random_valid_seed(rng, n=3, n_frozen=1, max_degree=2):
         else:
             raise RuntimeError("could not sample an irreducible polynomial")
     return LPSeed.initial(cluster, frozen, polys)
+
+
+def random_frozen_variable_seed(rng, n=3, n_frozen=1, max_degree=2):
+    """A random valid LP seed in which at least one F_k is a bare frozen variable t."""
+    seed = random_valid_seed(rng, n=n, n_frozen=n_frozen, max_degree=max_degree)
+    bare = [k for k in range(n) if rng.random() < 0.4] or [rng.randrange(n)]
+    polys = list(seed.polys)
+    for k in bare:
+        polys[k] = Polynomial.variable(seed.ctx, rng.choice(seed.ctx.frozen))
+    return LPSeed.initial(seed.ctx.cluster, seed.ctx.frozen, polys).require_valid()

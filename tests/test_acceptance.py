@@ -155,7 +155,7 @@ def test_criterion_5_exchange_graph_isomorphism():
 
         # independent second traversal (depth-first, separate code path)
         def nbrs_flip(state):
-            for q in state.quasi_arcs():
+            for q in state.quasi_arcs:
                 t2 = flip(state, q)
                 yield canonical_code(t2), t2
 
@@ -268,7 +268,7 @@ def test_criterion_9_exceptional_surface_regression():
     hexagon_plain = MarkedSurface(0, 0, (6,), boundary_variables=False)
     t = initial_quasi_triangulation(hexagon_plain)
     seed = seed_from_quasi_triangulation(
-        t, names=dict(zip(t.quasi_arcs(), ("a", "b", "c")))
+        t, names=dict(zip(t.quasi_arcs, ("a", "b", "c")))
     )
     expected = LPSeed.initial(("a", "b", "c"), (), ("1+b", "a+c", "1+b"))
     assert sorted(p.terms for p in seed.polys) == sorted(

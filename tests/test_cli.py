@@ -1,6 +1,7 @@
 import json
 import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,47 @@ def test_malformed_input_is_a_one_line_error(runner, content, command, env, code
     result = _run(runner, content, command, env)
     _assert_clean_exit(result, (code,))
     assert "Error: " in result.output and message in result.output
+
+
+def _with_poly(text):
+    return _edit(EXAMPLE_SEED, polys=["b + 1", "a*c + 1", text])
+
+
+# (input file content, command with FILE for its path, part of the message)
+OVERSIZED = [
+    pytest.param(_edit(HEXAGON, boundary=[2000]), "seed-from-surface --surface FILE",
+                 "surface rank 1997 is above the limit of 200", id="2000-gon"),
+    pytest.param(_edit(HEXAGON, boundary=[100000]), "validate --surface FILE",
+                 "surface rank 99997 is above the limit of 200", id="100000-gon"),
+    pytest.param(_edit(HEXAGON, genus=10**9), "compare-graphs --surface FILE",
+                 "is above the limit of 200", id="genus"),
+    pytest.param(_with_poly("(b+1)^1000"), "validate --seed FILE",
+                 "degree above the limit of 100", id="degree"),
+    pytest.param(_with_poly("(a+b+c+1)^60"), "normalize --seed FILE",
+                 "more than the limit of 500 terms", id="power-terms"),
+    pytest.param(_with_poly(" + ".join(f"a^{i % 50}*b^{i // 50}" for i in range(600))),
+                 "explore --seed FILE", "more than the limit of 500 terms", id="sum-terms"),
+    pytest.param(_with_poly("9" * 5000), "mutate --seed FILE --at a", "integer too long",
+                 id="long-integer"),
+    pytest.param(_with_poly("(" * 5000 + "b" + ")" * 5000), "verify-laurent --seed FILE",
+                 "nested too deeply", id="deep-nesting"),
+]
+
+
+@pytest.mark.parametrize("content, command, message", OVERSIZED)
+def test_oversized_input_is_refused_at_once(runner, content, command, message):
+    start = time.perf_counter()
+    result = _run(runner, content, command, {})
+    elapsed = time.perf_counter() - start
+    _assert_clean_exit(result, (1,))
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert message in result.output
+    assert elapsed < 1.0
+
+
+def test_surface_at_the_rank_limit_is_accepted(runner):
+    result = _run(runner, _edit(HEXAGON, boundary=[203]), "validate --surface FILE", {})
+    assert (result.exit_code, result.output) == (0, "surface ok (rank 200)\n")
 
 
 # Integers stay small: a large genus or boundary is a valid surface whose

@@ -84,7 +84,7 @@ class TestExploreFlips:
     def test_depth_one_is_rank_plus_one(self, mobius3):
         t = initial_quasi_triangulation(mobius3)
         g = explore_flips(t, depth=1)
-        assert g.node_count == 1 + len(t.quasi_arcs())
+        assert g.node_count == 1 + len(t.quasi_arcs)
 
     def test_annulus_depth_balls_deterministic(self, annulus22):
         t = initial_quasi_triangulation(annulus22)
@@ -96,7 +96,7 @@ class TestExploreFlips:
         t0 = initial_quasi_triangulation(mobius3)
 
         def neighbors(t):
-            for q in t.quasi_arcs():
+            for q in t.quasi_arcs:
                 t2 = flip(t, q)
                 yield canonical_code(t2), t2
 

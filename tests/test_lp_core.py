@@ -19,7 +19,7 @@ from lpsurf.explorer import explore_seeds
 from lpsurf.poly import parse_polynomial, strip_laurent_monomial
 from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
 
-from conftest import random_valid_seed
+from conftest import random_frozen_variable_seed, random_valid_seed
 from oracles import mutated_values_at, normalization_exponents, value_at
 
 
@@ -126,6 +126,16 @@ class TestNormalizeOracle:
 
     def test_frozen_variable_seed(self, frozen_variable_seed, time_limit):
         self.check(frozen_variable_seed)
+
+    def test_random_seeds_with_bare_frozen_variables(self, time_limit):
+        """normalize and mutate end on seeds with F_k = t, and mutation stays involutive."""
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            seed = random_frozen_variable_seed(rng, n=n, n_frozen=rng.randint(1, 2))
+            self.check(seed)
+            for i in range(n):
+                assert seeds_equal(mutate(mutate(seed, i), i), seed), (seed, i)
 
 
 class TestMutate:

@@ -270,6 +270,28 @@ def test_parse_print_roundtrip(p):
     assert parse_polynomial(p.to_string(), _ctx) == p
 
 
+class TestParseLimits:
+    @pytest.mark.parametrize("text", [
+        "b^100", "b^-100", "2^100", "(b+1)^100", "(a^50*b^49)*c", "(a+b+c+1)^12",
+        " + ".join(f"a^{i % 50}*b^{i // 50}" for i in range(500)),
+    ], ids=["power", "negative-power", "constant", "binomial", "product", "455-terms",
+            "500-terms"])
+    def test_inputs_at_the_limits_parse(self, abc_ctx, text):
+        assert P(text, abc_ctx).terms
+
+    @pytest.mark.parametrize("text, message", [
+        ("b^101", "degree"), ("b^-101", "degree"), ("2^101", "degree"),
+        ("(a^50*b^50)*c", "degree"), ("(a+b+c+1)^13", "terms"),
+        ("(a+b+c+1)^8*(a+b+c+1)^8", "terms"),
+        (" + ".join(f"a^{i % 50}*b^{i // 50}" for i in range(501)), "terms"),
+        ("9" * 5000, "integer too long"), ("(" * 5000 + "b" + ")" * 5000, "nested too deeply"),
+    ], ids=["power", "negative-power", "constant", "product", "560-terms", "product-terms",
+            "501-terms", "long-integer", "deep-nesting"])
+    def test_inputs_past_the_limits_are_refused(self, abc_ctx, text, message):
+        with pytest.raises(PolyError, match=message):
+            P(text, abc_ctx)
+
+
 class TestNumDen:
     def test_denominator_clears_negative_exponents(self):
         ctx = VariableContext(("x", "y"))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 from lpsurf import surface as surface_module
 from lpsurf.explorer import explore_flips
 
-from lpsurf.lp_core import mutate
-from lpsurf.poly import VariableContext, parse_polynomial
+from lpsurf.lp_core import mutate, seed_to_json
+from lpsurf.poly import PolyError, VariableContext, parse_polynomial
 from lpsurf.quiver import double_mutate, exchange_polys, has_bad_path
 from lpsurf.surface import (
     MOB1,
@@ -76,6 +77,19 @@ def m4_digon_state():
 M4_NAMES = {4: "a", 5: "b", 6: "c", 7: "d"}
 
 
+def golden(surface, depth, digest, seed_digest):
+    """One golden case, with its test id named by the surface, depth and code digest."""
+    return pytest.param(surface, depth, digest, seed_digest, id=f"{surface}-{depth}-{digest}")
+
+
+def seed_text(t):
+    """The state's seed as JSON text, or the error its extraction raises."""
+    try:
+        return json.dumps(seed_to_json(seed_from_quasi_triangulation(t)), sort_keys=True)
+    except PolyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestSurfaceValidity:
     def test_rank_values(self):
         assert rank(MarkedSurface(0, 0, (6,))) == 3
@@ -109,7 +123,7 @@ class TestInitialTriangulation:
         t = initial_quasi_triangulation(surface)
         check_state(t)
         verify_topology(t)
-        assert len(t.quasi_arcs()) == surface.rank
+        assert len(t.quasi_arcs) == surface.rank
         assert t.is_pure_triangulation()
 
     def test_deterministic(self, mobius3):
@@ -120,12 +134,12 @@ class TestInitialTriangulation:
     def test_m2_block_structure(self, mobius2):
         """The M_2 triangulation is the two-triangle cross-cap block."""
         t = initial_quasi_triangulation(mobius2, labels=[("A", "B")])
-        s = seed_from_quasi_triangulation(t, names=dict(zip(t.quasi_arcs(), ("e", "f"))))
+        s = seed_from_quasi_triangulation(t, names=dict(zip(t.quasi_arcs, ("e", "f"))))
         assert sorted(s.poly_strings()) == ["A + B", "e^2 + A*B"]
 
     def test_disk_fan(self):
         t = initial_quasi_triangulation(MarkedSurface(0, 0, (4,)))
-        assert len(t.quasi_arcs()) == 1 and len(t.regions) == 2
+        assert len(t.quasi_arcs) == 1 and len(t.regions) == 2
 
     def test_triangulation_json_round_trip(self, mobius3):
         t = initial_quasi_triangulation(mobius3)
@@ -156,7 +170,7 @@ class TestFlips:
     )
     def test_flip_involution_everywhere(self, surface):
         t = initial_quasi_triangulation(surface)
-        for q in t.quasi_arcs():
+        for q in t.quasi_arcs:
             t2 = flip(t, q)
             check_state(t2)
             q2 = new_quasi_arc(t, t2)
@@ -170,16 +184,16 @@ class TestFlips:
     def test_rank_invariant_along_random_walk(self, mobius4):
         rng = random.Random(11)
         t = initial_quasi_triangulation(mobius4)
-        n = len(t.quasi_arcs())
+        n = len(t.quasi_arcs)
         for _ in range(80):
-            t = flip(t, rng.choice(t.quasi_arcs()))
+            t = flip(t, rng.choice(t.quasi_arcs))
             check_state(t)
-            assert len(t.quasi_arcs()) == n
+            assert len(t.quasi_arcs) == n
 
     def test_square_diagonal_flip(self):
         """Case (1) on the square inside the hexagon fan."""
         t = initial_quasi_triangulation(MarkedSurface(0, 0, (4,)))
-        (d,) = t.quasi_arcs()
+        (d,) = t.quasi_arcs
         t2 = flip(t, d)
         assert t2.is_pure_triangulation()
         assert canonical_code(t2) != canonical_code(t)
@@ -190,25 +204,65 @@ class TestFlips:
         assert len(bad) == 1
         t2 = flip(t, bad[0])
         assert not t2.is_pure_triangulation()
-        assert len(t2.pockets()) == 1
+        assert len(t2.pockets) == 1
 
     def test_case3_swaps_pocket_attachment(self, mobius2):
         t = initial_quasi_triangulation(mobius2)
         t2 = flip(t, detect_m2(t)[0])
-        (_, portal, curve, crossing) = t2.pockets()[0]
+        (_, portal, curve, crossing) = t2.pockets[0]
         t3 = flip(t2, crossing)
-        assert len(t3.pockets()) == 1
+        assert len(t3.pockets) == 1
         assert canonical_code(t3) != canonical_code(t2)
-        back = flip(t3, t3.pockets()[0][3])
+        back = flip(t3, t3.pockets[0][3])
         assert canonical_code(back) == canonical_code(t2)
+
+    def test_pocket_without_mouth_is_rejected(self, mobius2):
+        """A pocket whose portal is no side of any triangle has no mouth to flip."""
+        t = initial_quasi_triangulation(mobius2)
+        t2 = flip(t, detect_m2(t)[0])
+        (_, _, curve, crossing) = t2.pockets[0]
+        lost = t2.next_id
+        regions = tuple((POCKET, lost, r[2], r[3]) if r[0] == POCKET else r for r in t2.regions)
+        bad = QuasiTriangulation(t2.surface, regions, t2.boundary, lost + 1)
+        for call in (check_state, seed_from_quasi_triangulation,
+                     lambda s: flip(s, curve), lambda s: flip(s, crossing)):
+            with pytest.raises(SurfaceError, match=f"portal {lost} has no mouth triangle"):
+                call(bad)
 
     def test_mob1_round_trip(self):
         t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
-        (alpha,) = t.quasi_arcs()
+        (alpha,) = t.quasi_arcs
         t2 = flip(t, alpha)
         assert t2.regions[0][0] == MOB1
         t3 = flip(t2, new_quasi_arc(t, t2))
         assert canonical_code(t3) == canonical_code(t)
+
+
+class TestDerivedStructure:
+    def test_built_once_and_outside_equality_hashing_and_json(self, mobius3):
+        t0 = initial_quasi_triangulation(mobius3)
+        t = flip(t0, detect_m2(t0)[0])
+        fresh = QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id)
+        check_state(t)
+        assert t.slots is t.slots and t.quasi_arcs is t.quasi_arcs
+        assert t == fresh and hash(t) == hash(fresh)
+        assert "slots" in vars(t) and "slots" not in vars(fresh)
+        assert triangulation_to_json(t) == triangulation_to_json(fresh)
+
+    def test_one_index_per_state_on_the_heptagon(self, monkeypatch):
+        """Each state the flip BFS makes builds its slot index once."""
+        builds = []
+        cached = vars(QuasiTriangulation)["slots"]
+        real = cached.func
+
+        def counting(t):
+            builds.append(t)
+            return real(t)
+
+        monkeypatch.setattr(cached, "func", counting)
+        g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
+        # the initial state, then the 4 flips of each of the 42 states
+        assert (g.node_count, len(builds)) == (42, 1 + 42 * 4)
 
 
 class TestCanonicalCode:
@@ -221,7 +275,7 @@ class TestCanonicalCode:
         frontier = [t]
         while frontier:
             cur = frontier.pop()
-            for q in cur.quasi_arcs():
+            for q in cur.quasi_arcs:
                 nxt = flip(cur, q)
                 code = canonical_code(nxt)
                 if code not in seen:
@@ -233,7 +287,7 @@ class TestCanonicalCode:
         """The two pocket states of M_2 (crossing arc at P vs at Q) differ."""
         t = initial_quasi_triangulation(mobius2)
         t2 = flip(t, detect_m2(t)[0])
-        t3 = flip(t2, t2.pockets()[0][3])
+        t3 = flip(t2, t2.pockets[0][3])
         assert canonical_code(t3) != canonical_code(t2)
 
     def test_gauge_invariance(self, mobius3):
@@ -250,44 +304,59 @@ class TestCanonicalCode:
         assert canonical_code(t_gauge) == canonical_code(t)
 
     # sha256 of the sorted code reprs over every state of each flip graph, with
-    # and without boundary variables; computed with the full scan over all flags
-    @pytest.mark.parametrize("surface,depth,digest", [
-        (MarkedSurface(0, 0, (6,)), None,
-         "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f"),
-        (MarkedSurface(0, 0, (7,)), None,
-         "645f0323b48fd27970ec9bfd6203968ee24463f6ce7bee46028085b4eb091d69"),
-        (MarkedSurface(0, 1, (1,)), None,
-         "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0"),
-        (MarkedSurface(0, 1, (2,)), None,
-         "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3"),
-        (MarkedSurface(0, 1, (3,)), None,
-         "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51"),
-        (MarkedSurface(0, 1, (4,)), None,
-         "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275"),
-        (MarkedSurface(0, 0, (2, 2)), 4,
-         "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce"),
-        (MarkedSurface(0, 0, (1, 2)), 3,
-         "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a"),
-        (MarkedSurface(0, 1, (2, 2)), 3,
-         "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672"),
-        (MarkedSurface(0, 2, (2,)), 3,
-         "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c"),
-    ], ids=str)
-    def test_code_values_golden(self, surface, depth, digest):
-        h = hashlib.sha256()
+    # and without boundary variables, computed with the full scan over all
+    # flags; and sha256 of each state's seed JSON in BFS order, or of the error
+    # its extraction raises, computed while flips and seed extraction each ran
+    # their own case analysis of a quasi-arc
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest", [
+        golden(MarkedSurface(0, 0, (6,)), None,
+               "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
+               "bed4be9b05e919c1f5d4259cd8149cd90733849d78ee9da4c4fcf0376efffaf2"),
+        golden(MarkedSurface(0, 0, (7,)), None,
+               "645f0323b48fd27970ec9bfd6203968ee24463f6ce7bee46028085b4eb091d69",
+               "79586002696ddf05e57000cf5c82e85b7c3c40c64bfa6ddc6235823930966129"),
+        golden(MarkedSurface(0, 1, (1,)), None,
+               "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0",
+               "1bf057b283b6af3c563ccfca2d43eeff56dda2ad5fd5069a18f2a03ec85ea9fb"),
+        golden(MarkedSurface(0, 1, (2,)), None,
+               "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3",
+               "90ef62317641c274686382295e9bbcddf9c4289ccda5566a744c3688d1addf56"),
+        golden(MarkedSurface(0, 1, (3,)), None,
+               "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51",
+               "df706320ce884ed7ce8c2ddcce33f3bb77c461ec1193ad68d19c8c966754b199"),
+        golden(MarkedSurface(0, 1, (4,)), None,
+               "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275",
+               "f6a4fd8a9bdcc4f08546fef704e7514b2082420cf609eb90ba13b54070fdad96"),
+        golden(MarkedSurface(0, 0, (2, 2)), 4,
+               "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce",
+               "a5fe5b621beaed88434aac092bb3f6940119d512670e38c56efad0a5c64ee4a1"),
+        golden(MarkedSurface(0, 0, (1, 2)), 3,
+               "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a",
+               "c08dec7e111658496aba893a690c7d9eb5fa573cf8a06cf5bec0d9cfd3762868"),
+        golden(MarkedSurface(0, 1, (2, 2)), 3,
+               "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672",
+               "244edad2a065bf090a244f35b7b704b0f5d2dafba360f03e1bcd89a089e83529"),
+        golden(MarkedSurface(0, 2, (2,)), 3,
+               "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c",
+               "7fc1a6681c9fe1a8f631be574c94c8a137b7b367247592411df8e7b63e692c23"),
+    ])
+    def test_code_values_golden(self, surface, depth, digest, seed_digest):
+        h, h_seed = hashlib.sha256(), hashlib.sha256()
         for bv in (True, False):
             s = replace(surface, boundary_variables=bv)
             g = explore_flips(initial_quasi_triangulation(s), depth=depth)
             h.update("\n".join(sorted(repr(canonical_code(t)) for t in g.payloads)).encode())
-        assert h.hexdigest() == digest
+            h_seed.update("\n".join(map(seed_text, g.payloads)).encode())
+        assert (h.hexdigest(), h_seed.hexdigest()) == (digest, seed_digest)
+
 
     @staticmethod
     def scramble(t, rng):
         """The same state with fresh non-boundary ids, shuffled regions, rotated
         triangles, random triangle gauges and random mob1 signs."""
-        bnd = t.boundary_ids()
+        bnd = t.boundary_labels
         sides = {e for ri in range(len(t.regions)) for e, _ in t.region_sides(ri)}
-        ids = sorted((sides | t.curve_ids() | t.crossing_ids()) - bnd)
+        ids = sorted(sides.union(t.pocket_of, t.mob1_of).difference(bnd))
         pool = [i for i in range(3 * t.next_id) if i not in bnd]
         new = dict(zip(ids, rng.sample(pool, len(ids))))
         new.update((e, e) for e in bnd)
@@ -318,7 +387,7 @@ class TestCanonicalCode:
         for _ in range(30):
             t = initial_quasi_triangulation(surface)
             for _ in range(rng.randint(0, 8)):
-                t = flip(t, rng.choice(t.quasi_arcs()))
+                t = flip(t, rng.choice(t.quasi_arcs))
             kinds.update(r[0] for r in t.regions)
             code = canonical_code(t)
             for _ in range(3):
@@ -363,7 +432,7 @@ class TestDoubleCover:
     def test_edge_count_doubles(self, mobius3):
         t = initial_quasi_triangulation(mobius3)
         lt = double_cover(t)
-        n_edges = len(t.slots())
+        n_edges = len(t.slots)
         assert len(lt.edge_lifts()) == 2 * n_edges
 
     def test_pocket_state_rejected(self, mobius2):
@@ -483,7 +552,7 @@ class TestDetectM2:
                 }
                 assert flagged == by_quiver
                 checked += 1
-            for qa in t.quasi_arcs():
+            for qa in t.quasi_arcs:
                 nxt = flip(t, qa)
                 code = canonical_code(nxt)
                 if code not in seen:
@@ -556,7 +625,7 @@ class TestSeedExtraction:
         s0 = seed_from_quasi_triangulation(t0)
 
         # slot i of the seed stays glued to arc_of_slot[i] across flips
-        frontier = [(t0, s0, tuple(t0.quasi_arcs()))]
+        frontier = [(t0, s0, tuple(t0.quasi_arcs))]
         seen = {canonical_code(t0)}
         pairs_checked = 0
         while frontier and pairs_checked < 60:
@@ -660,7 +729,7 @@ class TestEquivariance:
                         q2_aligned
                     )
                     checked += 1
-            for qa in t.quasi_arcs():
+            for qa in t.quasi_arcs:
                 nxt = flip(t, qa)
                 code = canonical_code(nxt)
                 if code not in seen:
@@ -707,7 +776,7 @@ class TestEquivariance:
                     got = {pp.canonical_sign().terms for pp in polys_a}
                     assert got == want
                     checked += 1
-            for qa in t.quasi_arcs():
+            for qa in t.quasi_arcs:
                 nxt = flip(t, qa)
                 code = canonical_code(nxt)
                 if code not in seen:
@@ -743,7 +812,7 @@ class TestExceptionalSurfaces:
                 break
             if depth is not None and d >= depth:
                 continue
-            for qa in t.quasi_arcs():
+            for qa in t.quasi_arcs:
                 nxt = flip(t, qa)
                 code = canonical_code(nxt)
                 if code not in seen:
