@@ -755,19 +755,25 @@ class _Parser:
         return p
 
     def expr(self) -> Polynomial:
+        # the sum's nonzero terms so far, sorted once at the end
+        acc: dict[Exponents, int] = {}
+        sign = 1
         if self.eat("-"):
-            p = self.term().neg()
+            sign = -1
         else:
             self.eat("+")
-            p = self.term()
         while True:
+            for e, c in self.term().terms:
+                v = acc.pop(e, 0) + sign * c
+                if v:
+                    acc[e] = v
+            self.check_size(0, len(acc))
             if self.eat("+"):
-                p = p.add(self.term())
+                sign = 1
             elif self.eat("-"):
-                p = p.sub(self.term())
+                sign = -1
             else:
-                return p
-            self.check_size(0, len(p.terms))
+                return Polynomial(self.ctx, _sorted_terms(acc))
 
     def term(self) -> Polynomial:
         p = self.factor()

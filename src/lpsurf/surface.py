@@ -229,6 +229,8 @@ def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tupl
     if pocket is not None or q in t.boundary_labels or q not in t.slots:
         # a portal, a boundary segment or no edge of this state
         raise SurfaceError(f"{q} is not a quasi-arc of this state")
+    if len(t.slots[q]) != 2:
+        raise SurfaceError(f"edge {q} has {len(t.slots[q])} slots, expected 2")
     (r1, p1), (r2, p2) = t.slots[q]
     if r1 == r2:
         tri = t.regions[r1][1]
@@ -303,13 +305,26 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
 
     The first row depends on the flag alone (its arcs are numbered fresh), and
     codes compare row by row, so the least code starts with the least first
-    row.  The BFS therefore runs only from flags that tie for that row, and
-    the result equals the minimum over all flags.  A pure triangulation has
-    one such flag: the least boundary label, entered against its direction.
+    row, and that row opens with the least region kind (``mob1`` < ``pocket``
+    < ``tri``).  On a pure triangulation it also opens with the least boundary
+    token ``("b", L, -1)``, L the least boundary label in string order, so
+    the candidate flags are the slots of every boundary segment labelled L
+    (labels may repeat), each entered against its sign.  Otherwise every flag
+    of the least kind is a candidate.  First rows are built for the
+    candidates only, and the BFS runs from those that tie for the least row;
+    the result equals the minimum over all flags.
     """
     sides = [t.region_sides(ri) for ri in range(len(t.regions))]
-    flags = [(ri, p, d) for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1)]
-    rows = [_row(t.regions[ri][0], sides[ri], p, d, t.boundary_labels, {}) for ri, p, d in flags]
+    kind = min(r[0] for r in t.regions)
+    bnd = [(label, e) for e, label in t.boundary if e in t.slots] if kind == TRI else []
+    if bnd:
+        least_label = min(bnd)[0]
+        flags = [(ri, p, -sides[ri][p][1])
+                 for label, e in bnd if label == least_label for ri, p in t.slots[e]]
+    else:
+        flags = [(ri, p, d) for ri, rs in enumerate(sides) if t.regions[ri][0] == kind
+                 for p in range(len(rs)) for d in (1, -1)]
+    rows = [_row(kind, sides[ri], p, d, t.boundary_labels, {}) for ri, p, d in flags]
     least = min(rows)
     return min(_bfs_code(t, sides, *flag) for flag, row in zip(flags, rows) if row == least)
 

@@ -291,6 +291,34 @@ class TestParseLimits:
         with pytest.raises(PolyError, match=message):
             P(text, abc_ctx)
 
+    @staticmethod
+    def signed_terms(n):
+        """n distinct monomials with growing coefficients and alternating signs."""
+        return [f"{'-+'[i % 2]} {i + 1}*a^{i % 50}*b^{i // 50}" for i in range(n)]
+
+    def test_long_sum_equals_folded_add(self, abc_ctx):
+        terms = self.signed_terms(500)
+        folded = Polynomial.zero(abc_ctx)
+        for term in terms:
+            folded = folded.add(P(term, abc_ctx))
+        assert P(" ".join(terms), abc_ctx) == folded and len(folded.terms) == 500
+
+    def test_term_limit_counts_distinct_nonzero_terms_so_far(self, abc_ctx):
+        text = " ".join(self.signed_terms(501))
+        with pytest.raises(PolyError) as exc:
+            P(text, abc_ctx)
+        assert str(exc.value) == (
+            f"parse error at {len(text)} in {text!r}: more than the limit of 500 terms"
+        )
+        # "+ 1" cancels the first term, "- 1", which makes room for one more
+        cancelled = " ".join(self.signed_terms(500)) + " + 1 + c"
+        assert len(P(cancelled, abc_ctx).terms) == 500
+
+    def test_cancelled_terms_are_dropped(self):
+        ctx = VariableContext(("x",))
+        assert P("x - x + 1", ctx) == Polynomial.const(ctx, 1)
+        assert P("-x + x", ctx).is_zero
+
 
 class TestNumDen:
     def test_denominator_clears_negative_exponents(self):

@@ -77,9 +77,10 @@ def m4_digon_state():
 M4_NAMES = {4: "a", 5: "b", 6: "c", 7: "d"}
 
 
-def golden(surface, depth, digest, seed_digest):
+def golden(surface, depth, digest, seed_digest, labels=None):
     """One golden case, with its test id named by the surface, depth and code digest."""
-    return pytest.param(surface, depth, digest, seed_digest, id=f"{surface}-{depth}-{digest}")
+    return pytest.param(surface, depth, digest, seed_digest, labels,
+                        id=f"{surface}-{depth}-{digest}")
 
 
 def seed_text(t):
@@ -229,6 +230,14 @@ class TestFlips:
             with pytest.raises(SurfaceError, match=f"portal {lost} has no mouth triangle"):
                 call(bad)
 
+    def test_arc_with_one_slot_is_rejected(self):
+        """The pentagon fan without its last triangle leaves arc 6 with one side."""
+        t = initial_quasi_triangulation(MarkedSurface(0, 0, (5,)))
+        bad = replace(t, regions=t.regions[:-1])
+        for call in (check_state, seed_from_quasi_triangulation, lambda s: flip(s, 6)):
+            with pytest.raises(SurfaceError, match="edge 6 has 1 slots, expected 2"):
+                call(bad)
+
     def test_mob1_round_trip(self):
         t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
         (alpha,) = t.quasi_arcs
@@ -307,8 +316,9 @@ class TestCanonicalCode:
     # and without boundary variables, computed with the full scan over all
     # flags; and sha256 of each state's seed JSON in BFS order, or of the error
     # its extraction raises, computed while flips and seed extraction each ran
-    # their own case analysis of a quasi-arc
-    @pytest.mark.parametrize("surface,depth,digest,seed_digest", [
+    # their own case analysis of a quasi-arc.  The last four cases order labels
+    # as strings (b10 before b2) or put the least label on several segments.
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", [
         golden(MarkedSurface(0, 0, (6,)), None,
                "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
                "bed4be9b05e919c1f5d4259cd8149cd90733849d78ee9da4c4fcf0376efffaf2"),
@@ -339,12 +349,28 @@ class TestCanonicalCode:
         golden(MarkedSurface(0, 2, (2,)), 3,
                "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c",
                "7fc1a6681c9fe1a8f631be574c94c8a137b7b367247592411df8e7b63e692c23"),
+        # b10 and b11 sort between b1 and b2
+        golden(MarkedSurface(0, 0, (11,)), 3,
+               "c1097d4e1f61739220eb767757b6ebd298b8dc3d6169c0b32e9557ade0f26c28",
+               "7adbfc9e828ce804162ff2f8ebaa7a515e6ec1cac1ed87ededff32ac924d4125"),
+        golden(MarkedSurface(0, 0, (7,)), None,
+               "944485fa5fad986f49764c35f2b4c0b2718dbe2afa7cef92898e98d3c6079937",
+               "50ed46c819335da3f4641a93a3ea2bde8c69331801a1962db6312f34cdf15056",
+               labels=[("a", "a", "a", "b", "a", "c", "a")]),
+        golden(MarkedSurface(0, 1, (4,)), None,
+               "c8682e9c0521f74e08562e3e8812dfa53f36673f680191c7738d717b9e10efdb",
+               "2af23d9f030250178953284ddd201cdbbb3497196d046ebb1669289f95ff84c2",
+               labels=[("z", "z", "y", "y")]),
+        golden(MarkedSurface(0, 0, (2, 3)), 3,
+               "e2826a31b506d78eee1a883dea4a6173140327ffdb73f2296d8134e65d351377",
+               "bf0756ff88034bb55d67256450c758dad02427053d6785b6ce8074ab3cc33752",
+               labels=[("x", "x"), ("x", "y", "x")]),
     ])
-    def test_code_values_golden(self, surface, depth, digest, seed_digest):
+    def test_code_values_golden(self, surface, depth, digest, seed_digest, labels):
         h, h_seed = hashlib.sha256(), hashlib.sha256()
         for bv in (True, False):
             s = replace(surface, boundary_variables=bv)
-            g = explore_flips(initial_quasi_triangulation(s), depth=depth)
+            g = explore_flips(initial_quasi_triangulation(s, labels=labels), depth=depth)
             h.update("\n".join(sorted(repr(canonical_code(t)) for t in g.payloads)).encode())
             h_seed.update("\n".join(map(seed_text, g.payloads)).encode())
         assert (h.hexdigest(), h_seed.hexdigest()) == (digest, seed_digest)
@@ -415,6 +441,55 @@ class TestCanonicalCode:
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # the initial state once, then the 4 flips of each of the 42 states
         assert (g.node_count, len(codes), len(walks)) == (42, 1 + 42 * 4, 1 + 42 * 4)
+
+    def test_first_rows_only_for_candidate_flags(self, monkeypatch):
+        """First rows are built only for the flags that can start the least code."""
+        rows, per_code = [], []
+        real_code, real_row = canonical_code, surface_module._row
+
+        def counting_code(t):
+            before = len(rows)
+            code = real_code(t)
+            per_code.append((len(rows) - before, tuple(sorted(r[0] for r in t.regions))))
+            return code
+
+        def counting_row(*args):
+            rows.append(args)
+            return real_row(*args)
+
+        monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
+        monkeypatch.setattr(surface_module, "_row", counting_row)
+        explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
+        # 169 codes, each one first row (b1 entered against its sign) and then
+        # the 5 rows of one walk; the full scan over all 30 flags built 5,915
+        assert len(per_code) == 169 and len(rows) == 169 * 6
+        rows.clear()
+        per_code.clear()
+        explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (4,))))
+        # a triangulation of M4 (4 triangles) builds 1 + 4 rows; a pocket state
+        # (a pocket and 3 triangles) builds the first rows of both pocket flags,
+        # which tie, and walks from each: 2 + 2 * 4 rows.  The full scan built
+        # 7,196 rows here.
+        tris, pocket = (TRI,) * 4, (POCKET,) + (TRI,) * 3
+        assert set(per_code) == {(5, tris), (10, pocket)} and len(per_code) == 1 + 64 * 4
+        assert len(rows) <= 7 * len(per_code)
+
+    @pytest.mark.parametrize("surface,labels", [
+        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
+        (MarkedSurface(0, 1, (4,)), [("z", "z", "y", "y")]),
+        (MarkedSurface(0, 0, (2, 3)), [("x", "x"), ("x", "y", "x")]),
+        (MarkedSurface(0, 2, (2,)), [("a", "a")]),
+    ], ids=str)
+    def test_candidate_flags_give_the_full_scan_minimum(self, surface, labels):
+        """With repeated labels, the code still equals the minimum over all flags."""
+        rng = random.Random(str(labels))
+        t = initial_quasi_triangulation(surface, labels=labels)
+        for _ in range(60):
+            t = flip(t, rng.choice(t.quasi_arcs))
+            sides = [t.region_sides(ri) for ri in range(len(t.regions))]
+            full = min(surface_module._bfs_code(t, sides, ri, p, d)
+                       for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1))
+            assert canonical_code(t) == full
 
 
 class TestDoubleCover:
