@@ -16,7 +16,6 @@ Laurent polynomial raises :class:`LaurentViolation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .poly import (
@@ -72,6 +71,27 @@ class LaurentViolation(PolyError):
         self.den = den
 
 
+class cached_attribute:
+    """A value computed on first access and stored in the instance ``__dict__``.
+
+    Like ``functools.cached_property``, it writes past a frozen dataclass's
+    ``__setattr__`` and so stays out of equality, hashing and JSON.  Unlike
+    it on Python 3.11, it takes no lock: two threads racing on a first access
+    may both compute the value, which is harmless for these pure functions.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class LPSeed:
     """Cluster slots with exchange polynomials, display names, tracked values."""
@@ -105,7 +125,7 @@ class LPSeed:
         values = tuple(Polynomial.variable(ctx, name) for name in ctx.cluster)
         return LPSeed(ctx, parsed, tuple(ctx.cluster), values, provenance)
 
-    @cached_property
+    @cached_attribute
     def violations(self) -> tuple[str, ...]:
         """Every violated seed condition (see :func:`validate_seed`), computed once.
 

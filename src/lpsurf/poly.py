@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-import sympy
-
 __all__ = [
     "VariableContext",
     "Polynomial",
@@ -584,11 +582,12 @@ _IRR_CACHE: dict[tuple[tuple[str, ...], Terms], bool] = {}
 def is_irreducible(p: Polynomial) -> bool:
     """Irreducibility in Z[cluster + frozen] up to the units +-1.
 
-    Tier one is a set of exact fast certificates covering every shape the
-    surface pipeline produces (binomials whose exponent gcd is 1, prime
-    constants, the quadratic forms u^2 + c and u^2 + k v^2, and variable or
-    integer content checks).  Everything else falls through to an exact
-    factorization of the ordinary polynomial.
+    Exact native certificates decide first: integer and variable content,
+    binomials whose exponent gcd is 1, and polynomials primitive of degree
+    1 or 2 in some variable, such as u^2 + c and u^2 + k*v^2 (see
+    ``_low_degree_certificate``).  What they leave open falls through to an
+    exact factorization in sympy, as does the primality of a constant; sympy
+    is imported only then.
     """
     if p.is_zero or p.is_unit:
         raise PolyError("irreducibility of zero or a unit is undefined")
@@ -605,6 +604,8 @@ def is_irreducible(p: Polynomial) -> bool:
 
 def _is_irreducible_impl(p: Polynomial) -> bool:
     if p.is_constant:
+        import sympy  # loaded only here and in the factorization fallback
+
         return sympy.isprime(abs(p.constant_value()))
     if p.content() != 1:
         return False
@@ -620,9 +621,7 @@ def _is_irreducible_impl(p: Polynomial) -> bool:
         verdict = _binomial_certificate(p)
         if verdict is not None:
             return verdict
-    if _sum_of_squares_certificate(p):
-        return True
-    return _sympy_irreducible(p)
+    return _low_degree_certificate(p) or _sympy_irreducible(p)
 
 
 def _binomial_certificate(p: Polynomial) -> Optional[bool]:
@@ -640,33 +639,62 @@ def _binomial_certificate(p: Polynomial) -> Optional[bool]:
     return None  # gcd > 1 may still be irreducible (e.g. x^2 + y^2)
 
 
-def _sum_of_squares_certificate(p: Polynomial) -> bool:
-    """u^2 + c (c > 0) and u^2 + k*v^2 (k > 0) for single variables u, v."""
-    if len(p.terms) != 2:
-        return False
-    (e1, c1), (e2, c2) = p.terms
-    if c1 <= 0 or c2 <= 0:
-        return False
+# Integer points for the quadratic case of _low_degree_certificate: variable i
+# takes entry i of a point, cycling.  No entry is 0, so a monomial leading
+# coefficient never vanishes; the later points give different variables
+# different values, so that one such as y - z does not vanish at all of them.
+_POINTS = ((2,), (3, 5, 7, 11, 13, 17, 19), (-1, 4, -3, 6, -5, 8))
 
-    def is_pure_square(e: Exponents) -> Optional[int]:
-        nz = [i for i, k in enumerate(e) if k]
-        if len(nz) == 1 and e[nz[0]] == 2:
-            return nz[0]
-        return None
 
-    u = is_pure_square(e1)
-    if u is None or c1 != 1:
-        return False
-    if all(k == 0 for k in e2):
-        return True
-    v = is_pure_square(e2)
-    return v is not None and v != u
+def _low_degree_certificate(p: Polynomial) -> bool:
+    """True when p has degree 1 or 2 in a variable w that proves it irreducible.
+
+    Write p in R[w] with R = Z[other variables].  If p is primitive there
+    (its content over R is a unit), both factors of a proper factorization
+    have positive w-degree, since a factor free of w divides the content.
+    So a primitive p of w-degree 1 is irreducible.  One of w-degree 2 would
+    split into two factors of w-degree 1, and these stay linear at any
+    integer point of the other variables that keeps the leading coefficient
+    a2 nonzero: then a1^2 - 4*a2*a0 is a square there.  A point where it is
+    not one proves p irreducible; where a2 vanishes it is a1^2, a square, so
+    such a point proves nothing.  False means "not proved", not "reducible".
+    """
+    for w in p.involved_indices():
+        degree = p.degree_in(w)
+        if degree > 2:
+            continue
+        content, _ = _content_pp(p, w)
+        if not content.is_unit:
+            return False  # p is content * primitive part, a proper factorization
+        if degree == 1:
+            return True
+        coeffs = _as_univariate(p, w)
+        zero = Polynomial.zero(p.ctx)
+        for point in _POINTS:
+            a2, a1, a0 = (_evaluate(coeffs.get(k, zero), point) for k in (2, 1, 0))
+            disc = a1 * a1 - 4 * a2 * a0
+            if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                return True
+    return False
+
+
+def _evaluate(p: Polynomial, point: tuple[int, ...]) -> int:
+    """Value of an ordinary polynomial where variable i is point[i % len(point)]."""
+    total = 0
+    for e, c in p.terms:
+        for i, k in enumerate(e):
+            if k:
+                c *= point[i % len(point)] ** k
+        total += c
+    return total
 
 
 _SYMPY_GENS: dict[tuple[str, ...], tuple] = {}
 
 
 def _sympy_irreducible(p: Polynomial) -> bool:
+    import sympy  # about 0.35 s, paid only by polynomials no certificate decides
+
     names = p.ctx.names
     gens = _SYMPY_GENS.get(names)
     if gens is None:

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .lp_core import LPSeed
+from .lp_core import LPSeed, cached_attribute
 from .poly import Polynomial, PolyError, VariableContext
 from .quiver import Quiver, cancel_two_cycles
 from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
@@ -137,11 +136,11 @@ class QuasiTriangulation:
 
     # -- derived structure -------------------------------------------------
 
-    @cached_property
+    @cached_attribute
     def boundary_labels(self) -> dict[int, str]:
         return dict(self.boundary)
 
-    @cached_property
+    @cached_attribute
     def slots(self) -> dict[int, list[tuple[int, int]]]:
         """Triangle and mob1 side slots per edge id: (region index, position).
 
@@ -156,22 +155,22 @@ class QuasiTriangulation:
                 out.setdefault(r[1][0], []).append((ri, 0))
         return out
 
-    @cached_property
+    @cached_attribute
     def pockets(self) -> tuple[tuple[int, int, int, int], ...]:
         """(region index, portal, curve, crossing) per pocket."""
         return tuple((ri, r[1], r[2], r[3]) for ri, r in enumerate(self.regions) if r[0] == POCKET)
 
-    @cached_property
+    @cached_attribute
     def pocket_of(self) -> dict[int, tuple[int, int, int, int]]:
         """The pocket of each portal, curve and crossing arc."""
         return {e: pocket for pocket in self.pockets for e in pocket[1:]}
 
-    @cached_property
+    @cached_attribute
     def mob1_of(self) -> dict[int, tuple[int, Slot]]:
         """(region index, side) of each mob1 region, by its curve."""
         return {r[2]: (ri, r[1]) for ri, r in enumerate(self.regions) if r[0] == MOB1}
 
-    @cached_property
+    @cached_attribute
     def quasi_arcs(self) -> tuple[int, ...]:
         """Arcs, crossing arcs and one-sided curves, in id order."""
         ids = set(self.slots).difference(self.boundary_labels)

@@ -4,8 +4,8 @@ These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
 traversal double-checks breadth-first enumeration counts, cluster values
-are followed as exact rationals at a point, and normalization exponents come
-from the definition computed in sympy; the last two read only ``.terms``.
+are followed as exact rationals at a point, and normalization exponents and
+irreducibility come from sympy; the last three read only ``.terms``.
 """
 
 from __future__ import annotations
@@ -204,3 +204,17 @@ def normalization_exponents(polys: Sequence[Polynomial], j: int) -> tuple[int, .
             s, a = q, a + 1
         out.append(a)
     return tuple(out)
+
+
+# -- irreducibility by factorization ----------------------------------------------
+
+
+def factor_irreducible(p: Polynomial) -> bool:
+    """Irreducibility of a non-constant ordinary polynomial in Z[vars], up to +-1.
+
+    sympy's ``factor_list`` must give integer content +-1 and a single factor
+    of multiplicity 1.
+    """
+    gens = sympy.symbols(f"v:{p.ctx.nvars}")
+    content, factors = _to_sympy(p.terms, gens).factor_list()
+    return abs(content) == 1 and [k for _, k in factors] == [1]

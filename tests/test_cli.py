@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpsurf
 from lpsurf.cli import main
 
 EXAMPLE_SEED = {
@@ -190,6 +194,40 @@ class TestSurfaceCommands:
             main, ["explore", "--surface", m2_file, "--format", "json", "--jobs", "2"]
         )
         assert r1.output == r2.output
+
+
+# Runs in a fresh interpreter: import the CLI, then one command of each
+# benchmark workload's shape, and report after each step whether sympy is loaded.
+_SYMPY_PROBE = """
+import sys
+from lpsurf.cli import main
+loaded = ["sympy" in sys.modules]
+for args in (["compare-graphs", "--surface", sys.argv[1]],
+             ["verify-laurent", "--surface", sys.argv[2]],
+             ["explore", "--surface", sys.argv[3], "--mode", "flips", "--format", "dot"]):
+    main.main(args, standalone_mode=False)
+    loaded.append("sympy" in sys.modules)
+print(loaded)
+"""
+
+
+def test_workload_commands_do_not_import_sympy(tmp_path):
+    """sympy costs about 0.35 s to import; no benchmarked command may need it."""
+    paths = []
+    for name, cross_caps, boundary in (("M4", 1, [4]), ("M2", 1, [2]), ("7-gon", 0, [7])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**HEXAGON, "cross_caps": cross_caps, "boundary": boundary}))
+        paths.append(str(path))
+    src = str(Path(lpsurf.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    result = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, *paths], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "isomorphic: true, nodes=64, edges=128"
+    assert lines[1].endswith("violations: 0") and lines[2] == "graph flips {"
+    assert lines[-1] == "[False, False, False, False]"
 
 
 def _edit(doc, **changes):

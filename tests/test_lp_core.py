@@ -52,6 +52,15 @@ class TestValidate:
         assert any("unit" in v for v in violations)
         assert any("zero" in v for v in violations)
 
+    def test_violations_computed_once_and_outside_equality_hashing_and_json(self):
+        seed = LPSeed.initial(("a", "x", "y"), ("b",), ("x+y", "b*x + b*y", "x+1"))
+        fresh = LPSeed.initial(("a", "x", "y"), ("b",), ("x+y", "b*x + b*y", "x+1"))
+        assert seed.violations is seed.violations
+        assert seed.violations == tuple(validate_seed(fresh))
+        assert "violations" in vars(seed) and "violations" not in vars(fresh)
+        assert seed == fresh and hash(seed) == hash(fresh)
+        assert seed_to_json(seed) == seed_to_json(fresh)
+
 
 class TestNormalize:
     def test_example_norm(self, example_norm_seed):

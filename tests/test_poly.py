@@ -1,7 +1,13 @@
+import json
+import random
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpsurf import poly
+from lpsurf.cli import main
 from lpsurf.poly import (
     ContextMismatch,
     PolyError,
@@ -14,7 +20,7 @@ from lpsurf.poly import (
     strip_laurent_monomial,
 )
 
-from oracles import brute_force_reducible
+from oracles import brute_force_reducible, factor_irreducible
 
 
 def P(text, ctx):
@@ -173,6 +179,90 @@ class TestIrreducible:
         for text in corpus:
             p = parse_polynomial(text, ctx).canonical_sign()
             assert is_irreducible(p) == (not brute_force_reducible(p)), text
+
+
+class TestLowDegreeCertificate:
+    """``_low_degree_certificate`` proves only what sympy's factorization confirms."""
+
+    # (command, genus, cross_caps, boundary): the polynomial work of the
+    # benchmark's ladder and laurent_chains workloads
+    WORKLOAD_COMMANDS = [
+        ("compare-graphs", 0, 0, [6]),
+        ("compare-graphs", 0, 0, [7]),
+        ("compare-graphs", 0, 0, [8]),
+        ("compare-graphs", 0, 1, [3]),
+        ("compare-graphs", 0, 1, [4]),
+        ("verify-laurent", 0, 1, [2]),
+        ("verify-laurent", 0, 0, [2, 2]),
+    ]
+
+    @staticmethod
+    def check(p):
+        """Certificate and ``is_irreducible`` against the oracle; returns the verdicts."""
+        want = factor_irreducible(p)
+        proved = poly._low_degree_certificate(p)
+        assert not proved or want, p
+        assert is_irreducible(p) == want, p
+        return proved, want
+
+    def test_every_workload_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(poly, "_IRR_CACHE", {})
+        runner = CliRunner()
+        for command, genus, cross_caps, boundary in self.WORKLOAD_COMMANDS:
+            path = tmp_path / "surface.json"
+            path.write_text(json.dumps({"schema": 1, "genus": genus, "cross_caps": cross_caps,
+                                        "boundary": boundary, "boundary_variables": True}))
+            result = runner.invoke(main, [command, "--surface", str(path)])
+            assert result.exit_code == 0, result.output
+        entries = [Polynomial(VariableContext(names), terms) for names, terms in poly._IRR_CACHE]
+        verdicts = [self.check(p) for p in entries if not p.is_constant]
+        # every one is irreducible and proved natively, so sympy is never asked
+        assert len(verdicts) > 700 and all(proved for proved, _ in verdicts)
+
+    def test_seeded_random_corpus(self):
+        """Products of two factors of w-degree 1, and random polynomials of w-degree 1 or 2."""
+        ctx = VariableContext(("x", "y", "z"))
+        rng = random.Random(8)
+
+        def coefficient(w):
+            d = {}
+            for _ in range(rng.randint(1, 3)):
+                e = [rng.randint(0, 2) for _ in range(3)]
+                e[w] = 0
+                d[tuple(e)] = rng.randint(-3, 3)
+            return Polynomial.from_dict(ctx, d)
+
+        def in_w(w, degree):
+            var = Polynomial.variable(ctx, ctx.names[w])
+            out = Polynomial.zero(ctx)
+            for k in range(degree + 1):
+                out = out + coefficient(w) * var.pow(k)
+            return out
+
+        verdicts = []
+        for _ in range(200):
+            w = rng.randrange(3)
+            p = in_w(w, 1) * in_w(w, 1) if rng.random() < 0.4 else in_w(w, rng.randint(1, 2))
+            if p.is_zero or p.is_constant:
+                continue
+            verdicts.append(self.check(p.canonical_sign()))
+        assert {(True, True), (False, False)} <= set(verdicts)
+
+    @pytest.mark.parametrize("text, proved, irreducible", [
+        ("(y + 1)*(x^2 + 2)", False, False),  # not primitive in x
+        ("(y + 1)*x + (y + 1)*z", False, False),  # not primitive in x
+        ("(y - 2)*x^2 + 1", True, True),  # the first point zeroes the leading coefficient
+        ("(y^3 - 8)*x^2 + 1", True, True),  # so does it here, and y has degree 3
+        ("(y^3 - z^3)*x^2 + 1", True, True),  # zero wherever y and z take one value
+        ("x^2 - y^2*z^2", False, False),  # the discriminant is a square: falls back
+        ("x^2 + 2*x*y + y^2 + x*z^2", True, True),  # m*w^2 + (u+v)^2, the workloads' shape
+        ("x^2 + 3", True, True),  # u^2 + c
+        ("x^2 + 2*y^2", True, True),  # u^2 + k*v^2
+    ])
+    def test_cases(self, text, proved, irreducible):
+        ctx = VariableContext(("x", "y", "z"))
+        assert poly._evaluate(P("(y - 2)*(y^3 - 8)", ctx), poly._POINTS[0]) == 0
+        assert self.check(P(text, ctx).canonical_sign()) == (proved, irreducible)
 
 
 # -- property tests -------------------------------------------------------------
