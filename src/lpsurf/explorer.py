@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import networkx as nx
 
-from .lp_core import LaurentViolation, LPSeed, mutate, seed_key
+from .lp_core import LaurentViolation, LPSeed, _exchange_token, mutate, seed_key
 from .poly import PolyError
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import QuasiTriangulation, canonical_code, flip
@@ -88,11 +88,19 @@ def _bfs(
     depth: Optional[int],
     max_nodes: int,
 ) -> ExchangeGraph:
-    """Canonical-key BFS; ``neighbors(payload)`` yields (direction, key, payload)."""
+    """Canonical-key BFS; ``neighbors(payload, done)`` yields (direction, key, payload, back).
+
+    ``back`` is a token naming the move from the reached node back to this
+    one, or None.  The tokens a node receives reach its own ``neighbors``
+    call as the set ``done``, whose moves it may skip: when moves are
+    involutions, such a move only closes an edge that the first end already
+    labelled.  Skip sets exist only for nodes that receive a token.
+    """
     index = {start_key: 0}
     payloads = [start_payload]
     depths = [0]
     edges: dict[tuple[int, int], str] = {}
+    skip: dict[int, set] = {}
     truncated = False
     frontier = [0]
     while frontier:
@@ -101,7 +109,7 @@ def _bfs(
             break
         next_frontier = []
         for u in frontier:
-            for direction, key, payload in neighbors(payloads[u]):
+            for direction, key, payload, back in neighbors(payloads[u], skip.pop(u, ())):
                 v = index.get(key)
                 if v is None:
                     if len(payloads) >= max_nodes:
@@ -114,6 +122,8 @@ def _bfs(
                     next_frontier.append(v)
                 edge = (u, v) if u < v else (v, u)
                 edges.setdefault(edge, str(direction))
+                if back is not None:
+                    skip.setdefault(v, set()).add(back)
         frontier = next_frontier
     labels = [label(p) for p in payloads]
     return ExchangeGraph(kind, labels, edges, truncated, payloads)
@@ -124,12 +134,22 @@ def explore_seeds(
     depth: Optional[int] = None,
     max_nodes: Optional[int] = None,
 ) -> ExchangeGraph:
-    """BFS over seeds up to unit-and-relabeling equality."""
+    """BFS over seeds up to unit-and-relabeling equality.
 
-    def neighbors(s: LPSeed):
+    LP mutation is an involution (Lam-Pylyavskyy), so each edge is mutated
+    from one end only: mutating ``s`` at slot ``i`` gives ``t``, and the
+    seed stored for ``t``'s node skips the slot whose value and signed
+    exchange polynomial match ``t``'s slot ``i``.  A stored seed whose slot
+    differs only in that polynomial's sign is still mutated, because the new
+    value depends on the sign.
+    """
+
+    def neighbors(s: LPSeed, done):
         for i in range(s.n):
+            if done and _exchange_token(s, i) in done:
+                continue
             t = mutate(s, i)
-            yield i, seed_key(t), t
+            yield i, seed_key(t), t, _exchange_token(t, i)
 
     return _bfs(
         seed_key(seed),
@@ -147,12 +167,16 @@ def explore_flips(
     depth: Optional[int] = None,
     max_nodes: Optional[int] = None,
 ) -> ExchangeGraph:
-    """BFS over quasi-triangulations up to canonical labeling."""
+    """BFS over quasi-triangulations up to canonical labeling.
 
-    def neighbors(t: QuasiTriangulation):
+    Every state is flipped at every quasi-arc: arc ids are not canonical, so
+    no token names the flip back.
+    """
+
+    def neighbors(t: QuasiTriangulation, done):
         for q in t.quasi_arcs:
             t2 = flip(t, q)
-            yield q, canonical_code(t2), t2
+            yield q, canonical_code(t2), t2, None
 
     return _bfs(
         canonical_code(t0),

@@ -379,18 +379,33 @@ def seed_key(seed: LPSeed) -> tuple:
     values compare equal exactly when the attached polynomials match up to
     sign.
     """
-    ranked = sorted(range(seed.n), key=lambda i: seed.values[i].terms)
-    keys = [seed.values[i].terms for i in ranked]
+    keys = [v.terms for v in seed.values]
     if len(set(keys)) != len(keys):
         raise PolyError("cluster values are not distinct; not a transcendence basis")
-    perm = [0] * seed.n
-    for rank, slot in enumerate(ranked):
-        perm[slot] = rank
-    entries = []
-    for rank, slot in enumerate(ranked):
-        poly = seed.polys[slot].permute_cluster(perm).canonical_sign()
-        entries.append((keys[rank], poly.terms))
-    return (seed.ctx.names, tuple(entries))
+    ranks = _value_ranks(seed)
+    return (seed.ctx.names, tuple(sorted(
+        (keys[i], seed.polys[i].permute_cluster(ranks).canonical_sign().terms)
+        for i in range(seed.n)
+    )))
+
+
+def _value_ranks(seed: LPSeed) -> list[int]:
+    """``ranks[slot]``: the place of the slot's value when the values are sorted by terms."""
+    ranks = [0] * seed.n
+    for rank, slot in enumerate(sorted(range(seed.n), key=lambda i: seed.values[i].terms)):
+        ranks[slot] = rank
+    return ranks
+
+
+def _exchange_token(seed: LPSeed, i: int) -> tuple:
+    """Slot ``i``'s value and *signed* exchange polynomial, slots in value-rank order.
+
+    This is slot ``i``'s entry of :func:`seed_key` before the sign is
+    normalized.  Two seeds with one key mutate at slots with one token to
+    seeds with one key.  The sign must match too: ``seed_key`` ignores it,
+    but the new value ``Fhat_i(values) / value_i`` does not.
+    """
+    return seed.values[i].terms, seed.polys[i].permute_cluster(_value_ranks(seed)).terms
 
 
 def seeds_equal(s1: LPSeed, s2: LPSeed) -> bool:

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
-traversal double-checks breadth-first enumeration counts, cluster values
+traversal double-checks breadth-first enumeration counts, an unpruned
+queue-based search rebuilds the seed graph's JSON export, cluster values
 are followed as exact rationals at a point, and normalization exponents and
 irreducibility come from sympy; the last three read only ``.terms``.
 """
@@ -11,12 +12,16 @@ irreducibility come from sympy; the last three read only ``.terms``.
 from __future__ import annotations
 
 import itertools
+import json
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import sympy
 
+from lpsurf.lp_core import LPSeed, mutate, seed_key
 from lpsurf.poly import Polynomial, divide_exact
+from lpsurf.schema import SCHEMA_VERSION
 
 
 # -- brute-force factor search ------------------------------------------------
@@ -137,6 +142,47 @@ def dfs_count(start_key, start_payload, neighbors) -> tuple[int, int]:
                 stack.append(v)
             edges.add(frozenset((u, v)))
     return len(payloads), len(edges)
+
+
+# -- unpruned seed-graph search ---------------------------------------------------
+
+
+def seed_graph_json(seed: LPSeed, depth: Optional[int] = None) -> str:
+    """The seed graph of ``seed`` as ``export(explore_seeds(seed, depth), "json")``.
+
+    A FIFO queue takes seeds in discovery order and mutates each in every
+    direction, never skipping the one that leads back; the first direction
+    that joins two nodes labels their edge.  A seed at ``depth`` mutations is
+    not expanded and marks the graph truncated.  It shares ``mutate`` and
+    ``seed_key`` with ``explore_seeds``, but neither its BFS nor its skip.
+    """
+    index = {seed_key(seed): 0}
+    seeds = [seed]
+    dist = [0]
+    edges: dict[tuple[int, int], str] = {}
+    truncated = False
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        if depth is not None and dist[u] >= depth:
+            truncated = True
+            continue
+        for i in range(seeds[u].n):
+            t = mutate(seeds[u], i)
+            v = index.setdefault(seed_key(t), len(seeds))
+            if v == len(seeds):
+                seeds.append(t)
+                dist.append(dist[u] + 1)
+                queue.append(v)
+            edges.setdefault((min(u, v), max(u, v)), str(i))
+    data = {
+        "schema": SCHEMA_VERSION,
+        "kind": "seeds",
+        "truncated": truncated,
+        "nodes": [{"id": k, "label": ",".join(s.names)} for k, s in enumerate(seeds)],
+        "edges": [[u, v, d] for (u, v), d in sorted(edges.items())],
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # -- cluster values at a rational point -------------------------------------------

@@ -15,13 +15,15 @@ from lpsurf.explorer import (
 from lpsurf.lp_core import LaurentViolation, LPSeed, mutate, seed_key
 from lpsurf.poly import PolyError, parse_polynomial
 from lpsurf.surface import (
+    MarkedSurface,
     canonical_code,
     flip,
     initial_quasi_triangulation,
     seed_from_quasi_triangulation,
 )
 
-from oracles import dfs_count, polygon_flip_graph
+from conftest import random_frozen_variable_seed, random_valid_seed
+from oracles import dfs_count, polygon_flip_graph, seed_graph_json
 
 
 @pytest.fixture
@@ -67,6 +69,40 @@ class TestExploreSeeds:
     def test_depth_one_ball(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=1)
         assert g.node_count == 1 + hexagon_seed.n
+
+
+class TestSkipMatchesUnprunedSearch:
+    """Skipping the mutation back changes no node, order, edge label or truncation."""
+
+    @pytest.mark.parametrize("surface, depth", [
+        ((0, 0, (6,)), None), ((0, 0, (6,), False), None), ((0, 0, (7,)), None),
+        ((0, 0, (8,)), None), ((0, 1, (3,)), None), ((0, 1, (4,)), None),
+        ((0, 0, (2, 2)), 3), ((0, 0, (2, 2)), 4), ((0, 0, (1, 2)), 3),
+        ((1, 0, (1,)), 3), ((0, 2, (2,)), 3),
+    ], ids=["hexagon", "hexagon-no-boundary-variables", "7-gon", "8-gon", "M3", "M4",
+            "annulus22-depth3", "annulus22-depth4", "annulus12-depth3", "torus-depth3",
+            "klein2-depth3"])
+    def test_surfaces(self, surface, depth):
+        seed = seed_from_quasi_triangulation(initial_quasi_triangulation(MarkedSurface(*surface)))
+        assert export(explore_seeds(seed, depth=depth), "json") == seed_graph_json(seed, depth)
+
+    def test_random_mixed_sign_seeds(self):
+        """Three of these graphs change if the token leaves out the polynomial's sign."""
+        rng = random.Random(5)
+        for k in range(100):
+            n = rng.randint(2, 4)
+            if k % 3 == 0:
+                seed = random_frozen_variable_seed(rng, n=n, n_frozen=rng.randint(1, 2))
+            else:
+                seed = random_valid_seed(rng, n=n, n_frozen=rng.randint(0, 2))
+            assert export(explore_seeds(seed, depth=3), "json") == seed_graph_json(seed, 3), seed
+
+    def test_stored_seed_of_opposite_sign_is_mutated(self):
+        """A node's stored seed here differs in sign from a seed that reaches it."""
+        rng = random.Random(5)
+        for _ in range(51):
+            seed = random_valid_seed(rng)
+        assert export(explore_seeds(seed, depth=4), "json") == seed_graph_json(seed, 4)
 
 
 class TestExploreFlips:

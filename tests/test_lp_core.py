@@ -252,8 +252,22 @@ class TestValidateOnce:
 
         monkeypatch.setattr("lpsurf.lp_core.validate_seed", counting)
         g = explore_seeds(surface_seed(0, 0, (6,)))
-        # the initial seed once, then each of the 14 seeds' 3 mutation results once
-        assert (g.node_count, len(calls)) == (14, 1 + 42)
+        # the initial seed once, then the one mutation result of each of the 21 edges once
+        assert (g.node_count, g.edge_count, len(calls)) == (14, 21, 1 + 21)
+
+    @pytest.mark.parametrize("surface, depth, mutations", [
+        ((0, 0, (7,)), None, 84), ((0, 1, (4,)), None, 128), ((0, 0, (2, 2)), 3, 40),
+    ], ids=["7-gon", "M4", "annulus22-depth3"])
+    def test_each_edge_is_mutated_once(self, monkeypatch, surface, depth, mutations):
+        calls = []
+
+        def counting(seed, i):
+            calls.append(i)
+            return mutate(seed, i)
+
+        monkeypatch.setattr("lpsurf.explorer.mutate", counting)
+        g = explore_seeds(surface_seed(*surface), depth=depth)
+        assert (g.edge_count, len(calls)) == (mutations, mutations)
 
 
 class TestValueOracle:

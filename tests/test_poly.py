@@ -19,8 +19,9 @@ from lpsurf.poly import (
     poly_gcd,
     strip_laurent_monomial,
 )
+from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
 
-from oracles import brute_force_reducible, factor_irreducible
+from oracles import brute_force_reducible, factor_irreducible, seed_graph_json
 
 
 def P(text, ctx):
@@ -214,6 +215,12 @@ class TestLowDegreeCertificate:
                                         "boundary": boundary, "boundary_variables": True}))
             result = runner.invoke(main, [command, "--surface", str(path)])
             assert result.exit_code == 0, result.output
+            if command == "compare-graphs":
+                # the seed BFS mutates each edge from one end only; the oracle
+                # mutates every seed in every direction, so the corpus also
+                # holds the polynomials of the mutations back
+                surface = MarkedSurface(genus, cross_caps, tuple(boundary))
+                seed_graph_json(seed_from_quasi_triangulation(initial_quasi_triangulation(surface)))
         entries = [Polynomial(VariableContext(names), terms) for names, terms in poly._IRR_CACHE]
         verdicts = [self.check(p) for p in entries if not p.is_constant]
         # every one is irreducible and proved natively, so sympy is never asked
