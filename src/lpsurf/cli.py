@@ -41,7 +41,7 @@ def _load_json(path: str) -> object:
 
 def _surface_seed(s: MarkedSurface):
     t = initial_quasi_triangulation(s)
-    return t, seed_from_quasi_triangulation(t, provenance="surface")
+    return t, seed_from_quasi_triangulation(t)
 
 
 def _seed_arg(seed_path: str | None, surface_path: str | None) -> LPSeed:

@@ -15,6 +15,7 @@ Laurent polynomial raises :class:`LaurentViolation`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -26,10 +27,10 @@ from .poly import (
     _as_univariate,
     _check_name,
     _divide_ordinary,
+    _sympy_factors,
     divide_exact,
     is_irreducible,
     parse_polynomial,
-    poly_gcd,
     strip_laurent_monomial,
 )
 from .schema import REQUIRED, SCHEMA_VERSION, fields
@@ -100,7 +101,6 @@ class LPSeed:
     polys: tuple[Polynomial, ...]
     names: tuple[str, ...]
     values: tuple[Polynomial, ...]
-    provenance: Optional[str] = None
 
     @property
     def n(self) -> int:
@@ -111,7 +111,6 @@ class LPSeed:
         cluster: Sequence[str],
         frozen: Sequence[str],
         polys: Sequence[Polynomial | str],
-        provenance: Optional[str] = None,
     ) -> "LPSeed":
         ctx = VariableContext(tuple(cluster), tuple(frozen))
         parsed = tuple(
@@ -123,7 +122,7 @@ class LPSeed:
         if len(parsed) != len(ctx.cluster):
             raise InvalidSeed(["cluster and exchange polynomial counts differ"])
         values = tuple(Polynomial.variable(ctx, name) for name in ctx.cluster)
-        return LPSeed(ctx, parsed, tuple(ctx.cluster), values, provenance)
+        return LPSeed(ctx, parsed, tuple(ctx.cluster), values)
 
     @cached_attribute
     def violations(self) -> tuple[str, ...]:
@@ -289,7 +288,15 @@ def _new_value(seed: LPSeed, i: int, fhat: Polynomial, name: str) -> Polynomial:
 
 
 def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
-    """``h`` with every common non-unit factor with ``p`` divided out (step 2)."""
+    """``h`` with every common non-unit factor with ``p`` divided out (step 2).
+
+    The prime factors of a ±1 monomial ``p`` are its variables, which are
+    stripped from ``h``; an irreducible ``p`` is divided out while it
+    divides.  Any other ``p`` is ``c * x^m * q`` with integer content ``c``
+    and a primitive part ``q`` that no variable divides: ``h`` loses its
+    common integer factors with ``c``, the variables of ``x^m``, and each
+    irreducible factor of ``q`` (sympy factors a reducible ``q``).
+    """
     if p.is_monomial and abs(p.leading_coefficient()) == 1:
         return strip_laurent_monomial(h, p.involved_indices())[0]
     if not p.is_monomial and p.is_ordinary and is_irreducible(p):
@@ -298,11 +305,19 @@ def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
         while (q := divide_exact(h, p)) is not None:
             h = q
         return h
-    while True:
-        d = poly_gcd(h, p)
-        if d.is_unit:
-            return h
-        h = divide_exact(h, d)
+    c = p.content()
+    q, shift = strip_laurent_monomial(divide_exact(p, Polynomial.const(p.ctx, c)))
+    while (d := math.gcd(c, h.content())) != 1:
+        h = divide_exact(h, Polynomial.const(h.ctx, d))
+    # shift[k] < 0 exactly where x_k divides p
+    h, _ = strip_laurent_monomial(h, [k for k, e in enumerate(shift) if e < 0])
+    if q.is_unit:
+        return h
+    factors = [q] if is_irreducible(q) else [f for f, _ in _sympy_factors(q)[1]]
+    for f in factors:
+        while (r := divide_exact(h, f)) is not None:
+            h = r
+    return h
 
 
 def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
@@ -361,7 +376,7 @@ def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
             raise MutationError("mutated exchange polynomial left the coefficient ring")
         new_polys.append(fj_new)
 
-    result = LPSeed(ctx, tuple(new_polys), tuple(names), tuple(values), seed.provenance)
+    result = LPSeed(ctx, tuple(new_polys), tuple(names), tuple(values))
     if result.violations:
         raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
     return result

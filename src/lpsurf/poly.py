@@ -19,7 +19,6 @@ __all__ = [
     "PolyError",
     "ContextMismatch",
     "divide_exact",
-    "poly_gcd",
     "is_irreducible",
     "strip_laurent_monomial",
     "parse_polynomial",
@@ -467,35 +466,6 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     return Polynomial(ctx, _sorted_terms(out))
 
 
-# -- gcd: primitive-part recursion one variable at a time --------------------
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Greatest common divisor in Z[vars], canonical-positive.
-
-    Laurent inputs are replaced by their numerators ``num`` (the gcd of
-    Laurent polynomials is only defined up to monomial units anyway).  Monomial and
-    integer content are genuine common factors here: gcd(x^2*y, x*y^2) is x*y.
-    gcd(p, p) is p up to sign; gcd with zero returns the other argument.
-    """
-    if p.ctx != q.ctx:
-        raise ContextMismatch("gcd over different contexts")
-    if p.is_zero and q.is_zero:
-        raise PolyError("gcd(0, 0) is undefined")
-    if p.is_zero:
-        return q.num.canonical_sign()
-    if q.is_zero:
-        return p.num.canonical_sign()
-    return _gcd_rec(p.num, q.num).canonical_sign()
-
-
-def _int_content_part(p: Polynomial) -> tuple[int, Polynomial]:
-    c = p.content()
-    if c in (0, 1):
-        return c, p
-    return c, Polynomial(p.ctx, tuple((e, k // c) for e, k in p.terms))
-
-
 def _as_univariate(p: Polynomial, v: int) -> dict[int, Polynomial]:
     """Coefficients of powers of variable ``v`` (polynomials with v-slot zeroed)."""
     coeffs: dict[int, dict[Exponents, int]] = {}
@@ -507,73 +477,6 @@ def _as_univariate(p: Polynomial, v: int) -> dict[int, Polynomial]:
     return {k: Polynomial(p.ctx, _sorted_terms(d)) for k, d in coeffs.items()}
 
 
-def _content_pp(p: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
-    """(content, primitive part) of p viewed in (Z[others])[x_v]."""
-    coeffs = _as_univariate(p, v)
-    vals = list(coeffs.values())
-    g = vals[0]
-    for other in vals[1:]:
-        g = _gcd_rec(g, other)
-        if g.is_unit:
-            break
-    g = g.canonical_sign()
-    if g.is_unit:
-        return Polynomial.const(p.ctx, 1), p
-    pp = divide_exact(p, g)
-    assert pp is not None
-    return g, pp
-
-
-def _pseudo_rem(p: Polynomial, q: Polynomial, v: int) -> Polynomial:
-    dq = q.degree_in(v)
-    lq = _as_univariate(q, v)[dq]
-    r = p
-    while not r.is_zero and r.degree_in(v) >= dq:
-        dr = r.degree_in(v)
-        lr = _as_univariate(r, v)[dr]
-        shift = [0] * p.ctx.nvars
-        shift[v] = dr - dq
-        r = r.mul(lq).sub(q.mul(lr).times_monomial(shift))
-    return r
-
-
-def _gcd_rec(p: Polynomial, q: Polynomial) -> Polynomial:
-    if p.is_zero:
-        return q
-    if q.is_zero:
-        return p
-    if p.terms == q.terms or p.terms == q.neg().terms:
-        return p
-    cp, pp = _int_content_part(p)
-    cq, qq = _int_content_part(q)
-    cg = math.gcd(cp, cq)
-    if pp.is_constant or qq.is_constant:
-        return Polynomial.const(p.ctx, cg)
-    used = sorted(set(pp.involved_indices()) | set(qq.involved_indices()))
-    v = used[-1]
-    if not pp.involves(v) or not qq.involves(v):
-        # one argument is free of the main variable: gcd divides the other's
-        # content with respect to v
-        with_v, without = (pp, qq) if pp.involves(v) else (qq, pp)
-        cont, _ = _content_pp(with_v, v)
-        return _gcd_rec(cont, without).mul_int(cg)
-    ca, a = _content_pp(pp, v)
-    cb, b = _content_pp(qq, v)
-    cont = _gcd_rec(ca, cb)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_rem(a, b, v)
-        if r.is_zero:
-            a, b = b, r
-            break
-        _, r = _int_content_part(r)
-        _, r = _content_pp(r, v)
-        a, b = b, r
-    _, a = _int_content_part(a)
-    return cont.mul(a).mul_int(cg)
-
-
 # -- irreducibility -----------------------------------------------------------
 
 _IRR_CACHE: dict[tuple[tuple[str, ...], Terms], bool] = {}
@@ -583,11 +486,11 @@ def is_irreducible(p: Polynomial) -> bool:
     """Irreducibility in Z[cluster + frozen] up to the units +-1.
 
     Exact native certificates decide first: integer and variable content,
-    binomials whose exponent gcd is 1, and polynomials primitive of degree
-    1 or 2 in some variable, such as u^2 + c and u^2 + k*v^2 (see
-    ``_low_degree_certificate``).  What they leave open falls through to an
-    exact factorization in sympy, as does the primality of a constant; sympy
-    is imported only then.
+    binomials whose exponent gcd is 1, and polynomials of degree 1 or 2 in
+    some variable with a single-term coefficient in it, such as u^2 + c and
+    u^2 + k*v^2 (see ``_low_degree_certificate``).  What they leave open
+    falls through to an exact factorization in sympy, as does the primality
+    of a constant; sympy is imported only then.
     """
     if p.is_zero or p.is_unit:
         raise PolyError("irreducibility of zero or a unit is undefined")
@@ -649,26 +552,31 @@ _POINTS = ((2,), (3, 5, 7, 11, 13, 17, 19), (-1, 4, -3, 6, -5, 8))
 def _low_degree_certificate(p: Polynomial) -> bool:
     """True when p has degree 1 or 2 in a variable w that proves it irreducible.
 
-    Write p in R[w] with R = Z[other variables].  If p is primitive there
-    (its content over R is a unit), both factors of a proper factorization
-    have positive w-degree, since a factor free of w divides the content.
-    So a primitive p of w-degree 1 is irreducible.  One of w-degree 2 would
+    Write p in R[w] with R = Z[other variables].  If p has integer content 1,
+    no variable divides it, and one of its coefficients in w is a single
+    term, then p is primitive there (its content over R is a unit): that
+    content divides the term, so it is +-d*x^m, and d = 1 and m = 0 by the
+    first two conditions.  Then both factors of a proper factorization have
+    positive w-degree, since a factor free of w divides the content.  So
+    such a p of w-degree 1 is irreducible.  One of w-degree 2 would
     split into two factors of w-degree 1, and these stay linear at any
     integer point of the other variables that keeps the leading coefficient
     a2 nonzero: then a1^2 - 4*a2*a0 is a square there.  A point where it is
     not one proves p irreducible; where a2 vanishes it is a1^2, a square, so
     such a point proves nothing.  False means "not proved", not "reducible".
     """
-    for w in p.involved_indices():
+    used = p.involved_indices()
+    if p.content() != 1 or any(p.valuation_in(i) for i in used):
+        return False
+    for w in used:
         degree = p.degree_in(w)
         if degree > 2:
             continue
-        content, _ = _content_pp(p, w)
-        if not content.is_unit:
-            return False  # p is content * primitive part, a proper factorization
+        coeffs = _as_univariate(p, w)
+        if not any(c.is_monomial for c in coeffs.values()):
+            continue
         if degree == 1:
             return True
-        coeffs = _as_univariate(p, w)
         zero = Polynomial.zero(p.ctx)
         for point in _POINTS:
             a2, a1, a0 = (_evaluate(coeffs.get(k, zero), point) for k in (2, 1, 0))
@@ -693,6 +601,15 @@ _SYMPY_GENS: dict[tuple[str, ...], tuple] = {}
 
 
 def _sympy_irreducible(p: Polynomial) -> bool:
+    content, factors = _sympy_factors(p)
+    return abs(content) == 1 and [k for _, k in factors] == [1]
+
+
+def _sympy_factors(p: Polynomial) -> tuple[int, list[tuple[Polynomial, int]]]:
+    """``(c, [(f, k), ...])`` with p = c * prod f^k, each f irreducible and non-constant.
+
+    An exact factorization of a non-constant ordinary polynomial in sympy.
+    """
     import sympy  # about 0.35 s, paid only by polynomials no certificate decides
 
     names = p.ctx.names
@@ -707,9 +624,16 @@ def _sympy_irreducible(p: Polynomial) -> bool:
         domain=sympy.ZZ,
     )
     content, factors = sp.factor_list()
-    if abs(content) != 1:
-        return False
-    return len(factors) == 1 and factors[0][1] == 1
+    out = []
+    for f, k in factors:
+        d = {}
+        for exps, c in f.terms():
+            e = [0] * p.ctx.nvars
+            for i, x in zip(used, exps):
+                e[i] = x
+            d[tuple(e)] = int(c)
+        out.append((Polynomial.from_dict(p.ctx, d), k))
+    return int(content), out
 
 
 # -- the former value type --------------------------------------------------

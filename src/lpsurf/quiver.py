@@ -10,7 +10,7 @@ lifted triangulations on orientable double covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext
@@ -167,14 +167,10 @@ def exchange_polys(q: Quiver, ctx: VariableContext) -> list[Polynomial]:
     return out
 
 
-def lp_seed_from_quiver(
-    q: Quiver,
-    ctx: VariableContext,
-    provenance: Optional[str] = None,
-) -> LPSeed:
+def lp_seed_from_quiver(q: Quiver, ctx: VariableContext) -> LPSeed:
     """The seed with the quiver's exchange polynomials, rejected if invalid."""
     polys = exchange_polys(q, ctx)
-    return LPSeed.initial(ctx.cluster, ctx.frozen, polys, provenance=provenance).require_valid()
+    return LPSeed.initial(ctx.cluster, ctx.frozen, polys).require_valid()
 
 
 # -- serialization -------------------------------------------------------------

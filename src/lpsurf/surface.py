@@ -494,7 +494,6 @@ def adjacency_quiver(lt: LiftedTriangulation) -> Quiver:
 def seed_from_quasi_triangulation(
     t: QuasiTriangulation,
     names: Optional[Mapping[int, str]] = None,
-    provenance: Optional[str] = None,
 ) -> LPSeed:
     """The LP seed attached to a quasi-triangulation.
 
@@ -533,7 +532,7 @@ def seed_from_quasi_triangulation(
             polys.append(a.add(b).pow(2).add(var[t.pocket_of[q][2]].pow(2).mul(a).mul(b)))
         else:  # to_curve and curve: the two sides of the pocket's mouth
             polys.append(lam(sides[1]).add(lam(sides[2])))
-    return LPSeed.initial(cluster, frozen, polys, provenance=provenance).require_valid()
+    return LPSeed.initial(cluster, frozen, polys).require_valid()
 
 
 def detect_m2(t: QuasiTriangulation) -> list[int]:
@@ -616,8 +615,6 @@ def check_state(t: QuasiTriangulation) -> None:
                 by_edge.setdefault(e, []).append(s)
             for e, signs in by_edge.items():
                 if len(signs) == 2:
-                    if e in bnd or e in pocket_of:
-                        raise SurfaceError("boundary or portal repeated inside a triangle")
                     if signs[0] != signs[1]:
                         raise SurfaceError("coherently self-glued side: puncture pattern")
                     others = [x for x, _ in r[1] if x != e]
@@ -844,10 +841,7 @@ def initial_quasi_triangulation(
         else:
             pentagon_front = True  # the second side would be the last handle door
     elif closure_len == 1:
-        if g >= 1:
-            pentagon_front = True
-        else:
-            raise SurfaceError("no built-in initial triangulation for this surface shape")
+        raise SurfaceError("no built-in initial triangulation for this surface shape")
 
     for k in range(c):
         if k == c - 1 and merge_back is not None and bridges == 0:

@@ -5,8 +5,9 @@ enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
 traversal double-checks breadth-first enumeration counts, an unpruned
 queue-based search rebuilds the seed graph's JSON export, cluster values
-are followed as exact rationals at a point, and normalization exponents and
-irreducibility come from sympy; the last three read only ``.terms``.
+are followed as exact rationals at a point, and normalization exponents,
+irreducibility and step 2 of mutation come from sympy; the last four read
+only ``.terms``.
 """
 
 from __future__ import annotations
@@ -264,3 +265,22 @@ def factor_irreducible(p: Polynomial) -> bool:
     gens = sympy.symbols(f"v:{p.ctx.nvars}")
     content, factors = _to_sympy(p.terms, gens).factor_list()
     return abs(content) == 1 and [k for _, k in factors] == [1]
+
+
+# -- step 2 of mutation by sympy's gcd ----------------------------------------------
+
+
+def divide_out_common(h: Polynomial, p: Polynomial) -> dict[tuple[int, ...], int]:
+    """Terms of ``h`` with every common factor with ``p`` divided out, up to sign.
+
+    Both are ordinary.  ``h`` is divided by ``sympy.gcd(h, p)`` until that
+    gcd is +-1, which removes each common factor, integers and variables
+    included, to its full power in ``h``.
+    """
+    gens = sympy.symbols(f"v:{len(h.terms[0][0])}")
+    hs, ps = _to_sympy(h.terms, gens), _to_sympy(p.terms, gens)
+    while True:
+        g = sympy.gcd(hs, ps)
+        if g.is_ground and abs(g.LC()) == 1:
+            return {e: int(c) for e, c in hs.terms()}
+        hs = hs.exquo(g)

@@ -6,6 +6,7 @@ import pytest
 
 from lpsurf.lp_core import (
     InvalidSeed,
+    _divide_out_common,
     LPSeed,
     mutate,
     normalize,
@@ -16,11 +17,11 @@ from lpsurf.lp_core import (
     validate_seed,
 )
 from lpsurf.explorer import explore_seeds
-from lpsurf.poly import parse_polynomial, strip_laurent_monomial
+from lpsurf.poly import VariableContext, parse_polynomial, strip_laurent_monomial
 from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
 
 from conftest import random_frozen_variable_seed, random_valid_seed
-from oracles import mutated_values_at, normalization_exponents, value_at
+from oracles import divide_out_common, mutated_values_at, normalization_exponents, value_at
 
 
 def surface_seed(*surface):
@@ -240,6 +241,30 @@ class TestStepTwo:
             "x11*b7 + b6*b8",
         )
         assert seeds_equal(mutate(m, 0), s)
+
+    # factors of the products h: the numerators' own prime factors and others
+    POOL = ("2", "3", "x1 - 2", "x1 + 2", "x2 - 1", "x2 + 1", "x1", "t1", "t2", "t1 + 2",
+            "x1 + t2", "x1*x2 + t1", "x2^2 + t2")
+
+    @pytest.mark.parametrize("numerator", [
+        "x1^2 - 4",  # reducible primitive part
+        "2*x2^2 - 2",  # integer content, reducible primitive part
+        "t1^2 + 2*t1",  # frozen monomial content
+        "6*t1^2*t2*(x1^2 - 4)",  # all three
+        "2*t1",  # a monomial that is not +-1
+        "t1*t2",  # the +-1 monomial fast path
+        "x1 + t2",  # the irreducible fast path
+    ])
+    def test_divide_out_common_matches_sympy_gcd(self, numerator):
+        ctx = VariableContext(("x1", "x2"), ("t1", "t2"))
+        p = parse_polynomial(numerator, ctx)
+        rng = random.Random(numerator)
+        for _ in range(40):
+            factors = rng.choices(self.POOL, k=rng.randint(1, 6))
+            h = parse_polynomial("*".join(f"({f})" for f in factors), ctx)
+            want = divide_out_common(h, p)
+            got = dict(_divide_out_common(h, p).terms)
+            assert got in (want, {e: -c for e, c in want.items()}), (str(h), numerator)
 
 
 class TestValidateOnce:

@@ -16,7 +16,6 @@ from lpsurf.poly import (
     divide_exact,
     is_irreducible,
     parse_polynomial,
-    poly_gcd,
     strip_laurent_monomial,
 )
 from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
@@ -78,33 +77,6 @@ class TestDivideExact:
         q = P("y + x", ctx)
         r = divide_exact(p, q)
         assert r is not None and q.mul(r) == p
-
-
-class TestGcd:
-    def test_cleared_denominator_factor(self):
-        # gcd of the denominator-cleared G_c with b+1 recovers b+1
-        ctx = VariableContext(("b", "d"))
-        cleared = P("(b+1)^2*d^2 + (b+1)^2*b", ctx)
-        assert poly_gcd(cleared, P("b+1", ctx)) == P("b+1", ctx)
-
-    def test_gcd_self(self, abc_ctx):
-        p = P("a^2 - b", abc_ctx)
-        assert poly_gcd(p, p) == p.canonical_sign()
-        assert poly_gcd(p.neg(), p) == p.canonical_sign()
-
-    def test_coprime(self):
-        ctx = VariableContext(("x", "y"))
-        assert poly_gcd(P("x+y", ctx), P("x-y", ctx)).is_unit
-
-    def test_monomial_content(self):
-        ctx = VariableContext(("x", "y"))
-        assert poly_gcd(P("x^2*y", ctx), P("x*y^2", ctx)) == P("x*y", ctx)
-
-    def test_gcd_zero(self, abc_ctx):
-        p = P("a+b", abc_ctx)
-        assert poly_gcd(p, Polynomial.zero(abc_ctx)) == p
-        with pytest.raises(PolyError):
-            poly_gcd(Polynomial.zero(abc_ctx), Polynomial.zero(abc_ctx))
 
 
 class TestStrip:
@@ -310,38 +282,18 @@ def test_divide_product_recovers_factor(p, q):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_polys(max_terms=3, max_coeff=3), _polys(max_terms=3, max_coeff=3),
-       _polys(max_terms=2, max_coeff=2))
-def test_gcd_divides_and_scales(p, q, r):
-    if p.is_zero and q.is_zero:
+@given(_polys(max_terms=2, max_coeff=3), _polys(max_terms=2, max_coeff=3))
+def test_sympy_factors_reconstruct(p, q):
+    """content * prod f^k is the polynomial, and each f is an irreducible non-constant."""
+    p = p.mul(q)
+    if p.is_zero or p.is_constant or not p.is_ordinary:
         return
-    g = poly_gcd(p, q)
-    if not p.is_zero:
-        assert divide_exact(p, g) is not None
-    if not q.is_zero:
-        assert divide_exact(q, g) is not None
-    if not r.is_zero and not p.is_zero and not q.is_zero:
-        lhs = poly_gcd(p.mul(r), q.mul(r))
-        rhs = g.mul(r).canonical_sign()
-        assert divide_exact(lhs, rhs) is not None and divide_exact(rhs, lhs) is not None
-
-
-@settings(max_examples=60, deadline=None)
-@given(_polys(max_terms=3, max_coeff=3), _polys(max_terms=3, max_coeff=3))
-def test_gcd_matches_sympy(p, q):
-    """Independent cross-check of the primitive-part recursion."""
-    import sympy
-
-    if p.is_zero or q.is_zero:
-        return
-    gens = sympy.symbols("x y t")
-
-    def to_sympy(poly):
-        return sympy.Poly.from_dict({e: c for e, c in poly.terms}, *gens, domain=sympy.ZZ)
-
-    want = sympy.gcd(to_sympy(p), to_sympy(q))
-    got = to_sympy(poly_gcd(p, q))
-    assert got == want or got == -want
+    content, factors = poly._sympy_factors(p)
+    product = Polynomial.const(_ctx, content)
+    for f, k in factors:
+        assert k >= 1 and not f.is_constant and factor_irreducible(f)
+        product = product.mul(f.pow(k))
+    assert product == p
 
 
 @settings(max_examples=100, deadline=None)

@@ -231,12 +231,21 @@ class TestFlips:
                 call(bad)
 
     def test_arc_with_one_slot_is_rejected(self):
-        """The pentagon fan without its last triangle leaves arc 6 with one side."""
+        """The pentagon fan without its last triangle leaves arc 6 with one side.
+
+        The slot count also rejects a boundary side repeated inside a
+        triangle: on the hexagon, boundary 0 then has two slots.
+        """
         t = initial_quasi_triangulation(MarkedSurface(0, 0, (5,)))
         bad = replace(t, regions=t.regions[:-1])
         for call in (check_state, seed_from_quasi_triangulation, lambda s: flip(s, 6)):
             with pytest.raises(SurfaceError, match="edge 6 has 1 slots, expected 2"):
                 call(bad)
+        hexagon = initial_quasi_triangulation(MarkedSurface(0, 0, (6,)))
+        assert hexagon.regions[0] == (TRI, ((0, 1), (1, 1), (6, -1)))
+        doubled = replace(hexagon, regions=((TRI, ((0, 1), (0, 1), (6, -1))),) + hexagon.regions[1:])
+        with pytest.raises(SurfaceError, match="edge 0 has 2 slots, expected 1"):
+            check_state(doubled)
 
     def test_mob1_round_trip(self):
         t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
