@@ -223,16 +223,20 @@ def verify_laurent(seed: LPSeed, sequences: Iterable[Sequence[int]]) -> LaurentR
     """Check every tracked variable stays Laurent along each mutation sequence.
 
     A sequence stops at its first violation, recorded as (sequence prefix,
-    variable name, "(N) / (D)" with the division that failed).
+    variable name, "(N) / (D)" with the division that failed).  Every step
+    calls :func:`mutate` and counts its ``n`` variables, but mutation is an
+    involution, so chains revisit seeds: one memo per call computes each
+    distinct exchange once, a failing one included.
     """
     checked = 0
     vars_checked = 0
     violations = []
+    memo: dict = {}
     for seq in sequences:
         s = seed
         for step, i in enumerate(seq):
             try:
-                s = mutate(s, i)
+                s = mutate(s, i, memo=memo)
             except LaurentViolation as exc:
                 violations.append((tuple(seq[: step + 1]), exc.name, f"({exc.num}) / ({exc.den})"))
                 break

@@ -320,7 +320,9 @@ def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
     return h
 
 
-def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
+def mutate(
+    seed: LPSeed, i: int, new_name: Optional[str] = None, *, memo: Optional[dict] = None
+) -> LPSeed:
     """Three-step LP mutation of a seed in direction ``i``.
 
     The slot keeps its internal symbol; the new cluster variable gets
@@ -329,6 +331,13 @@ def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
     its tracked value ``Fhat_i(values) / value_i``, which raises
     :class:`LaurentViolation` when it is not a Laurent polynomial.  Raises
     :class:`InvalidSeed` on an invalid seed; the result is checked to be valid.
+
+    With ``memo``, a dict the caller keeps, the exchange (normalization and
+    steps 1-3) is computed once per distinct input: the context, the *signed*
+    exchange polynomials, the values and ``i``.  A :class:`LaurentViolation`
+    is remembered as its ``num`` and ``den`` and raised again under this
+    call's name.  The checks above and the result's validity check run on
+    every call.  Without ``memo`` no key is built.
     """
     seed.require_valid()
     if not 0 <= i < seed.n:
@@ -337,14 +346,42 @@ def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
     _check_name(name)
     if name in seed.names[:i] + seed.names[i + 1:] + seed.ctx.frozen:
         raise PolyError(f"new variable name {name!r} is already in use")
+    if memo is None:
+        polys, value = _exchange(seed, i, name)
+    else:
+        key = (seed.ctx.names, tuple(p.terms for p in seed.polys),
+               tuple(v.terms for v in seed.values), i)
+        hit = memo.get(key)
+        if hit is None:
+            try:
+                hit = _exchange(seed, i, name)
+            except LaurentViolation as exc:
+                hit = (None, (exc.num, exc.den))
+            memo[key] = hit
+        polys, value = hit
+        if polys is None:
+            raise LaurentViolation(name, *value)
+    names = list(seed.names)
+    names[i] = name
+    values = list(seed.values)
+    values[i] = value
+    result = LPSeed(seed.ctx, polys, tuple(names), tuple(values))
+    if result.violations:
+        raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
+    return result
+
+
+def _exchange(seed: LPSeed, i: int, name: str) -> tuple[tuple[Polynomial, ...], Polynomial]:
+    """The exchange polynomials and slot ``i``'s value after mutating at ``i``.
+
+    A function of the context, the polynomials, the values and ``i`` alone;
+    ``name`` only labels a :class:`LaurentViolation`.
+    """
     ctx = seed.ctx
     fhat_i, _ = normalize(seed, i)
     if fhat_i.is_zero:
         raise MutationError("normalized polynomial vanished")
-    names = list(seed.names)
-    names[i] = name
-    values = list(seed.values)
-    values[i] = _new_value(seed, i, fhat_i, names[i])
+    value = _new_value(seed, i, fhat_i, name)
 
     cluster_idx = list(ctx.cluster_indices())
     new_polys: list[Polynomial] = []
@@ -375,11 +412,7 @@ def mutate(seed: LPSeed, i: int, new_name: Optional[str] = None) -> LPSeed:
         if not fj_new.is_ordinary:
             raise MutationError("mutated exchange polynomial left the coefficient ring")
         new_polys.append(fj_new)
-
-    result = LPSeed(ctx, tuple(new_polys), tuple(names), tuple(values))
-    if result.violations:
-        raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
-    return result
+    return tuple(new_polys), value
 
 
 # -- equality up to units -------------------------------------------------------

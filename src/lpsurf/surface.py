@@ -608,6 +608,9 @@ def check_state(t: QuasiTriangulation) -> None:
         expected = 1 if (e in bnd or e in pocket_of) else 2
         if len(slot_list) != expected:
             raise SurfaceError(f"edge {e} has {len(slot_list)} slots, expected {expected}")
+    for e in bnd:
+        if e not in slots:
+            raise SurfaceError(f"boundary edge {e} lies on no region")
     for ri, r in enumerate(t.regions):
         if r[0] == TRI:
             by_edge: dict[int, list[int]] = {}
@@ -947,6 +950,6 @@ def triangulation_from_json(data: object) -> QuasiTriangulation:
     for r in regions:
         if not (r and isinstance(r[0], str) and matches(r, _REGION_SHAPES.get(r[0], ()))):
             raise SurfaceError(f"malformed region {r!r}")
-    return QuasiTriangulation(
-        surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id
-    )
+    t = QuasiTriangulation(surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id)
+    check_state(t)
+    return t

@@ -196,6 +196,31 @@ class TestSurfaceCommands:
         assert r1.output == r2.output
 
 
+@pytest.mark.parametrize("surface, normalizations, variables", [
+    (M2, 8, 1794), ({**HEXAGON, "boundary": [2, 2]}, 209, 3588),
+], ids=["M2", "annulus22"])
+def test_verify_laurent_computes_each_distinct_exchange_once(
+        runner, tmp_path, monkeypatch, surface, normalizations, variables):
+    """Every step still calls mutate; only a memo miss normalizes and computes."""
+    calls = {"mutate": 0, "normalize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lpsurf.explorer, "mutate", counted("mutate", lpsurf.explorer.mutate))
+    monkeypatch.setattr(lpsurf.lp_core, "normalize", counted("normalize", lpsurf.lp_core.normalize))
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    result = runner.invoke(main, ["verify-laurent", "--surface", str(path), "--sequences", "200",
+                                  "--max-length", "8", "--rng-seed", "0"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"sequences: 200, variables: {variables}, violations: 0\n"
+    assert calls == {"mutate": 897, "normalize": normalizations}
+
+
 # Runs in a fresh interpreter: import the CLI, then one command of each
 # benchmark workload's shape, and report after each step whether sympy is loaded.
 _SYMPY_PROBE = """

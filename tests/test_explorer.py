@@ -10,6 +10,7 @@ from lpsurf.explorer import (
     export,
     graph_from_json,
     graphs_isomorphic,
+    LaurentReport,
     verify_laurent,
 )
 from lpsurf.lp_core import LaurentViolation, LPSeed, mutate, seed_key
@@ -219,6 +220,80 @@ class TestVerifyLaurent:
         report = verify_laurent(s, seqs)
         assert report.ok
         assert report.variables_checked == sum(len(q) * s.n for q in seqs)
+
+
+def unmemoized_report(seed, sequences):
+    """verify_laurent as a plain loop of ``mutate`` without a memo."""
+    variables, violations = 0, []
+    for seq in sequences:
+        s = seed
+        for step, i in enumerate(seq):
+            try:
+                s = mutate(s, i)
+            except LaurentViolation as exc:
+                violations.append((tuple(seq[: step + 1]), exc.name, f"({exc.num}) / ({exc.den})"))
+                break
+            variables += s.n
+    return LaurentReport(len(sequences), variables, violations)
+
+
+def cli_sequences(seed, count=200, max_length=8, rng_seed=0):
+    """The mutation sequences ``verify-laurent`` draws for ``--rng-seed``."""
+    rng = random.Random(rng_seed)
+    return [[rng.randrange(seed.n) for _ in range(rng.randint(1, max_length))]
+            for _ in range(count)]
+
+
+def repeating_sequences(rng, n, count):
+    """Sequences that keep returning to earlier seeds: [i, i, j, i, ...]."""
+    out = []
+    for _ in range(count):
+        i, j = rng.randrange(n), rng.randrange(n)
+        out.append([i, i, j, i, j, j, i][: rng.randint(2, 7)])
+    return out
+
+
+class TestVerifyLaurentMemo:
+    """verify_laurent's memo changes no report and no seed along any chain."""
+
+    @staticmethod
+    def assert_same(seed, sequences):
+        assert repr(verify_laurent(seed, sequences)) == repr(unmemoized_report(seed, sequences))
+        memo: dict = {}
+        for seq in sequences:
+            a = b = seed
+            for i in seq:
+                try:
+                    b = mutate(b, i)
+                except LaurentViolation as exc:
+                    with pytest.raises(LaurentViolation) as again:
+                        mutate(a, i, memo=memo)
+                    assert (again.value.name, again.value.num, again.value.den) == (
+                        exc.name, exc.num, exc.den)
+                    break
+                a = mutate(a, i, memo=memo)
+                assert a == b
+
+    @pytest.mark.parametrize("surface", [(0, 1, (2,)), (0, 0, (2, 2))], ids=["M2", "annulus22"])
+    def test_cli_sequences_on_surfaces(self, surface):
+        seed = seed_from_quasi_triangulation(initial_quasi_triangulation(MarkedSurface(*surface)))
+        self.assert_same(seed, cli_sequences(seed))
+
+    def test_repeating_sequences_on_random_seeds(self, time_limit):
+        rng = random.Random(11)
+        for _ in range(20):
+            seed = random_valid_seed(rng, n=rng.randint(2, 3), n_frozen=rng.randint(0, 2))
+            self.assert_same(seed, repeating_sequences(rng, seed.n, 6))
+
+    def test_non_laurent_seeds(self):
+        s = LPSeed.initial(("a", "b"), (), ("b+1", "a+1"))
+        s = s.with_values([parse_polynomial("a+1", s.ctx), parse_polynomial("b", s.ctx)])
+        t = LPSeed.initial(("x",), ("t",), ("t+1",))
+        t = t.with_values([parse_polynomial("t*x", t.ctx)])
+        for seed, seqs in ((s, [[0], [1, 0], [0, 1], [1, 1, 0], [0], [1, 0]]),
+                           (t, [[0, 0], [0], [0]])):
+            assert verify_laurent(seed, seqs).violations
+            self.assert_same(seed, seqs)
 
 
 class TestExport:

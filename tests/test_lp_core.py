@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lpsurf.lp_core import (
     InvalidSeed,
     _divide_out_common,
+    LaurentViolation,
     LPSeed,
     mutate,
     normalize,
@@ -206,6 +208,56 @@ class TestMutate:
         m2 = mutate(m1, 0)
         assert m2.names[0] == "a''"
         assert seeds_equal(m2, mutation_example_seed)
+
+
+class TestMutationMemo:
+    """``mutate(..., memo=m)`` equals a fresh ``mutate``, whatever shared the memo before."""
+
+    def test_failure_is_raised_again_under_each_name(self, monkeypatch):
+        s = LPSeed.initial(("x",), ("t",), ("t+1",))
+        s = s.with_values([parse_polynomial("t*x", s.ctx)])
+        with pytest.raises(LaurentViolation) as fresh:
+            mutate(s, 0)
+        calls = []
+        monkeypatch.setattr("lpsurf.lp_core.normalize", lambda *a: calls.append(a) or normalize(*a))
+        memo: dict = {}
+        raised = []
+        for name in ("u", "w"):
+            with pytest.raises(LaurentViolation) as exc:
+                mutate(s, 0, new_name=name, memo=memo)
+            raised.append(exc.value)
+        assert [e.name for e in raised] == ["u", "w"] and len(calls) == 1
+        for e in raised:
+            assert (e.num, e.den) == (fresh.value.num, fresh.value.den)
+        assert str(raised[1]) == str(fresh.value).replace("x'", "w")
+
+    def test_key_holds_the_mutated_slot_value(self, mutation_example_seed):
+        s1 = mutation_example_seed
+        s2 = s1.with_values([parse_polynomial("a^2", s1.ctx)] + list(s1.values[1:]))
+        assert mutate(s1, 0).values[0] != mutate(s2, 0).values[0]
+        memo: dict = {}
+        for s in (s1, s2, s1):
+            assert mutate(s, 0, memo=memo) == mutate(s, 0)
+        assert len(memo) == 2
+
+    def test_key_holds_the_sign(self, mutation_example_seed):
+        """Seeds with one key up to sign mutate to values of opposite sign (ROADMAP item 7)."""
+        s1 = mutation_example_seed
+        s2 = replace(s1, polys=(s1.polys[0].neg(),) + s1.polys[1:])
+        assert mutate(s2, 0).values[0] == mutate(s1, 0).values[0].neg()
+        memo: dict = {}
+        for s in (s1, s2):
+            assert mutate(s, 0, memo=memo) == mutate(s, 0)
+
+    def test_key_holds_the_context(self):
+        s1 = LPSeed.initial(("a", "b"), ("t",), ("b + t", "a + 1"))
+        s2 = LPSeed.initial(("x", "y"), ("u",), ("y + u", "x + 1"))
+        assert [p.terms for p in s1.polys] == [p.terms for p in s2.polys]
+        memo: dict = {}
+        for s in (s1, s2):
+            m = mutate(s, 0, memo=memo)
+            assert m == mutate(s, 0) and m.polys[1].ctx == s.ctx
+        assert len(memo) == 2
 
 
 class TestStepTwo:

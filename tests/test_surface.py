@@ -160,6 +160,16 @@ class TestInitialTriangulation:
         with pytest.raises(SurfaceError):
             triangulation_from_json(edit(data))
 
+    def test_stray_boundary_edge_is_rejected(self, hexagon):
+        """A boundary edge on no region would give the hexagon a seventh frozen b7."""
+        t = initial_quasi_triangulation(hexagon)
+        data = json.loads(json.dumps(triangulation_to_json(t)))
+        data["boundary"].append([99, "b7"])
+        with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
+            triangulation_from_json(data)
+        with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
+            check_state(replace(t, boundary=t.boundary + ((99, "b7"),)))
+
 
 class TestFlips:
     @pytest.mark.parametrize(
