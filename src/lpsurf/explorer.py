@@ -142,13 +142,19 @@ def explore_seeds(
     exchange polynomial match ``t``'s slot ``i``.  A stored seed whose slot
     differs only in that polynomial's sign is still mutated, because the new
     value depends on the sign.
+
+    Every edge calls :func:`mutate` once, with one memo per BFS.  No two
+    mutations here share a whole seed, but the exchange relation is local,
+    so they share its parts: on the 8-gon, 330 mutations compute 70 distinct
+    new values.
     """
+    memo: dict = {}
 
     def neighbors(s: LPSeed, done):
         for i in range(s.n):
             if done and _exchange_token(s, i) in done:
                 continue
-            t = mutate(s, i)
+            t = mutate(s, i, memo=memo)
             yield i, seed_key(t), t, _exchange_token(t, i)
 
     return _bfs(

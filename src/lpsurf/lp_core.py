@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .poly import (
     ContextMismatch,
@@ -211,7 +211,9 @@ def _is_cluster_variable(ctx: VariableContext, f: Polynomial) -> bool:
 # -- normalization ------------------------------------------------------------
 
 
-def normalize(seed: LPSeed, j: int) -> tuple[Polynomial, tuple[int, ...]]:
+def normalize(
+    seed: LPSeed, j: int, memo: Optional[dict] = None
+) -> tuple[Polynomial, tuple[int, ...]]:
     """Normalized exchange polynomial of slot ``j`` and its exponent vector.
 
     Returns ``(Fhat_j, (a_1..a_n))`` with
@@ -220,16 +222,32 @@ def normalize(seed: LPSeed, j: int) -> tuple[Polynomial, tuple[int, ...]]:
     (frozen variables are not units).  Writing ``F_j = sum_m c_m x_k^m``,
     that is ``a_k = min_m (m + v(c_m))`` with ``v`` the number of factors
     ``F_k`` in ``c_m``, counted by exact division in the polynomial ring.
-    Raises :class:`InvalidSeed` on an invalid seed.
+    Raises :class:`InvalidSeed` on an invalid seed.  With ``memo`` (see
+    :func:`mutate`), each ``a_k`` is computed once per ``F_k``, ``F_j`` and ``k``.
     """
     seed.require_valid()
     f = seed.polys[j]
     exponents = [0] * seed.n
     for k in range(seed.n):
         if k != j:
-            exponents[k] = _power_of(seed.polys[k], f, k)
+            fk = seed.polys[k]
+            exponents[k] = _once(memo, lambda: ("power", fk.terms, f.terms, k), _power_of, fk, f, k)
     shift = [-a for a in exponents] + [0] * len(seed.ctx.frozen)
     return f.times_monomial(shift), tuple(exponents)
+
+
+def _once(memo: Optional[dict], key: Callable[[], tuple], compute: Callable, *args):
+    """``compute(*args)``, stored in ``memo`` under ``key()`` and looked up there first.
+
+    Without a memo no key is built.  A call that raises stores nothing.
+    """
+    if memo is None:
+        return compute(*args)
+    k = key()
+    hit = memo.get(k)
+    if hit is None:
+        hit = memo[k] = compute(*args)
+    return hit
 
 
 def _power_of(fk: Polynomial, f: Polynomial, k: int) -> int:
@@ -332,12 +350,21 @@ def mutate(
     :class:`LaurentViolation` when it is not a Laurent polynomial.  Raises
     :class:`InvalidSeed` on an invalid seed; the result is checked to be valid.
 
-    With ``memo``, a dict the caller keeps, the exchange (normalization and
-    steps 1-3) is computed once per distinct input: the context, the *signed*
-    exchange polynomials, the values and ``i``.  A :class:`LaurentViolation`
-    is remembered as its ``num`` and ``den`` and raised again under this
-    call's name.  The checks above and the result's validity check run on
-    every call.  Without ``memo`` no key is built.
+    With ``memo``, a dict the caller keeps, each distinct exchange is
+    computed once.  Its whole input is looked up first: the context, the
+    *signed* exchange polynomials, the values and ``i``.  Mutation chains
+    revisit seeds and hit it; a :class:`LaurentViolation` is remembered as
+    its ``num`` and ``den`` and raised again under this call's name.  On a
+    miss the exchange is computed in parts, and since the relation
+    ``x_i * x_i' = Fhat_i`` is local, each part is looked up under only the
+    data it depends on: a power ``a_k`` of :func:`normalize` under ``F_k``,
+    ``F_i`` and ``k``; the new value under the context, ``value_i`` and, per
+    term of ``Fhat_i``, the signed coefficient, the frozen exponents and the
+    values raised to a nonzero power with those powers; steps 1-3 for slot
+    ``j`` under the context, ``Fhat_i``, ``F_j``, ``i`` and ``j``.  The
+    seeds of one BFS never share a whole input, but they share these parts.
+    A part that fails is not kept.  The checks above and the result's
+    validity check run on every call.  Without ``memo`` no key is built.
     """
     seed.require_valid()
     if not 0 <= i < seed.n:
@@ -347,14 +374,14 @@ def mutate(
     if name in seed.names[:i] + seed.names[i + 1:] + seed.ctx.frozen:
         raise PolyError(f"new variable name {name!r} is already in use")
     if memo is None:
-        polys, value = _exchange(seed, i, name)
+        polys, value = _exchange(seed, i, name, None)
     else:
-        key = (seed.ctx.names, tuple(p.terms for p in seed.polys),
+        key = ("seed", seed.ctx.names, tuple(p.terms for p in seed.polys),
                tuple(v.terms for v in seed.values), i)
         hit = memo.get(key)
         if hit is None:
             try:
-                hit = _exchange(seed, i, name)
+                hit = _exchange(seed, i, name, memo)
             except LaurentViolation as exc:
                 hit = (None, (exc.num, exc.den))
             memo[key] = hit
@@ -371,48 +398,72 @@ def mutate(
     return result
 
 
-def _exchange(seed: LPSeed, i: int, name: str) -> tuple[tuple[Polynomial, ...], Polynomial]:
+def _exchange(
+    seed: LPSeed, i: int, name: str, memo: Optional[dict]
+) -> tuple[tuple[Polynomial, ...], Polynomial]:
     """The exchange polynomials and slot ``i``'s value after mutating at ``i``.
 
     A function of the context, the polynomials, the values and ``i`` alone;
-    ``name`` only labels a :class:`LaurentViolation`.
+    ``name`` only labels a :class:`LaurentViolation`.  With ``memo``, each
+    part is looked up by the data it depends on (see :func:`mutate`).
     """
     ctx = seed.ctx
-    fhat_i, _ = normalize(seed, i)
+    fhat_i, _ = normalize(seed, i, memo)
     if fhat_i.is_zero:
         raise MutationError("normalized polynomial vanished")
-    value = _new_value(seed, i, fhat_i, name)
-
-    cluster_idx = list(ctx.cluster_indices())
+    value = _once(memo, lambda: _value_key(seed, i, fhat_i), _new_value, seed, i, fhat_i, name)
     new_polys: list[Polynomial] = []
     for j, fj in enumerate(seed.polys):
         if j == i or not fj.involves(i):
             new_polys.append(fj)
-            continue
-        # Step 1: substitute x_i <- (Fhat_i|_{x_j<-0}) / x_i'
-        try:
-            numerator = fhat_i.subs_zero(j)
-        except PolyError as exc:
-            raise MutationError(
-                "Fhat_i|_{x_j<-0} undefined; well-definedness guard violated"
-            ) from exc
-        if numerator.is_zero:
-            raise MutationError("Fhat_i|_{x_j<-0} is zero")
-        minus_i = tuple(-1 if t == i else 0 for t in range(ctx.nvars))
-        g = fj.subs_poly(i, numerator.times_monomial(minus_i))
-        # Step 2: divide out all common (non-unit, non-monomial) factors with
-        # Fhat_i|_{x_j<-0}; monomials are units of the Laurent ring.
-        h, _ = strip_laurent_monomial(g, cluster_idx)
-        n_stripped, _ = strip_laurent_monomial(numerator, cluster_idx)
-        h = _divide_out_common(h, n_stripped)
-        # Step 3: the unique monic Laurent monomial making the result an
-        # ordinary polynomial not divisible by any cluster variable, with the
-        # canonical positive leading coefficient.
-        fj_new, _ = strip_laurent_monomial(h, cluster_idx)
-        if not fj_new.is_ordinary:
-            raise MutationError("mutated exchange polynomial left the coefficient ring")
-        new_polys.append(fj_new)
+        else:
+            new_polys.append(_once(memo, lambda: ("step", ctx.names, fhat_i.terms, fj.terms, i, j),
+                                   _exchange_step, ctx, fhat_i, fj, i, j))
     return tuple(new_polys), value
+
+
+def _value_key(seed: LPSeed, i: int, fhat: Polynomial) -> tuple:
+    """What ``Fhat_i(values) / value_i`` depends on, with no slot numbers.
+
+    The context, ``value_i``, and per term of ``Fhat_i`` its signed
+    coefficient, its frozen exponents and the values it raises to a nonzero
+    power with those powers.
+    """
+    n, values = seed.n, seed.values
+    return ("value", seed.ctx.names, values[i].terms, tuple(sorted(
+        (c, e[n:], tuple(sorted((values[k].terms, e[k]) for k in range(n) if e[k])))
+        for e, c in fhat.terms
+    )))
+
+
+def _exchange_step(
+    ctx: VariableContext, fhat_i: Polynomial, fj: Polynomial, i: int, j: int
+) -> Polynomial:
+    """Steps 1-3: the new exchange polynomial of a slot ``j`` whose ``F_j`` involves ``x_i``."""
+    cluster_idx = ctx.cluster_indices()
+    # Step 1: substitute x_i <- (Fhat_i|_{x_j<-0}) / x_i'
+    try:
+        numerator = fhat_i.subs_zero(j)
+    except PolyError as exc:
+        raise MutationError(
+            "Fhat_i|_{x_j<-0} undefined; well-definedness guard violated"
+        ) from exc
+    if numerator.is_zero:
+        raise MutationError("Fhat_i|_{x_j<-0} is zero")
+    minus_i = tuple(-1 if t == i else 0 for t in range(ctx.nvars))
+    g = fj.subs_poly(i, numerator.times_monomial(minus_i))
+    # Step 2: divide out all common (non-unit, non-monomial) factors with
+    # Fhat_i|_{x_j<-0}; monomials are units of the Laurent ring.
+    h, _ = strip_laurent_monomial(g, cluster_idx)
+    n_stripped, _ = strip_laurent_monomial(numerator, cluster_idx)
+    h = _divide_out_common(h, n_stripped)
+    # Step 3: the unique monic Laurent monomial making the result an
+    # ordinary polynomial not divisible by any cluster variable, with the
+    # canonical positive leading coefficient.
+    fj_new, _ = strip_laurent_monomial(h, cluster_idx)
+    if not fj_new.is_ordinary:
+        raise MutationError("mutated exchange polynomial left the coefficient ring")
+    return fj_new
 
 
 # -- equality up to units -------------------------------------------------------

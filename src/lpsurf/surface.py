@@ -309,9 +309,10 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     token ``("b", L, -1)``, L the least boundary label in string order, so
     the candidate flags are the slots of every boundary segment labelled L
     (labels may repeat), each entered against its sign.  Otherwise every flag
-    of the least kind is a candidate.  First rows are built for the
-    candidates only, and the BFS runs from those that tie for the least row;
-    the result equals the minimum over all flags.
+    of the least kind is a candidate.  The walks from the candidates advance
+    row by row, a walk is dropped as soon as its row exceeds the least row,
+    and the one walk left is finished; walks that tie to the end give one
+    code.  The result equals the minimum over all flags.
     """
     sides = [t.region_sides(ri) for ri in range(len(t.regions))]
     kind = min(r[0] for r in t.regions)
@@ -323,9 +324,16 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     else:
         flags = [(ri, p, d) for ri, rs in enumerate(sides) if t.regions[ri][0] == kind
                  for p in range(len(rs)) for d in (1, -1)]
-    rows = [_row(kind, sides[ri], p, d, t.boundary_labels, {}) for ri, p, d in flags]
-    least = min(rows)
-    return min(_bfs_code(t, sides, *flag) for flag, row in zip(flags, rows) if row == least)
+    walks = [_bfs_code(t, sides, *flag) for flag in flags]
+    code: list = []
+    while len(walks) > 1:
+        rows = [next(walk, None) for walk in walks]
+        if None in rows:  # an ended walk's code is a prefix of the others'
+            return tuple(code)
+        least = min(rows)
+        code.append(least)
+        walks = [walk for walk, row in zip(walks, rows) if row == least]
+    return tuple(code) + tuple(walks[0])
 
 
 def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tuple:
@@ -341,11 +349,12 @@ def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tup
     return tuple(row)
 
 
-def _bfs_code(t, sides, r0, p0, d0) -> tuple:
+def _bfs_code(t, sides, r0, p0, d0):
+    """The code from one flag, one token at a time: its rows in BFS order, then
+    the region count."""
     bnd_label, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of
     visited: set[int] = set()
     edge_num: dict[int, int] = {}
-    tokens: list = []
     queue: list[tuple[int, int, int]] = [(r0, p0, d0)]
     head = 0
     while head < len(queue):
@@ -356,7 +365,7 @@ def _bfs_code(t, sides, r0, p0, d0) -> tuple:
         visited.add(ri)
         kind = t.regions[ri][0]
         rsides = sides[ri]
-        tokens.append(_row(kind, rsides, entry, d, bnd_label, edge_num))
+        yield _row(kind, rsides, entry, d, bnd_label, edge_num)
         arity = len(rsides)
         for k in range(arity):
             pos = (entry + d * k) % arity
@@ -373,8 +382,7 @@ def _bfs_code(t, sides, r0, p0, d0) -> tuple:
             for oi, opos in slots[e]:
                 if oi not in visited and (oi, opos) != (ri, pos):
                     queue.append((oi, opos, -d * s * sides[oi][opos][1]))
-    tokens.append(("#regions", len(visited)))
-    return tuple(tokens)
+    yield ("#regions", len(visited))
 
 
 # -- double cover and adjacency quiver ------------------------------------------

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import lpsurf.explorer
+import lpsurf.lp_core
+
 from lpsurf.explorer import (
     ExchangeGraph,
     explore_flips,
@@ -79,13 +82,31 @@ class TestSkipMatchesUnprunedSearch:
         ((0, 0, (6,)), None), ((0, 0, (6,), False), None), ((0, 0, (7,)), None),
         ((0, 0, (8,)), None), ((0, 1, (3,)), None), ((0, 1, (4,)), None),
         ((0, 0, (2, 2)), 3), ((0, 0, (2, 2)), 4), ((0, 0, (1, 2)), 3),
-        ((1, 0, (1,)), 3), ((0, 2, (2,)), 3),
+        ((1, 0, (1,)), 3), ((0, 2, (2,)), 3), ((0, 1, (5,)), None),
     ], ids=["hexagon", "hexagon-no-boundary-variables", "7-gon", "8-gon", "M3", "M4",
             "annulus22-depth3", "annulus22-depth4", "annulus12-depth3", "torus-depth3",
-            "klein2-depth3"])
+            "klein2-depth3", "M5"])
     def test_surfaces(self, surface, depth):
         seed = seed_from_quasi_triangulation(initial_quasi_triangulation(MarkedSurface(*surface)))
         assert export(explore_seeds(seed, depth=depth), "json") == seed_graph_json(seed, depth)
+
+    def test_octagon_computes_each_distinct_value_once(self, monkeypatch):
+        """Every edge calls mutate; the BFS memo computes 70 distinct new values."""
+        calls = {"mutate": 0, "_new_value": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lpsurf.explorer, "mutate", counted("mutate", lpsurf.explorer.mutate))
+        monkeypatch.setattr(lpsurf.lp_core, "_new_value",
+                            counted("_new_value", lpsurf.lp_core._new_value))
+        g = explore_seeds(seed_from_quasi_triangulation(
+            initial_quasi_triangulation(MarkedSurface(0, 0, (8,)))))
+        assert (g.node_count, g.edge_count) == (132, 330)
+        assert calls == {"mutate": 330, "_new_value": 70}
 
     def test_random_mixed_sign_seeds(self):
         """Three of these graphs change if the token leaves out the polynomial's sign."""

@@ -210,6 +210,11 @@ class TestMutate:
         assert seeds_equal(m2, mutation_example_seed)
 
 
+def whole_seed_entries(memo: dict) -> int:
+    """The memo's entries for whole exchanges; the others hold their parts."""
+    return sum(key[0] == "seed" for key in memo)
+
+
 class TestMutationMemo:
     """``mutate(..., memo=m)`` equals a fresh ``mutate``, whatever shared the memo before."""
 
@@ -227,6 +232,7 @@ class TestMutationMemo:
                 mutate(s, 0, new_name=name, memo=memo)
             raised.append(exc.value)
         assert [e.name for e in raised] == ["u", "w"] and len(calls) == 1
+        assert whole_seed_entries(memo) == 1 and not any(key[0] == "value" for key in memo)
         for e in raised:
             assert (e.num, e.den) == (fresh.value.num, fresh.value.den)
         assert str(raised[1]) == str(fresh.value).replace("x'", "w")
@@ -238,7 +244,7 @@ class TestMutationMemo:
         memo: dict = {}
         for s in (s1, s2, s1):
             assert mutate(s, 0, memo=memo) == mutate(s, 0)
-        assert len(memo) == 2
+        assert whole_seed_entries(memo) == 2
 
     def test_key_holds_the_sign(self, mutation_example_seed):
         """Seeds with one key up to sign mutate to values of opposite sign (ROADMAP item 7)."""
@@ -257,7 +263,69 @@ class TestMutationMemo:
         for s in (s1, s2):
             m = mutate(s, 0, memo=memo)
             assert m == mutate(s, 0) and m.polys[1].ctx == s.ctx
-        assert len(memo) == 2
+        assert whole_seed_entries(memo) == 2
+
+
+XY, ABC, ABCD = ("x", "y"), ("a", "b", "c"), ("a", "b", "c", "d")
+
+
+def exchange(cluster, polys, i=0, values=()):
+    """Slot ``i`` of a seed over ``cluster`` and the frozen ``t``, with optional values."""
+    seed = LPSeed.initial(cluster, ("t",), polys)
+    if values:
+        seed = seed.with_values([parse_polynomial(v, seed.ctx) for v in values])
+    return seed, i
+
+
+class TestLocalMemo:
+    """Exchanges whose local memo keys differ in one part only share a memo correctly.
+
+    Each pair mutates two seeds at one slot each.  The part under test, the
+    new value (``slots`` None) or the exchange polynomials at ``slots``,
+    differs between them, and with a shared memo both mutations still equal
+    fresh ones.
+    """
+
+    @pytest.mark.parametrize("first, second, slots", [
+        # the new value: per term of Fhat_i the signed coefficient, the frozen
+        # exponents and the values with their powers; and value_i
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y - t", "x + 1"]), None),
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t^2", "x + 1"]), None),
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t", "x + 1"], 0, ["x^2", "y"]),
+         None),
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y^2 + t", "x + 1"]), None),
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t", "x + 1"], 0, ["x", "y^2"]),
+         None),
+        # steps 1-3 for slot j: Fhat_i, F_j, i and j
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y - t", "x + 1"]), (1, 1)),
+        (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t", "x + 2"]), (1, 1)),
+        (exchange(ABC, ["c + t", "a + t", "a + b^2"], 0),
+         exchange(ABC, ["b + t", "c + t", "a + b^2"], 1), (2, 2)),
+        (exchange(ABCD, ["c + d^2", "c + t", "a + b", "b + t"]),
+         exchange(ABCD, ["c + d^2", "c + t", "b + t", "a + b"]), (2, 3)),
+        # the powers a_k of normalizing F_i: F_k, F_i and k
+        (exchange(ABC, ["b + c*t + c", "t + 1", "t + 2"]),
+         exchange(ABC, ["b + c*t + c", "t + 2", "t + 2"]), None),
+        (exchange(ABC, ["b + c*t + c", "t + 1", "t + 2"]),
+         exchange(ABC, ["b + c*t + 2*c", "t + 1", "t + 2"]), None),
+    ], ids=["coefficient-sign", "frozen-exponent", "value_i", "exponent-e_k", "value_k",
+            "step-Fhat_i", "step-F_j", "step-i", "step-j", "power-F_k", "power-F_i"])
+    def test_pair(self, first, second, slots):
+        (s1, i1), (s2, i2) = first, second
+        fresh = [mutate(s1, i1), mutate(s2, i2)]
+        if slots is None:
+            assert fresh[0].values[i1].terms != fresh[1].values[i2].terms
+        else:
+            assert fresh[0].polys[slots[0]].terms != fresh[1].polys[slots[1]].terms
+        memo: dict = {}
+        assert [mutate(s1, i1, memo=memo), mutate(s2, i2, memo=memo)] == fresh
+
+    def test_power_key_holds_the_slot(self):
+        """F_b = F_c, yet a_b = 1 and a_c = 0 in normalizing F_a at one call."""
+        s, _ = exchange(ABC, ["b + c*t + c", "t + 1", "t + 1"])
+        assert normalize(s, 0)[1] == (0, 1, 0)
+        assert normalize(s, 0, {}) == normalize(s, 0)
+        assert mutate(s, 0, memo={}) == mutate(s, 0)
 
 
 class TestStepTwo:
@@ -338,9 +406,9 @@ class TestValidateOnce:
     def test_each_edge_is_mutated_once(self, monkeypatch, surface, depth, mutations):
         calls = []
 
-        def counting(seed, i):
+        def counting(seed, i, **kwargs):
             calls.append(i)
-            return mutate(seed, i)
+            return mutate(seed, i, **kwargs)
 
         monkeypatch.setattr("lpsurf.explorer.mutate", counting)
         g = explore_seeds(surface_seed(*surface), depth=depth)

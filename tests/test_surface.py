@@ -479,18 +479,20 @@ class TestCanonicalCode:
         monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
         monkeypatch.setattr(surface_module, "_row", counting_row)
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
-        # 169 codes, each one first row (b1 entered against its sign) and then
-        # the 5 rows of one walk; the full scan over all 30 flags built 5,915
-        assert len(per_code) == 169 and len(rows) == 169 * 6
+        # 169 codes, each the 5 rows of one walk from one flag (b1 entered
+        # against its sign); the full scan over all 30 flags built 5,915
+        assert len(per_code) == 169 and len(rows) == 169 * 5
         rows.clear()
         per_code.clear()
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (4,))))
-        # a triangulation of M4 (4 triangles) builds 1 + 4 rows; a pocket state
-        # (a pocket and 3 triangles) builds the first rows of both pocket flags,
-        # which tie, and walks from each: 2 + 2 * 4 rows.  The full scan built
-        # 7,196 rows here.
+        # a triangulation of M4 (4 triangles) builds 4 rows; a pocket state (a
+        # pocket and 3 triangles) walks from both pocket flags, whose first
+        # rows tie, in step until their second or third rows differ, and
+        # finishes one walk: 2 * 2 + 2 or 2 * 3 + 1 rows.  Walking both to the
+        # end built 2 + 2 * 4 rows (first rows built twice), the full scan 7,196.
         tris, pocket = (TRI,) * 4, (POCKET,) + (TRI,) * 3
-        assert set(per_code) == {(5, tris), (10, pocket)} and len(per_code) == 1 + 64 * 4
+        assert set(per_code) == {(4, tris), (6, pocket), (7, pocket)}
+        assert len(per_code) == 1 + 64 * 4
         assert len(rows) <= 7 * len(per_code)
 
     @pytest.mark.parametrize("surface,labels", [
@@ -506,7 +508,7 @@ class TestCanonicalCode:
         for _ in range(60):
             t = flip(t, rng.choice(t.quasi_arcs))
             sides = [t.region_sides(ri) for ri in range(len(t.regions))]
-            full = min(surface_module._bfs_code(t, sides, ri, p, d)
+            full = min(tuple(surface_module._bfs_code(t, sides, ri, p, d))
                        for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1))
             assert canonical_code(t) == full
 
