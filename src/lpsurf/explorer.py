@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-import networkx as nx
-
 from .lp_core import LaurentViolation, LPSeed, _exchange_token, mutate, seed_key
 from .poly import PolyError
 from .schema import REQUIRED, SCHEMA_VERSION, fields
@@ -25,7 +23,7 @@ __all__ = [
     "ExchangeGraph",
     "explore_seeds",
     "explore_flips",
-    "graphs_isomorphic",
+    "flip_correspondence",
     "verify_laurent",
     "LaurentReport",
     "export",
@@ -49,13 +47,15 @@ def _node_cap(explicit: Optional[int]) -> int:
 
 @dataclass
 class ExchangeGraph:
-    """Finite graph of canonical nodes connected by single mutations/flips."""
+    """Graph of canonical nodes joined by single moves; BFS adds ``keys`` and ``parents``."""
 
     kind: str  # "seeds" or "flips"
     labels: list[str]
     edges: dict[tuple[int, int], str]
     truncated: bool
     payloads: list = field(default_factory=list, repr=False)
+    keys: list = field(default_factory=list, repr=False)
+    parents: list = field(default_factory=list, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -64,19 +64,6 @@ class ExchangeGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.node_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def to_networkx(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(range(self.node_count))
-        g.add_edges_from(self.edges)
-        return g
 
 
 def _bfs(
@@ -94,10 +81,13 @@ def _bfs(
     one, or None.  The tokens a node receives reach its own ``neighbors``
     call as the set ``done``, whose moves it may skip: when moves are
     involutions, such a move only closes an edge that the first end already
-    labelled.  Skip sets exist only for nodes that receive a token.
+    labelled.  Skip sets exist only for nodes that receive a token.  The graph
+    keeps the node keys in node order as ``keys``, and as ``parents`` the
+    first ``(u, direction)`` that reached each node (None for the root).
     """
     index = {start_key: 0}
     payloads = [start_payload]
+    parents: list = [None]
     depths = [0]
     edges: dict[tuple[int, int], str] = {}
     skip: dict[int, set] = {}
@@ -118,6 +108,7 @@ def _bfs(
                     v = len(payloads)
                     index[key] = v
                     payloads.append(payload)
+                    parents.append((u, direction))
                     depths.append(depths[u] + 1)
                     next_frontier.append(v)
                 edge = (u, v) if u < v else (v, u)
@@ -126,7 +117,7 @@ def _bfs(
                     skip.setdefault(v, set()).add(back)
         frontier = next_frontier
     labels = [label(p) for p in payloads]
-    return ExchangeGraph(kind, labels, edges, truncated, payloads)
+    return ExchangeGraph(kind, labels, edges, truncated, payloads, list(index), parents)
 
 
 def explore_seeds(
@@ -195,20 +186,28 @@ def explore_flips(
     )
 
 
-def graphs_isomorphic(
-    g1: ExchangeGraph, g2: ExchangeGraph
-) -> tuple[bool, Optional[dict[int, int]]]:
-    """Graph isomorphism with a witness mapping on success."""
-    if g1.truncated != g2.truncated:
+def flip_correspondence(g_seeds: ExchangeGraph, g_flips: ExchangeGraph,
+                        t0: QuasiTriangulation) -> Optional[list[int]]:
+    """The flip node of each seed node, mutation at slot(q) read as the flip of q; or None.
+
+    Slot i of ``t0``'s seed holds ``t0.quasi_arcs[i]``.  The seed BFS tree is replayed
+    as flips; a flip's new quasi-arc (id ``next_id``) takes the mutated slot.  With
+    equal counts, an injective map sending seed edges to flip edges is an isomorphism.
+    """
+    if g_seeds.truncated != g_flips.truncated:
         raise PolyError("cannot compare a truncated graph with a complete one")
-    if g1.node_count != g2.node_count or g1.edge_count != g2.edge_count:
-        return False, None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False, None
-    matcher = nx.algorithms.isomorphism.GraphMatcher(g1.to_networkx(), g2.to_networkx())
-    if matcher.is_isomorphic():
-        return True, dict(matcher.mapping)
-    return False, None
+    if g_seeds.node_count != g_flips.node_count or g_seeds.edge_count != g_flips.edge_count:
+        return None
+    replay = [(t0, t0.quasi_arcs)]
+    for u, i in g_seeds.parents[1:]:
+        t, arcs = replay[u]
+        replay.append((flip(t, arcs[i]), arcs[:i] + (t.next_id,) + arcs[i + 1:]))
+    index = {key: v for v, key in enumerate(g_flips.keys)}
+    image = [index.get(canonical_code(t)) for t, _ in replay]
+    if None in image or len(set(image)) < len(image):
+        return None
+    mapped = {(min(image[u], image[v]), max(image[u], image[v])) for u, v in g_seeds.edges}
+    return image if mapped == g_flips.edges.keys() else None
 
 
 # -- Laurent phenomenon verification ------------------------------------------

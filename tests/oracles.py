@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
 traversal double-checks breadth-first enumeration counts, an unpruned
-queue-based search rebuilds the seed graph's JSON export, cluster values
+queue-based search rebuilds the seed graph's JSON export, networkx's VF2
+asks whether two exchange graphs are isomorphic at all, cluster values
 are followed as exact rationals at a point, and normalization exponents,
 irreducibility and step 2 of mutation come from sympy; the last four read
 only ``.terms``.
@@ -18,6 +19,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import networkx as nx
 import sympy
 
 from lpsurf.lp_core import LPSeed, mutate, seed_key
@@ -184,6 +186,33 @@ def seed_graph_json(seed: LPSeed, depth: Optional[int] = None) -> str:
         "edges": [[u, v, d] for (u, v), d in sorted(edges.items())],
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# -- graph isomorphism and degrees ------------------------------------------------
+
+
+def _nx_graph(g) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.node_count))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def vf2_isomorphic(g1, g2) -> tuple[bool, Optional[dict[int, int]]]:
+    """Whether any isomorphism joins two exchange graphs, by VF2; one such map or None."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(_nx_graph(g1), _nx_graph(g2))
+    if matcher.is_isomorphic():
+        return True, dict(matcher.mapping)
+    return False, None
+
+
+def degrees(g) -> list[int]:
+    """The degree of each node of an exchange graph."""
+    deg = [0] * g.node_count
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
 # -- cluster values at a rational point -------------------------------------------

@@ -222,22 +222,28 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
 
 
 # Runs in a fresh interpreter: import the CLI, then one command of each
-# benchmark workload's shape, and report after each step whether sympy is loaded.
+# benchmark workload's shape, and report after each step which of sympy and
+# networkx are loaded.
 _SYMPY_PROBE = """
 import sys
 from lpsurf.cli import main
-loaded = ["sympy" in sys.modules]
+def heavy():
+    return [m for m in ("sympy", "networkx") if m in sys.modules]
+loaded = [heavy()]
 for args in (["compare-graphs", "--surface", sys.argv[1]],
              ["verify-laurent", "--surface", sys.argv[2]],
              ["explore", "--surface", sys.argv[3], "--mode", "flips", "--format", "dot"]):
     main.main(args, standalone_mode=False)
-    loaded.append("sympy" in sys.modules)
+    loaded.append(heavy())
 print(loaded)
 """
 
 
 def test_workload_commands_do_not_import_sympy(tmp_path):
-    """sympy costs about 0.35 s to import; no benchmarked command may need it."""
+    """sympy costs about 0.35 s to import and networkx 0.2 s.
+
+    No benchmarked command may need either.
+    """
     paths = []
     for name, cross_caps, boundary in (("M4", 1, [4]), ("M2", 1, [2]), ("7-gon", 0, [7])):
         path = tmp_path / f"{name}.json"
@@ -252,7 +258,7 @@ def test_workload_commands_do_not_import_sympy(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0] == "isomorphic: true, nodes=64, edges=128"
     assert lines[1].endswith("violations: 0") and lines[2] == "graph flips {"
-    assert lines[-1] == "[False, False, False, False]"
+    assert lines[-1] == "[[], [], [], []]"
 
 
 def _edit(doc, **changes):

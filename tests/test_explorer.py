@@ -11,8 +11,8 @@ from lpsurf.explorer import (
     explore_flips,
     explore_seeds,
     export,
+    flip_correspondence,
     graph_from_json,
-    graphs_isomorphic,
     LaurentReport,
     verify_laurent,
 )
@@ -27,7 +27,7 @@ from lpsurf.surface import (
 )
 
 from conftest import random_frozen_variable_seed, random_valid_seed
-from oracles import dfs_count, polygon_flip_graph, seed_graph_json
+from oracles import degrees, dfs_count, polygon_flip_graph, seed_graph_json, vf2_isomorphic
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ class TestExploreSeeds:
         g = explore_seeds(hexagon_seed)
         assert (g.node_count, g.edge_count) == (14, 21)
         assert not g.truncated
-        assert all(d == 3 for d in g.degrees())
+        assert all(d == 3 for d in degrees(g))
 
     def test_matches_independent_dfs(self, hexagon_seed):
         def neighbors(s):
@@ -169,39 +169,78 @@ class TestExploreFlips:
         assert (gf.node_count, gf.edge_count) == (64, 128)
         gs = explore_seeds(seed_from_quasi_triangulation(t))
         assert (gs.node_count, gs.edge_count) == (64, 128)
-        ok, _ = graphs_isomorphic(gs, gf)
-        assert ok
+        assert flip_correspondence(gs, gf, t) is not None
+        assert vf2_isomorphic(gs, gf)[0]
 
 
-class TestIsomorphism:
-    def test_self_isomorphic(self, hexagon_state):
-        g = explore_flips(hexagon_state)
-        ok, witness = graphs_isomorphic(g, g)
-        assert ok and witness is not None and len(witness) == g.node_count
+def _graphs(surface, depth=None):
+    t = initial_quasi_triangulation(MarkedSurface(*surface))
+    seed = seed_from_quasi_triangulation(t)
+    return t, explore_seeds(seed, depth=depth), explore_flips(t, depth=depth)
 
-    def test_path_vs_cycle(self):
+
+class TestFlipCorrespondence:
+    def test_root_and_first_flips(self, hexagon_state, hexagon_seed):
+        """Mutating slot i from the root lands where flipping quasi-arc i does."""
+        gs = explore_seeds(hexagon_seed)
+        gf = explore_flips(hexagon_state)
+        witness = flip_correspondence(gs, gf, hexagon_state)
+        assert witness[0] == 0
+        for v, parent in enumerate(gs.parents):
+            if parent is not None and parent[0] == 0:
+                assert gf.parents[witness[v]] == (0, hexagon_state.quasi_arcs[parent[1]])
+
+    def test_path_vs_cycle(self, hexagon_state):
         path = ExchangeGraph("seeds", ["a", "b", "c"], {(0, 1): "0", (1, 2): "0"}, False)
         cycle = ExchangeGraph(
-            "seeds", ["a", "b", "c"], {(0, 1): "0", (1, 2): "0", (0, 2): "1"}, False
+            "flips", ["a", "b", "c"], {(0, 1): "0", (1, 2): "0", (0, 2): "1"}, False
         )
-        ok, witness = graphs_isomorphic(path, cycle)
-        assert not ok and witness is None
+        assert flip_correspondence(path, cycle, hexagon_state) is None
+        assert vf2_isomorphic(path, cycle) == (False, None)
 
     def test_seed_vs_flip_graphs(self, hexagon_state, hexagon_seed):
         gs = explore_seeds(hexagon_seed)
         gf = explore_flips(hexagon_state)
-        ok, witness = graphs_isomorphic(gs, gf)
-        assert ok
+        witness = flip_correspondence(gs, gf, hexagon_state)
         # witness maps nodes bijectively preserving adjacency
+        assert sorted(witness) == list(range(gf.node_count))
         mapped = {(min(witness[u], witness[v]), max(witness[u], witness[v]))
                   for u, v in gs.edges}
         assert mapped == set(gf.edges)
+        assert vf2_isomorphic(gs, gf)[0]
 
-    def test_truncation_mismatch(self, hexagon_seed):
-        g1 = explore_seeds(hexagon_seed)
-        g2 = explore_seeds(hexagon_seed, depth=1)
+    @pytest.mark.parametrize("surface, depth, iso", [
+        ((0, 0, (6,)), None, True), ((0, 0, (6,), False), None, False),
+        ((0, 0, (7,)), None, True), ((0, 0, (8,)), None, True), ((0, 0, (8,)), 2, True),
+        ((0, 1, (2,)), None, True), ((0, 1, (3,)), None, True), ((0, 1, (4,)), None, True),
+        ((0, 1, (5,)), 3, True), ((0, 0, (2, 2)), 2, False), ((0, 0, (2, 2)), 3, False),
+        ((0, 0, (1, 2)), 2, False), ((0, 0, (3, 1)), 3, False), ((0, 2, (2,)), 2, True),
+        ((0, 2, (2,)), 3, False),
+    ], ids=["hexagon", "hexagon-no-boundary-variables", "7-gon", "8-gon", "8-gon-depth2",
+            "M2", "M3", "M4", "M5-depth3", "annulus22-depth2", "annulus22-depth3",
+            "annulus12-depth2", "annulus31-depth3", "klein2-depth2", "klein2-depth3"])
+    def test_verdict_matches_vf2(self, surface, depth, iso):
+        t, gs, gf = _graphs(surface, depth)
+        assert (flip_correspondence(gs, gf, t) is not None) == iso
+        assert vf2_isomorphic(gs, gf)[0] == iso
+
+    @pytest.mark.parametrize("surface, depth", [
+        ((0, 0, (1, 2)), 3), ((1, 0, (1,)), 2),
+    ], ids=["annulus12-depth3", "torus-depth2"])
+    def test_truncated_against_complete_raises(self, surface, depth):
+        """The flip graph, taken up to the mapping class group, is finite; the seed ball is not."""
+        t, gs, gf = _graphs(surface, depth)
+        assert gs.truncated != gf.truncated
         with pytest.raises(PolyError):
-            graphs_isomorphic(g1, g2)
+            flip_correspondence(gs, gf, t)
+
+    def test_mutant_keys_break_the_map_not_the_graph(self, hexagon_state, hexagon_seed):
+        """Swapping two flip keys keeps some isomorphism, but not mutation = flip."""
+        gs = explore_seeds(hexagon_seed)
+        gf = explore_flips(hexagon_state)
+        gf.keys[0], gf.keys[1] = gf.keys[1], gf.keys[0]
+        assert vf2_isomorphic(gs, gf)[0]
+        assert flip_correspondence(gs, gf, hexagon_state) is None
 
 
 class TestVerifyLaurent:
