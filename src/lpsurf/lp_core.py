@@ -28,6 +28,7 @@ from .poly import (
     _check_name,
     _divide_ordinary,
     _sympy_factors,
+    cached_attribute,
     divide_exact,
     is_irreducible,
     parse_polynomial,
@@ -70,27 +71,6 @@ class LaurentViolation(PolyError):
         self.name = name
         self.num = num
         self.den = den
-
-
-class cached_attribute:
-    """A value computed on first access and stored in the instance ``__dict__``.
-
-    Like ``functools.cached_property``, it writes past a frozen dataclass's
-    ``__setattr__`` and so stays out of equality, hashing and JSON.  Unlike
-    it on Python 3.11, it takes no lock: two threads racing on a first access
-    may both compute the value, which is harmless for these pure functions.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -361,8 +341,10 @@ def mutate(
     ``F_i`` and ``k``; the new value under the context, ``value_i`` and, per
     term of ``Fhat_i``, the signed coefficient, the frozen exponents and the
     values raised to a nonzero power with those powers; steps 1-3 for slot
-    ``j`` under the context, ``Fhat_i``, ``F_j``, ``i`` and ``j``.  The
-    seeds of one BFS never share a whole input, but they share these parts.
+    ``j`` under the context, ``Fhat_i|_{x_j<-0}``, ``F_j`` and ``i``, so
+    exchanges whose ``Fhat_i`` differ only in terms divisible by ``x_j``
+    share them.  The seeds of one BFS never share a whole input, but they
+    share these parts.
     A part that fails is not kept.  The checks above and the result's
     validity check run on every call.  Without ``memo`` no key is built.
     """
@@ -417,8 +399,14 @@ def _exchange(
         if j == i or not fj.involves(i):
             new_polys.append(fj)
         else:
-            new_polys.append(_once(memo, lambda: ("step", ctx.names, fhat_i.terms, fj.terms, i, j),
-                                   _exchange_step, ctx, fhat_i, fj, i, j))
+            try:
+                restricted = fhat_i.subs_zero(j)
+            except PolyError as exc:
+                raise MutationError(
+                    "Fhat_i|_{x_j<-0} undefined; well-definedness guard violated"
+                ) from exc
+            new_polys.append(_once(memo, lambda: ("step", ctx.names, restricted.terms, fj.terms, i),
+                                   _exchange_step, ctx, restricted, fj, i))
     return tuple(new_polys), value
 
 
@@ -437,17 +425,15 @@ def _value_key(seed: LPSeed, i: int, fhat: Polynomial) -> tuple:
 
 
 def _exchange_step(
-    ctx: VariableContext, fhat_i: Polynomial, fj: Polynomial, i: int, j: int
+    ctx: VariableContext, numerator: Polynomial, fj: Polynomial, i: int
 ) -> Polynomial:
-    """Steps 1-3: the new exchange polynomial of a slot ``j`` whose ``F_j`` involves ``x_i``."""
+    """Steps 1-3: the new exchange polynomial of a slot ``j`` whose ``F_j`` involves ``x_i``.
+
+    ``numerator`` is ``Fhat_i|_{x_j<-0}``, the only way steps 1-3 depend on
+    ``Fhat_i`` and ``j``.
+    """
     cluster_idx = ctx.cluster_indices()
     # Step 1: substitute x_i <- (Fhat_i|_{x_j<-0}) / x_i'
-    try:
-        numerator = fhat_i.subs_zero(j)
-    except PolyError as exc:
-        raise MutationError(
-            "Fhat_i|_{x_j<-0} undefined; well-definedness guard violated"
-        ) from exc
     if numerator.is_zero:
         raise MutationError("Fhat_i|_{x_j<-0} is zero")
     minus_i = tuple(-1 if t == i else 0 for t in range(ctx.nvars))

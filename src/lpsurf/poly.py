@@ -10,7 +10,9 @@ graded-lexicographic order so equality, hashing and printing are canonical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
@@ -31,6 +33,29 @@ class PolyError(ValueError):
 
 class ContextMismatch(PolyError):
     """Operands live over different variable contexts."""
+
+
+class cached_attribute:
+    """A value computed on first access and stored in the instance ``__dict__``.
+
+    Like ``functools.cached_property``, it writes past a frozen dataclass's
+    ``__setattr__`` and so stays out of equality, hashing and JSON.  Unlike
+    it on Python 3.11, it takes no lock: two threads racing on a first access
+    may both compute the value, which is harmless for these pure functions.
+    ``Polynomial`` caches its predicates with it, ``LPSeed`` its violations
+    and ``QuasiTriangulation`` its derived structure.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -90,13 +115,9 @@ Exponents = tuple[int, ...]
 Terms = tuple[tuple[Exponents, int], ...]
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
-
-
 def _sorted_terms(d: Mapping[Exponents, int]) -> Terms:
     items = [(e, c) for e, c in d.items() if c != 0]
-    items.sort(key=lambda item: _grlex_key(item[0]), reverse=True)
+    items.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
     return tuple(items)
 
 
@@ -155,10 +176,20 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    @cached_attribute
     def is_ordinary(self) -> bool:
-        """True when no exponent is negative (a true polynomial)."""
-        return all(e >= 0 for exps, _ in self.terms for e in exps)
+        """True when no exponent is negative (a true polynomial); computed once."""
+        return all(min(exps, default=0) >= 0 for exps, _ in self.terms)
+
+    @cached_attribute
+    def _irreducible(self) -> bool:
+        """:func:`is_irreducible`'s verdict, which checks the input before it asks."""
+        q = self.canonical_sign()
+        key = (self.ctx.names, q.terms)
+        verdict = _IRR_CACHE.get(key)
+        if verdict is None:
+            verdict = _IRR_CACHE[key] = _is_irreducible_impl(q)
+        return verdict
 
     @property
     def is_constant(self) -> bool:
@@ -219,8 +250,7 @@ class Polynomial:
     @property
     def num(self) -> "Polynomial":
         """``self * den``, an ordinary polynomial that keeps its positive monomial content."""
-        exps = self.den_exponents()
-        return self.times_monomial(exps) if any(exps) else self
+        return self.times_monomial(self.den_exponents())
 
     def involves(self, i: int) -> bool:
         return any(e[i] != 0 for e, _ in self.terms)
@@ -272,9 +302,10 @@ class Polynomial:
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._same_ctx(other)
         d: dict[Exponents, int] = {}
+        add = operator.add
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = d.get(e, 0) + c1 * c2
                 if v:
                     d[e] = v
@@ -288,12 +319,15 @@ class Polynomial:
         return Polynomial(self.ctx, tuple((e, k * c) for e, k in self.terms))
 
     def times_monomial(self, exps: Sequence[int]) -> "Polynomial":
+        """``self * x^exps``; ``self`` itself when every exponent is 0."""
         exps = tuple(exps)
         if len(exps) != self.ctx.nvars:
             raise PolyError("monomial exponent arity mismatch")
+        if not any(exps):
+            return self
         return Polynomial(
             self.ctx,
-            tuple((tuple(a + b for a, b in zip(e, exps)), c) for e, c in self.terms),
+            tuple((tuple(map(operator.add, e, exps)), c) for e, c in self.terms),
         )
 
     def pow(self, k: int) -> "Polynomial":
@@ -395,9 +429,10 @@ def _strip_raw(p: Polynomial, indices: Iterable[int]) -> tuple[Polynomial, Expon
     """
     if p.is_zero:
         raise PolyError("cannot strip the zero polynomial")
+    low = tuple(map(min, zip(*(e for e, _ in p.terms))))
     shift = [0] * p.ctx.nvars
     for i in indices:
-        shift[i] = -p.valuation_in(i)
+        shift[i] = -low[i]
     return p.times_monomial(shift), tuple(shift)
 
 
@@ -436,34 +471,48 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     r = _divide_ordinary(ps, qs)
     if r is None:
         return None
-    back = tuple(b - a for a, b in zip(pshift, qshift))
+    back = tuple(map(operator.sub, qshift, pshift))
     return r.times_monomial(back)
 
 
 def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
-    """Greedy leading-term division of ordinary polynomials over Z."""
-    ctx = p.ctx
+    """Leading-term division of ordinary polynomials over Z; None unless q divides p.
+
+    The remainder's terms wait in a heap keyed by descending grlex order
+    (Monagan-Pearce, "Sparse polynomial division using a heap", J. Symb.
+    Comput. 2011), so each quotient term is found without a scan of the
+    remainder.  Deletion is lazy: a cancelled term stays in ``rem`` at 0
+    and its entry is skipped when popped.  One that reappears needs no
+    second entry: it lies below the leading term, so its first entry is
+    still in the heap.  The leading terms, and so the quotient, are those of
+    the plain greedy division.
+    """
+    add, neg, sub = operator.add, operator.neg, operator.sub
     rem = p._dict()
-    out: dict[Exponents, int] = {}
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
+    out = []
     qe, qc = q.terms[0]
     qrest = q.terms[1:]
-    while rem:
-        le = max(rem, key=_grlex_key)
-        lc = rem[le]
-        diff = tuple(a - b for a, b in zip(le, qe))
-        if any(d < 0 for d in diff) or lc % qc != 0:
+    while heap:
+        le = heappop(heap)[2]
+        lc = rem.pop(le)
+        if not lc:
+            continue  # cancelled
+        diff = tuple(map(sub, le, qe))
+        if min(diff, default=0) < 0 or lc % qc != 0:
             return None
         c = lc // qc
-        out[diff] = c
-        del rem[le]
+        out.append((diff, c))
         for e2, c2 in qrest:
-            e = tuple(a + b for a, b in zip(diff, e2))
-            v = rem.get(e, 0) - c * c2
-            if v:
-                rem[e] = v
-            else:
-                rem.pop(e, None)
-    return Polynomial(ctx, _sorted_terms(out))
+            e = tuple(map(add, diff, e2))
+            v = rem.get(e)
+            if v is None:
+                v = 0
+                heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+            rem[e] = v - c * c2
+    # each leading term is below the last, so the quotient is already sorted
+    return Polynomial(p.ctx, tuple(out))
 
 
 def _as_univariate(p: Polynomial, v: int) -> dict[int, Polynomial]:
@@ -490,19 +539,16 @@ def is_irreducible(p: Polynomial) -> bool:
     some variable with a single-term coefficient in it, such as u^2 + c and
     u^2 + k*v^2 (see ``_low_degree_certificate``).  What they leave open
     falls through to an exact factorization in sympy, as does the primality
-    of a constant; sympy is imported only then.
+    of a constant; sympy is imported only then.  Zero, a unit and a
+    polynomial with a negative exponent raise :class:`PolyError`.  The
+    verdict is cached on ``p`` after the checks, and across polynomial
+    objects in ``_IRR_CACHE``.
     """
     if p.is_zero or p.is_unit:
         raise PolyError("irreducibility of zero or a unit is undefined")
     if not p.is_ordinary:
         raise PolyError("irreducibility is defined for ordinary polynomials")
-    key = (p.ctx.names, p.canonical_sign().terms)
-    cached = _IRR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = _is_irreducible_impl(p.canonical_sign())
-    _IRR_CACHE[key] = result
-    return result
+    return p._irreducible
 
 
 def _is_irreducible_impl(p: Polynomial) -> bool:

@@ -26,8 +26,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
-from .lp_core import LPSeed, cached_attribute
-from .poly import Polynomial, PolyError, VariableContext
+from .lp_core import LPSeed
+from .poly import Polynomial, PolyError, VariableContext, cached_attribute
 from .quiver import Quiver, cancel_two_cycles
 from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
 

@@ -7,8 +7,8 @@ traversal double-checks breadth-first enumeration counts, an unpruned
 queue-based search rebuilds the seed graph's JSON export, networkx's VF2
 asks whether two exchange graphs are isomorphic at all, cluster values
 are followed as exact rationals at a point, and normalization exponents,
-irreducibility and step 2 of mutation come from sympy; the last four read
-only ``.terms``.
+irreducibility, step 2 of mutation and exact division come from sympy; the
+last five read only ``.terms``.
 """
 
 from __future__ import annotations
@@ -280,6 +280,33 @@ def normalization_exponents(polys: Sequence[Polynomial], j: int) -> tuple[int, .
             s, a = q, a + 1
         out.append(a)
     return tuple(out)
+
+
+# -- exact division by sympy --------------------------------------------------------
+
+
+def laurent_quotient(p: Polynomial, q: Polynomial) -> Optional[dict[tuple[int, ...], int]]:
+    """Terms of ``p / q`` in the Laurent ring over Z, or None when ``q`` does not divide ``p``.
+
+    Each operand is multiplied by the monomial that raises its least exponent
+    of every variable to 0 (monomials are units of the ring), sympy divides
+    the two polynomials over ZZ, and the remainder must be zero.
+    """
+    if not p.terms:
+        return {}
+    nvars = len(q.terms[0][0])
+    gens = sympy.symbols(f"v:{nvars}")
+
+    def lifted(terms):
+        low = [min(e[k] for e, _ in terms) for k in range(nvars)]
+        return _to_sympy({tuple(a - b for a, b in zip(e, low)): c for e, c in terms}, gens), low
+
+    (ps, p_low), (qs, q_low) = lifted(p.terms), lifted(q.terms)
+    quotient, remainder = ps.div(qs, auto=False)
+    if not remainder.is_zero:
+        return None
+    return {tuple(a + b - c for a, b, c in zip(e, p_low, q_low)): int(c)
+            for e, c in quotient.terms()}
 
 
 # -- irreducibility by factorization ----------------------------------------------

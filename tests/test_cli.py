@@ -196,13 +196,18 @@ class TestSurfaceCommands:
         assert r1.output == r2.output
 
 
-@pytest.mark.parametrize("surface, normalizations, variables", [
-    (M2, 8, 1794), ({**HEXAGON, "boundary": [2, 2]}, 209, 3588),
+@pytest.mark.parametrize("surface, normalizations, divisions, irreducible, variables", [
+    (M2, 8, 10, 3, 1794), ({**HEXAGON, "boundary": [2, 2]}, 209, 111, 104, 3588),
 ], ids=["M2", "annulus22"])
 def test_verify_laurent_computes_each_distinct_exchange_once(
-        runner, tmp_path, monkeypatch, surface, normalizations, variables):
-    """Every step still calls mutate; only a memo miss normalizes and computes."""
-    calls = {"mutate": 0, "normalize": 0}
+        runner, tmp_path, monkeypatch, surface, normalizations, divisions, irreducible, variables):
+    """Every step still calls mutate; only a memo miss normalizes and computes.
+
+    The exact divisions and the polynomials whose irreducibility is decided
+    (the growth of a fresh ``_IRR_CACHE``) are pinned too, so that a faster
+    ``poly`` shows as cheaper operations, not fewer.
+    """
+    calls = {"mutate": 0, "normalize": 0, "divide_exact": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -212,13 +217,17 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
 
     monkeypatch.setattr(lpsurf.explorer, "mutate", counted("mutate", lpsurf.explorer.mutate))
     monkeypatch.setattr(lpsurf.lp_core, "normalize", counted("normalize", lpsurf.lp_core.normalize))
+    monkeypatch.setattr(lpsurf.lp_core, "divide_exact",
+                        counted("divide_exact", lpsurf.lp_core.divide_exact))
+    monkeypatch.setattr(lpsurf.poly, "_IRR_CACHE", {})
     path = tmp_path / "surface.json"
     path.write_text(json.dumps(surface))
     result = runner.invoke(main, ["verify-laurent", "--surface", str(path), "--sequences", "200",
                                   "--max-length", "8", "--rng-seed", "0"])
     assert result.exit_code == 0, result.output
     assert result.output == f"sequences: 200, variables: {variables}, violations: 0\n"
-    assert calls == {"mutate": 897, "normalize": normalizations}
+    assert calls == {"mutate": 897, "normalize": normalizations, "divide_exact": divisions}
+    assert len(lpsurf.poly._IRR_CACHE) == irreducible
 
 
 # Runs in a fresh interpreter: import the CLI, then one command of each

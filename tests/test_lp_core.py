@@ -296,7 +296,8 @@ class TestLocalMemo:
         (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y^2 + t", "x + 1"]), None),
         (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t", "x + 1"], 0, ["x", "y^2"]),
          None),
-        # steps 1-3 for slot j: Fhat_i, F_j, i and j
+        # steps 1-3 for slot j: Fhat_i|x_j<-0, F_j and i; the step-Fhat_i pair
+        # differs in Fhat_i|x_j<-0 by its sign, the step-j pair by where it is taken
         (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y - t", "x + 1"]), (1, 1)),
         (exchange(XY, ["y + t", "x + 1"]), exchange(XY, ["y + t", "x + 2"]), (1, 1)),
         (exchange(ABC, ["c + t", "a + t", "a + b^2"], 0),
@@ -319,6 +320,17 @@ class TestLocalMemo:
             assert fresh[0].polys[slots[0]].terms != fresh[1].polys[slots[1]].terms
         memo: dict = {}
         assert [mutate(s1, i1, memo=memo), mutate(s2, i2, memo=memo)] == fresh
+
+    def test_step_key_is_the_restriction(self):
+        """Two Fhat_a that differ only in a term divisible by b share one step entry."""
+        (s1, _), (s2, _) = exchange(ABC, ["b + t", "a + t", "t + 2"]), \
+            exchange(ABC, ["b*c + t", "a + t", "t + 2"])
+        fhat1, fhat2 = normalize(s1, 0)[0], normalize(s2, 0)[0]
+        assert fhat1 != fhat2 and fhat1.subs_zero(1) == fhat2.subs_zero(1)
+        fresh = [mutate(s1, 0), mutate(s2, 0)]
+        memo: dict = {}
+        assert [mutate(s1, 0, memo=memo), mutate(s2, 0, memo=memo)] == fresh
+        assert [key[0] for key in memo].count("step") == 1
 
     def test_power_key_holds_the_slot(self):
         """F_b = F_c, yet a_b = 1 and a_c = 0 in normalizing F_a at one call."""

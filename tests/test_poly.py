@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from lpsurf import poly
 from lpsurf.cli import main
+from lpsurf.lp_core import seed_to_json
 from lpsurf.poly import (
     ContextMismatch,
     PolyError,
@@ -18,9 +20,14 @@ from lpsurf.poly import (
     parse_polynomial,
     strip_laurent_monomial,
 )
-from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
+from lpsurf.surface import (
+    MarkedSurface,
+    initial_quasi_triangulation,
+    seed_from_quasi_triangulation,
+    triangulation_to_json,
+)
 
-from oracles import brute_force_reducible, factor_irreducible, seed_graph_json
+from oracles import brute_force_reducible, factor_irreducible, laurent_quotient, seed_graph_json
 
 
 def P(text, ctx):
@@ -78,6 +85,48 @@ class TestDivideExact:
         r = divide_exact(p, q)
         assert r is not None and q.mul(r) == p
 
+    # Found by a random search: dividing the product by DIVISOR cancels a
+    # remainder term, and a later quotient term creates it again.
+    QUOTIENT = "-2*x^2*y*t^2 - x*y^2*t^2 - x^2*y*t - x*y*t - 2*x^2"
+    DIVISOR = "x^2*y^2*t - x*y^2*t + 2*x^2*y - x*y^2"
+
+    @staticmethod
+    def recreated_terms(p, q):
+        """Terms that the greedy division of p by q, with a max scan, cancels and creates again."""
+        rem, (qe, qc), cancelled, recreated = dict(p.terms), q.terms[0], set(), set()
+        while rem:
+            le = max(rem, key=lambda e: (sum(e), e))
+            lc = rem.pop(le)
+            if min(a - b for a, b in zip(le, qe)) < 0 or lc % qc:
+                break
+            for e2, c2 in q.terms[1:]:
+                e = tuple(a - b + d for a, b, d in zip(le, qe, e2))
+                recreated.update(cancelled & {e})
+                rem[e] = rem.get(e, 0) - lc // qc * c2
+                if not rem[e]:
+                    del rem[e]
+                    cancelled.add(e)
+        return recreated
+
+    @pytest.mark.parametrize("extra", ["0", "x^2*y"], ids=["divides", "does-not-divide"])
+    def test_cancelled_term_created_again(self, monkeypatch, extra):
+        ctx = VariableContext(("x", "y"), ("t",))
+        q = P(self.DIVISOR, ctx)
+        p = P(f"({self.QUOTIENT})*({self.DIVISOR}) + {extra}", ctx)
+        assert self.recreated_terms(p, q)
+        pushed = []
+
+        def counting(heap, item):
+            pushed.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(poly, "heappush", counting)
+        got = divide_exact(p, q)
+        # the recreated term kept its first heap entry
+        assert len(set(pushed)) == len(pushed)
+        assert (None if got is None else dict(got.terms)) == laurent_quotient(p, q)
+        assert (got is None) == (extra != "0")
+
 
 class TestStrip:
     def test_canonicalizing_monomial_examples(self):
@@ -123,6 +172,25 @@ class TestIrreducible:
             is_irreducible(Polynomial.const(abc_ctx, -1))
         with pytest.raises(PolyError):
             is_irreducible(P("a^-1 + 1", abc_ctx))
+
+    def test_preconditions_come_before_the_cached_verdict(self, abc_ctx):
+        for p in (Polynomial.zero(abc_ctx), Polynomial.const(abc_ctx, 1), P("a^-1 + 1", abc_ctx)):
+            p.__dict__["_irreducible"] = True
+            with pytest.raises(PolyError):
+                is_irreducible(p)
+
+    def test_fresh_cache_forces_a_fresh_verdict(self, monkeypatch, abc_ctx):
+        """A new ``_IRR_CACHE`` is asked by every new object, never by a decided one."""
+        decided = P("a*b + c", abc_ctx)
+        assert is_irreducible(decided)
+        monkeypatch.setattr(poly, "_IRR_CACHE", {})
+        assert is_irreducible(decided) and poly._IRR_CACHE == {}
+        fresh = P("a*b + c", abc_ctx)
+        assert is_irreducible(fresh)
+        assert poly._IRR_CACHE == {(abc_ctx.names, fresh.terms): True}
+        # the shared cache decides a new object with the same terms
+        poly._IRR_CACHE[(abc_ctx.names, fresh.terms)] = False
+        assert not is_irreducible(P("-a*b - c", abc_ctx))
 
     def test_agrees_with_brute_force_on_corpus(self):
         """Every corpus entry: total degree <= 4 in <= 3 variables."""
@@ -281,6 +349,18 @@ def test_divide_product_recovers_factor(p, q):
     assert got == p
 
 
+@settings(max_examples=150, deadline=None)
+@given(_polys(allow_laurent=True), _polys(allow_laurent=True),
+       _polys(max_terms=2, allow_laurent=True))
+def test_divide_exact_matches_sympy_division(p, q, r):
+    """Products p*q, and p*q + r that mostly do not divide, against the sympy oracle."""
+    if q.is_zero:
+        return
+    for n in (p.mul(q), p.mul(q).add(r)):
+        got = divide_exact(n, q)
+        assert (None if got is None else dict(got.terms)) == laurent_quotient(n, q)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys(max_terms=2, max_coeff=3), _polys(max_terms=2, max_coeff=3))
 def test_sympy_factors_reconstruct(p, q):
@@ -387,3 +467,28 @@ class TestNumDen:
         assert p.num == p and p.den == P("1", ctx)
         zero = Polynomial.zero(ctx)
         assert zero.num == zero and zero.den == P("1", ctx)
+
+
+class TestCachedPredicates:
+    """Predicates cached on an object stay out of equality, hashing and JSON."""
+
+    def test_equal_and_hash_after_caching(self, abc_ctx):
+        p, fresh = P("a*b + c", abc_ctx), P("a*b + c", abc_ctx)
+        assert p.is_ordinary and is_irreducible(p)
+        assert {"is_ordinary", "_irreducible"} <= set(vars(p))
+        assert p == fresh and hash(p) == hash(fresh)
+        assert {p: 1}[fresh] == 1
+
+    def test_seed_and_triangulation_json_unchanged(self):
+        def build():
+            t = initial_quasi_triangulation(MarkedSurface(0, 1, (3,)))
+            return t, seed_from_quasi_triangulation(t)
+
+        t, seed = build()
+        seed.require_valid()
+        assert all(p.is_ordinary and is_irreducible(p) for p in seed.polys)
+        assert t.quasi_arcs and t.slots
+        fresh_t, fresh_seed = build()
+        assert seed == fresh_seed and t == fresh_t
+        assert json.dumps(seed_to_json(seed)) == json.dumps(seed_to_json(fresh_seed))
+        assert json.dumps(triangulation_to_json(t)) == json.dumps(triangulation_to_json(fresh_t))
