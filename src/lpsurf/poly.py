@@ -42,8 +42,8 @@ class cached_attribute:
     ``__setattr__`` and so stays out of equality, hashing and JSON.  Unlike
     it on Python 3.11, it takes no lock: two threads racing on a first access
     may both compute the value, which is harmless for these pure functions.
-    ``Polynomial`` caches its predicates with it, ``LPSeed`` its violations
-    and ``QuasiTriangulation`` its derived structure.
+    ``Polynomial`` caches its predicates and its variable support with it,
+    ``LPSeed`` its violations and ``QuasiTriangulation`` its derived structure.
     """
 
     def __init__(self, func):
@@ -252,11 +252,18 @@ class Polynomial:
         """``self * den``, an ordinary polynomial that keeps its positive monomial content."""
         return self.times_monomial(self.den_exponents())
 
+    @cached_attribute
+    def _support(self) -> int:
+        """Bitmask of the variables with a nonzero exponent in some term; computed once."""
+        columns = zip(*(e for e, _ in self.terms))
+        return sum(1 << i for i, column in enumerate(columns) if any(column))
+
     def involves(self, i: int) -> bool:
-        return any(e[i] != 0 for e, _ in self.terms)
+        return self._support >> i & 1 == 1
 
     def involved_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.ctx.nvars) if self.involves(i))
+        support = self._support
+        return tuple(i for i in range(self.ctx.nvars) if support >> i & 1)
 
     def content(self) -> int:
         """Nonnegative gcd of the integer coefficients (0 for the zero poly)."""

@@ -23,7 +23,7 @@ Flips are local rewrites:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .lp_core import LPSeed
@@ -214,8 +214,8 @@ def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tupl
     * ``curve``, ``crossing``: the mouth triangle of q's pocket, rooted at the
       portal.
     """
-    pocket = t.pocket_of.get(q)
-    if pocket is not None and q != pocket[1]:
+    pocket = t.pockets and t.pocket_of.get(q)  # a triangulation builds no pocket_of
+    if pocket and q != pocket[1]:
         portal = pocket[1]
         if portal not in t.slots:
             raise SurfaceError(f"portal {portal} has no mouth triangle")
@@ -225,7 +225,7 @@ def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tupl
     if q in t.mob1_of:
         ri, side = t.mob1_of[q]
         return "mob1", (ri,), (side,)
-    if pocket is not None or q in t.boundary_labels or q not in t.slots:
+    if pocket or q in t.boundary_labels or q not in t.slots:
         # a portal, a boundary segment or no edge of this state
         raise SurfaceError(f"{q} is not a quasi-arc of this state")
     if len(t.slots[q]) != 2:
@@ -257,7 +257,9 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
     """The unique quasi-triangulation differing from ``t`` exactly at ``q``.
 
     The new quasi-arc takes the id ``t.next_id``; a new pocket's portal takes
-    the id after it.
+    the id after it.  The regions the flip replaces are dropped and its new
+    regions appended; the new state shares ``t``'s surface and boundary and
+    builds its own derived structure on first use.
     """
     kind, drop, sides = _classify(t, q)
     n = t.next_id
@@ -279,7 +281,8 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
         else:  # reattach the mouth the other way around
             add = ((TRI, (mouth, b, a)), (POCKET, portal, curve, n))
     regions = tuple(r for ri, r in enumerate(t.regions) if ri not in drop) + add
-    return replace(t, regions=regions, next_id=n + 2 if kind == "to_curve" else n + 1)
+    next_id = n + 2 if kind == "to_curve" else n + 1
+    return QuasiTriangulation(t.surface, regions, t.boundary, next_id)
 
 
 def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
@@ -309,20 +312,28 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     token ``("b", L, -1)``, L the least boundary label in string order, so
     the candidate flags are the slots of every boundary segment labelled L
     (labels may repeat), each entered against its sign.  Otherwise every flag
-    of the least kind is a candidate.  The walks from the candidates advance
-    row by row, a walk is dropped as soon as its row exceeds the least row,
-    and the one walk left is finished; walks that tie to the end give one
-    code.  The result equals the minimum over all flags.
+    of the least kind is a candidate.  One candidate on a triangulation is
+    walked directly by :func:`_tri_code`.  Otherwise the walks of
+    :func:`_bfs_code` from the candidates advance row by row, a walk is
+    dropped as soon as its row exceeds the least row, and the one walk left
+    is finished; walks that tie to the end give one code.  The result equals
+    the minimum over all flags.
     """
-    sides = [t.region_sides(ri) for ri in range(len(t.regions))]
-    kind = min(r[0] for r in t.regions)
-    bnd = [(label, e) for e, label in t.boundary if e in t.slots] if kind == TRI else []
+    regions, slots = t.regions, t.slots
+    kind = min(r[0] for r in regions)
+    if kind == TRI:
+        sides = [r[1] for r in regions]
+        bnd = [(label, e) for e, label in t.boundary if e in slots]
+    else:
+        sides, bnd = [t.region_sides(ri) for ri in range(len(regions))], ()
     if bnd:
         least_label = min(bnd)[0]
         flags = [(ri, p, -sides[ri][p][1])
-                 for label, e in bnd if label == least_label for ri, p in t.slots[e]]
+                 for label, e in bnd if label == least_label for ri, p in slots[e]]
+        if len(flags) == 1:
+            return _tri_code(t, sides, *flags[0])
     else:
-        flags = [(ri, p, d) for ri, rs in enumerate(sides) if t.regions[ri][0] == kind
+        flags = [(ri, p, d) for ri, rs in enumerate(sides) if regions[ri][0] == kind
                  for p in range(len(rs)) for d in (1, -1)]
     walks = [_bfs_code(t, sides, *flag) for flag in flags]
     code: list = []
@@ -336,53 +347,69 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     return tuple(code) + tuple(walks[0])
 
 
-def _row(kind: str, sides, entry: int, d: int, bnd_label, edge_num: dict) -> tuple:
-    """One region's code row, walking its sides from ``entry`` in direction ``d``."""
-    arity = len(sides)
-    row: list = [kind]
-    for k in range(arity):
-        e, s = sides[(entry + d * k) % arity]
-        if e in bnd_label:
-            row.append(("b", bnd_label[e], d * s))
-        else:
-            row.append(("e", edge_num.setdefault(e, len(edge_num))))
-    return tuple(row)
+# (arity, entry side p, direction d) -> the positions of a region's sides in
+# walking order
+_WALK = {(n, p, d): tuple((p + d * k) % n for k in range(n))
+         for n in (1, 3) for p in range(n) for d in (1, -1)}
+
+
+def _tri_code(t, sides, r0, p0, d0):
+    """The code of a pure triangulation from one flag, in one walk.
+
+    Each row is built in one pass over the triangle's sides, which also
+    queues each unseen neighbour, entered so that the crossing is coherent.
+    A region is marked seen when it is queued, so it keeps the entry of its
+    first queueing, as in a walk that marks it when its row is built.
+    """
+    bnd_label, slots = t.boundary_labels, t.slots
+    seen = {r0}
+    num: dict[int, int] = {}  # arc ids in discovery order
+    queue = [(r0, p0, d0)]
+    code = []
+    for ri, entry, d in queue:
+        rs = sides[ri]
+        row = [TRI]
+        for pos in _WALK[3, entry, d]:
+            e, s = rs[pos]
+            if e in bnd_label:
+                row.append(("b", bnd_label[e], d * s))
+                continue
+            row.append(("e", num.setdefault(e, len(num))))
+            for oi, opos in slots[e]:
+                if oi not in seen:
+                    seen.add(oi)
+                    queue.append((oi, opos, -d * s * sides[oi][opos][1]))
+        code.append(tuple(row))
+    code.append(("#regions", len(seen)))
+    return tuple(code)
 
 
 def _bfs_code(t, sides, r0, p0, d0):
-    """The code from one flag, one token at a time: its rows in BFS order, then
-    the region count."""
-    bnd_label, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of
-    visited: set[int] = set()
-    edge_num: dict[int, int] = {}
-    queue: list[tuple[int, int, int]] = [(r0, p0, d0)]
-    head = 0
-    while head < len(queue):
-        ri, entry, d = queue[head]
-        head += 1
-        if ri in visited:
-            continue
-        visited.add(ri)
-        kind = t.regions[ri][0]
-        rsides = sides[ri]
-        yield _row(kind, rsides, entry, d, bnd_label, edge_num)
-        arity = len(rsides)
-        for k in range(arity):
-            pos = (entry + d * k) % arity
-            e, s = rsides[pos]
+    """The code from one flag of any state, one row at a time: its rows in
+    BFS order, then the region count; rows are built as in :func:`_tri_code`."""
+    regions, bnd_label, slots = t.regions, t.boundary_labels, t.slots
+    pocket_of = t.pockets and t.pocket_of
+    seen = {r0}
+    num: dict[int, int] = {}  # arc and portal ids in discovery order
+    queue = [(r0, p0, d0)]
+    for ri, entry, d in queue:
+        kind, rs = regions[ri][0], sides[ri]
+        row = [kind]
+        for pos in _WALK[len(rs), entry, d]:
+            e, s = rs[pos]
             if e in bnd_label:
+                row.append(("b", bnd_label[e], d * s))
                 continue
-            if kind == TRI and e in pocket_of:
-                ni = pocket_of[e][0]
-                if ni not in visited:
-                    queue.append((ni, 0, 1))
-                continue
-            # cross to the neighbor (a pocket's only slot is its portal in the
-            # mouth triangle), entering so that the crossing is coherent
-            for oi, opos in slots[e]:
-                if oi not in visited and (oi, opos) != (ri, pos):
+            row.append(("e", num.setdefault(e, len(num))))
+            # cross to the neighbor, entering so that the crossing is coherent; a
+            # portal leads from its mouth triangle into the pocket, whose
+            # entry direction changes nothing, and back through its one slot
+            for oi, opos in ((pocket_of[e][0], 0),) if kind == TRI and e in pocket_of else slots[e]:
+                if oi not in seen:
+                    seen.add(oi)
                     queue.append((oi, opos, -d * s * sides[oi][opos][1]))
-    yield ("#regions", len(visited))
+        yield tuple(row)
+    yield ("#regions", len(seen))
 
 
 # -- double cover and adjacency quiver ------------------------------------------
@@ -563,42 +590,21 @@ def _corner_classes(t: QuasiTriangulation) -> tuple[dict, int]:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    corners = []
-    for ri in range(len(t.regions)):
-        arity = len(t.region_sides(ri))
-        for k in range(arity):
-            c = (ri, k)
-            parent[c] = c
-            corners.append(c)
-
-    def endpoints(ri: int, pos: int) -> tuple:
-        arity = len(t.region_sides(ri))
-        # walking side pos: starts at corner pos, ends at corner pos+1
-        return (ri, pos), (ri, (pos + 1) % arity)
-
+    # walking side pos of a region runs from corner pos to corner pos+1
     incidences: dict[int, list] = {}
     for ri in range(len(t.regions)):
         sides = t.region_sides(ri)
         for pos, (e, s) in enumerate(sides):
-            incidences.setdefault(e, []).append((ri, pos, s))
-    for e, incs in incidences.items():
-        if len(incs) == 1:
-            continue
-        (r1, p1, s1), (r2, p2, s2) = incs
-        a_start, a_end = endpoints(r1, p1)
-        b_start, b_end = endpoints(r2, p2)
-        if s1 == s2:
-            union(a_start, b_start)
-            union(a_end, b_end)
-        else:
-            union(a_start, b_end)
-            union(a_end, b_start)
-    classes = {c: find(c) for c in corners}
+            parent[ri, pos] = (ri, pos)
+            incidences.setdefault(e, []).append(((ri, pos), (ri, (pos + 1) % len(sides)), s))
+    for incs in incidences.values():
+        if len(incs) > 1:
+            (a_start, a_end, s1), (b_start, b_end, s2) = incs
+            if s1 != s2:
+                b_start, b_end = b_end, b_start
+            parent[find(a_start)] = find(b_start)
+            parent[find(a_end)] = find(b_end)
+    classes = {c: find(c) for c in parent}
     return classes, len(set(classes.values()))
 
 
@@ -676,15 +682,7 @@ def surface_stats(t: QuasiTriangulation) -> dict:
             cur = v if cur == u else u
         components.append(tuple(cycle))
     # every vertex must lie on the boundary (no punctures)
-    boundary_vertices = set()
-    for ri in range(len(t.regions)):
-        sides = t.region_sides(ri)
-        arity = len(sides)
-        for pos, (e, s) in enumerate(sides):
-            if e in bnd_label:
-                boundary_vertices.add(classes[(ri, pos)])
-                boundary_vertices.add(classes[(ri, (pos + 1) % arity)])
-    interior = set(classes.values()) - boundary_vertices
+    interior = set(classes.values()).difference(*endpoints.values())
     return {
         "vertices": nverts,
         "edges": len(edges),

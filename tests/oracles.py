@@ -8,7 +8,9 @@ queue-based search rebuilds the seed graph's JSON export, networkx's VF2
 asks whether two exchange graphs are isomorphic at all, cluster values
 are followed as exact rationals at a point, and normalization exponents,
 irreducibility, step 2 of mutation and exact division come from sympy; the
-last five read only ``.terms``.
+last five read only ``.terms``.  The canonical code of a quasi-triangulation
+is the least code over every flag, walked from its definition on the
+state's regions and boundary alone.
 """
 
 from __future__ import annotations
@@ -340,3 +342,63 @@ def divide_out_common(h: Polynomial, p: Polynomial) -> dict[tuple[int, ...], int
         if g.is_ground and abs(g.LC()) == 1:
             return {e: int(c) for e, c in hs.terms()}
         hs = hs.exquo(g)
+
+
+# -- canonical code of a quasi-triangulation ---------------------------------------
+
+
+def canonical_code_oracle(t) -> tuple:
+    """The least BFS code of ``t`` over every flag, computed from the definition.
+
+    Reads only ``t.regions`` and ``t.boundary``.  A region's sides are a
+    triangle's three signed sides, a pocket's portal (sign +1) or a mob1
+    region's one side; two regions are glued along every edge they share,
+    a pocket to its mouth triangle along the portal.  A flag is a region, an
+    entry side and a direction.  The code from a flag has one row per region
+    in breadth-first order: the region kind, then its sides walked from the
+    entry in the flag's direction, a boundary side as ("b", label, sign
+    relative to the walk) and any other edge as ("e", n) with n its rank in
+    order of first appearance; a neighbour is entered across the shared edge
+    so that the two walks cross it coherently.  The code ends with
+    ("#regions", count).
+    """
+    labels = dict(t.boundary)
+    sides = []
+    for region in t.regions:
+        kind = region[0]
+        sides.append(region[1] if kind == "tri" else ((region[1], 1),) if kind == "pocket"
+                     else (region[1],))
+    glued: dict[int, list[tuple[int, int]]] = {}
+    for ri, walk in enumerate(sides):
+        for pos, (e, _) in enumerate(walk):
+            glued.setdefault(e, []).append((ri, pos))
+
+    def code_from(flag) -> tuple:
+        seen: set[int] = set()
+        numbers: dict[int, int] = {}
+        rows = []
+        queue = deque([flag])
+        while queue:
+            ri, entry, d = queue.popleft()
+            if ri in seen:
+                continue
+            seen.add(ri)
+            walk = sides[ri]
+            order = [(entry + d * k) % len(walk) for k in range(len(walk))]
+            row = [t.regions[ri][0]]
+            for pos in order:
+                e, s = walk[pos]
+                if e in labels:
+                    row.append(("b", labels[e], d * s))
+                else:
+                    row.append(("e", numbers.setdefault(e, len(numbers))))
+            rows.append(tuple(row))
+            for pos in order:
+                e, s = walk[pos]
+                if e not in labels:
+                    queue.extend((oi, opos, -d * s * sides[oi][opos][1])
+                                 for oi, opos in glued[e] if oi not in seen)
+        return tuple(rows) + (("#regions", len(seen)),)
+
+    return min(code_from((ri, pos, d)) for ri, walk in enumerate(sides)
+               for pos in range(len(walk)) for d in (1, -1))

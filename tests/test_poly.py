@@ -475,9 +475,18 @@ class TestCachedPredicates:
     def test_equal_and_hash_after_caching(self, abc_ctx):
         p, fresh = P("a*b + c", abc_ctx), P("a*b + c", abc_ctx)
         assert p.is_ordinary and is_irreducible(p)
-        assert {"is_ordinary", "_irreducible"} <= set(vars(p))
+        assert p.involved_indices() == (0, 1, 2) and p.involves(2)
+        assert {"is_ordinary", "_irreducible", "_support"} <= set(vars(p))
         assert p == fresh and hash(p) == hash(fresh)
         assert {p: 1}[fresh] == 1
+
+    def test_support_is_the_set_of_variables_with_a_nonzero_exponent(self, abc_ctx):
+        for text, used in (("0", ()), ("7", ()), ("a*c - c", (0, 2)), ("b^-1 + 1", (1,)),
+                           ("a*b^2 - a*b^2 + c", (2,)), ("a^2*b^-3*c", (0, 1, 2))):
+            p = P(text, abc_ctx)
+            assert p.involved_indices() == used
+            assert [p.involves(i) for i in range(3)] == [i in used for i in range(3)]
+            assert used == tuple(i for i in range(3) if any(e[i] for e, _ in p.terms))
 
     def test_seed_and_triangulation_json_unchanged(self):
         def build():
@@ -487,6 +496,7 @@ class TestCachedPredicates:
         t, seed = build()
         seed.require_valid()
         assert all(p.is_ordinary and is_irreducible(p) for p in seed.polys)
+        assert all(p.involved_indices() for p in seed.polys)
         assert t.quasi_arcs and t.slots
         fresh_t, fresh_seed = build()
         assert seed == fresh_seed and t == fresh_t

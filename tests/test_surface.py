@@ -37,6 +37,8 @@ from lpsurf.surface import (
     verify_topology,
 )
 
+from oracles import canonical_code_oracle
+
 SURFACE_GRID = [
     MarkedSurface(0, 0, (4,)),
     MarkedSurface(0, 0, (5,)),
@@ -81,6 +83,62 @@ def golden(surface, depth, digest, seed_digest, labels=None):
     """One golden case, with its test id named by the surface, depth and code digest."""
     return pytest.param(surface, depth, digest, seed_digest, labels,
                         id=f"{surface}-{depth}-{digest}")
+
+
+# sha256 of the sorted code reprs over every state of each flip graph, with
+# and without boundary variables, computed with the full scan over all
+# flags; and sha256 of each state's seed JSON in BFS order, or of the error
+# its extraction raises, computed while flips and seed extraction each ran
+# their own case analysis of a quasi-arc.  The last four cases order labels
+# as strings (b10 before b2) or put the least label on several segments.
+CODE_GOLDENS = [
+    golden(MarkedSurface(0, 0, (6,)), None,
+           "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
+           "bed4be9b05e919c1f5d4259cd8149cd90733849d78ee9da4c4fcf0376efffaf2"),
+    golden(MarkedSurface(0, 0, (7,)), None,
+           "645f0323b48fd27970ec9bfd6203968ee24463f6ce7bee46028085b4eb091d69",
+           "79586002696ddf05e57000cf5c82e85b7c3c40c64bfa6ddc6235823930966129"),
+    golden(MarkedSurface(0, 1, (1,)), None,
+           "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0",
+           "1bf057b283b6af3c563ccfca2d43eeff56dda2ad5fd5069a18f2a03ec85ea9fb"),
+    golden(MarkedSurface(0, 1, (2,)), None,
+           "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3",
+           "90ef62317641c274686382295e9bbcddf9c4289ccda5566a744c3688d1addf56"),
+    golden(MarkedSurface(0, 1, (3,)), None,
+           "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51",
+           "df706320ce884ed7ce8c2ddcce33f3bb77c461ec1193ad68d19c8c966754b199"),
+    golden(MarkedSurface(0, 1, (4,)), None,
+           "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275",
+           "f6a4fd8a9bdcc4f08546fef704e7514b2082420cf609eb90ba13b54070fdad96"),
+    golden(MarkedSurface(0, 0, (2, 2)), 4,
+           "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce",
+           "a5fe5b621beaed88434aac092bb3f6940119d512670e38c56efad0a5c64ee4a1"),
+    golden(MarkedSurface(0, 0, (1, 2)), 3,
+           "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a",
+           "c08dec7e111658496aba893a690c7d9eb5fa573cf8a06cf5bec0d9cfd3762868"),
+    golden(MarkedSurface(0, 1, (2, 2)), 3,
+           "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672",
+           "244edad2a065bf090a244f35b7b704b0f5d2dafba360f03e1bcd89a089e83529"),
+    golden(MarkedSurface(0, 2, (2,)), 3,
+           "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c",
+           "7fc1a6681c9fe1a8f631be574c94c8a137b7b367247592411df8e7b63e692c23"),
+    # b10 and b11 sort between b1 and b2
+    golden(MarkedSurface(0, 0, (11,)), 3,
+           "c1097d4e1f61739220eb767757b6ebd298b8dc3d6169c0b32e9557ade0f26c28",
+           "7adbfc9e828ce804162ff2f8ebaa7a515e6ec1cac1ed87ededff32ac924d4125"),
+    golden(MarkedSurface(0, 0, (7,)), None,
+           "944485fa5fad986f49764c35f2b4c0b2718dbe2afa7cef92898e98d3c6079937",
+           "50ed46c819335da3f4641a93a3ea2bde8c69331801a1962db6312f34cdf15056",
+           labels=[("a", "a", "a", "b", "a", "c", "a")]),
+    golden(MarkedSurface(0, 1, (4,)), None,
+           "c8682e9c0521f74e08562e3e8812dfa53f36673f680191c7738d717b9e10efdb",
+           "2af23d9f030250178953284ddd201cdbbb3497196d046ebb1669289f95ff84c2",
+           labels=[("z", "z", "y", "y")]),
+    golden(MarkedSurface(0, 0, (2, 3)), 3,
+           "e2826a31b506d78eee1a883dea4a6173140327ffdb73f2296d8134e65d351377",
+           "bf0756ff88034bb55d67256450c758dad02427053d6785b6ce8074ab3cc33752",
+           labels=[("x", "x"), ("x", "y", "x")]),
+]
 
 
 def seed_text(t):
@@ -331,60 +389,7 @@ class TestCanonicalCode:
         check_state(t_gauge)
         assert canonical_code(t_gauge) == canonical_code(t)
 
-    # sha256 of the sorted code reprs over every state of each flip graph, with
-    # and without boundary variables, computed with the full scan over all
-    # flags; and sha256 of each state's seed JSON in BFS order, or of the error
-    # its extraction raises, computed while flips and seed extraction each ran
-    # their own case analysis of a quasi-arc.  The last four cases order labels
-    # as strings (b10 before b2) or put the least label on several segments.
-    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", [
-        golden(MarkedSurface(0, 0, (6,)), None,
-               "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
-               "bed4be9b05e919c1f5d4259cd8149cd90733849d78ee9da4c4fcf0376efffaf2"),
-        golden(MarkedSurface(0, 0, (7,)), None,
-               "645f0323b48fd27970ec9bfd6203968ee24463f6ce7bee46028085b4eb091d69",
-               "79586002696ddf05e57000cf5c82e85b7c3c40c64bfa6ddc6235823930966129"),
-        golden(MarkedSurface(0, 1, (1,)), None,
-               "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0",
-               "1bf057b283b6af3c563ccfca2d43eeff56dda2ad5fd5069a18f2a03ec85ea9fb"),
-        golden(MarkedSurface(0, 1, (2,)), None,
-               "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3",
-               "90ef62317641c274686382295e9bbcddf9c4289ccda5566a744c3688d1addf56"),
-        golden(MarkedSurface(0, 1, (3,)), None,
-               "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51",
-               "df706320ce884ed7ce8c2ddcce33f3bb77c461ec1193ad68d19c8c966754b199"),
-        golden(MarkedSurface(0, 1, (4,)), None,
-               "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275",
-               "f6a4fd8a9bdcc4f08546fef704e7514b2082420cf609eb90ba13b54070fdad96"),
-        golden(MarkedSurface(0, 0, (2, 2)), 4,
-               "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce",
-               "a5fe5b621beaed88434aac092bb3f6940119d512670e38c56efad0a5c64ee4a1"),
-        golden(MarkedSurface(0, 0, (1, 2)), 3,
-               "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a",
-               "c08dec7e111658496aba893a690c7d9eb5fa573cf8a06cf5bec0d9cfd3762868"),
-        golden(MarkedSurface(0, 1, (2, 2)), 3,
-               "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672",
-               "244edad2a065bf090a244f35b7b704b0f5d2dafba360f03e1bcd89a089e83529"),
-        golden(MarkedSurface(0, 2, (2,)), 3,
-               "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c",
-               "7fc1a6681c9fe1a8f631be574c94c8a137b7b367247592411df8e7b63e692c23"),
-        # b10 and b11 sort between b1 and b2
-        golden(MarkedSurface(0, 0, (11,)), 3,
-               "c1097d4e1f61739220eb767757b6ebd298b8dc3d6169c0b32e9557ade0f26c28",
-               "7adbfc9e828ce804162ff2f8ebaa7a515e6ec1cac1ed87ededff32ac924d4125"),
-        golden(MarkedSurface(0, 0, (7,)), None,
-               "944485fa5fad986f49764c35f2b4c0b2718dbe2afa7cef92898e98d3c6079937",
-               "50ed46c819335da3f4641a93a3ea2bde8c69331801a1962db6312f34cdf15056",
-               labels=[("a", "a", "a", "b", "a", "c", "a")]),
-        golden(MarkedSurface(0, 1, (4,)), None,
-               "c8682e9c0521f74e08562e3e8812dfa53f36673f680191c7738d717b9e10efdb",
-               "2af23d9f030250178953284ddd201cdbbb3497196d046ebb1669289f95ff84c2",
-               labels=[("z", "z", "y", "y")]),
-        golden(MarkedSurface(0, 0, (2, 3)), 3,
-               "e2826a31b506d78eee1a883dea4a6173140327ffdb73f2296d8134e65d351377",
-               "bf0756ff88034bb55d67256450c758dad02427053d6785b6ce8074ab3cc33752",
-               labels=[("x", "x"), ("x", "y", "x")]),
-    ])
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
     def test_code_values_golden(self, surface, depth, digest, seed_digest, labels):
         h, h_seed = hashlib.sha256(), hashlib.sha256()
         for bv in (True, False):
@@ -393,6 +398,13 @@ class TestCanonicalCode:
             h.update("\n".join(sorted(repr(canonical_code(t)) for t in g.payloads)).encode())
             h_seed.update("\n".join(map(seed_text, g.payloads)).encode())
         assert (h.hexdigest(), h_seed.hexdigest()) == (digest, seed_digest)
+
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
+    def test_oracle_on_golden_states(self, surface, depth, digest, seed_digest, labels):
+        """The definition's minimum over every flag is the code of every golden state."""
+        g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
+        for t in g.payloads:
+            assert canonical_code_oracle(t) == canonical_code(t)
 
 
     @staticmethod
@@ -442,21 +454,42 @@ class TestCanonicalCode:
         # the walks on non-orientable surfaces reach pocket or mob1 regions
         assert (kinds != {TRI}) == (not surface.orientable)
 
+    @pytest.mark.parametrize("surface,labels", [
+        (MarkedSurface(0, 1, (1,)), None), (MarkedSurface(0, 1, (4,)), None),
+        (MarkedSurface(0, 2, (2,)), None), (MarkedSurface(0, 0, (2, 2)), None),
+        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
+    ], ids=str)
+    def test_oracle_on_scrambled_states(self, surface, labels):
+        """Random states with fresh ids, shuffled regions and random gauges."""
+        rng = random.Random(f"oracle {surface} {labels}")
+        kinds = set()
+        for _ in range(20):
+            t = initial_quasi_triangulation(surface, labels=labels)
+            for _ in range(rng.randint(0, 8)):
+                t = flip(t, rng.choice(t.quasi_arcs))
+            t = self.scramble(t, rng)
+            kinds.update(r[0] for r in t.regions)
+            assert canonical_code_oracle(t) == canonical_code(t)
+        assert (kinds != {TRI}) == (not surface.orientable)
+
     def test_one_bfs_per_code_on_the_heptagon(self, monkeypatch):
         """Only the flag with the least first row is walked on a triangulation."""
         codes, walks = [], []
-        real_code, real_walk = canonical_code, surface_module._bfs_code
+        real_code = canonical_code
 
         def counting_code(t):
             codes.append(t)
             return real_code(t)
 
-        def counting_walk(*args):
-            walks.append(args)
-            return real_walk(*args)
+        def counting(real_walk):
+            def walk(*args):
+                walks.append(args)
+                return real_walk(*args)
+            return walk
 
         monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
-        monkeypatch.setattr(surface_module, "_bfs_code", counting_walk)
+        for name in ("_tri_code", "_bfs_code"):  # the direct and the lockstep walk
+            monkeypatch.setattr(surface_module, name, counting(getattr(surface_module, name)))
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # the initial state once, then the 4 flips of each of the 42 states
         assert (g.node_count, len(codes), len(walks)) == (42, 1 + 42 * 4, 1 + 42 * 4)
@@ -464,7 +497,8 @@ class TestCanonicalCode:
     def test_first_rows_only_for_candidate_flags(self, monkeypatch):
         """First rows are built only for the flags that can start the least code."""
         rows, per_code = [], []
-        real_code, real_row = canonical_code, surface_module._row
+        real_code = canonical_code
+        real_tri_code, real_bfs_code = surface_module._tri_code, surface_module._bfs_code
 
         def counting_code(t):
             before = len(rows)
@@ -472,12 +506,22 @@ class TestCanonicalCode:
             per_code.append((len(rows) - before, tuple(sorted(r[0] for r in t.regions))))
             return code
 
-        def counting_row(*args):
-            rows.append(args)
-            return real_row(*args)
+        # the direct walk builds every row of its code; a lockstep walk builds
+        # the rows that are taken from it
+        def counting_tri_code(*args):
+            code = real_tri_code(*args)
+            rows.extend(code[:-1])
+            return code
+
+        def counting_bfs_code(*args):
+            for row in real_bfs_code(*args):
+                if row[0] != "#regions":
+                    rows.append(row)
+                yield row
 
         monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
-        monkeypatch.setattr(surface_module, "_row", counting_row)
+        monkeypatch.setattr(surface_module, "_tri_code", counting_tri_code)
+        monkeypatch.setattr(surface_module, "_bfs_code", counting_bfs_code)
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # 169 codes, each the 5 rows of one walk from one flag (b1 entered
         # against its sign); the full scan over all 30 flags built 5,915
