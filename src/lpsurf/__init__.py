@@ -31,15 +31,6 @@ from .poly import (
     parse_polynomial,
     strip_laurent_monomial,
 )
-from .quiver import (
-    Quiver,
-    cancel_two_cycles,
-    double_mutate,
-    exchange_polys,
-    has_bad_path,
-    lp_seed_from_quiver,
-    mutate_vertex,
-)
 from .surface import (
     LiftedTriangulation,
     MarkedSurface,
@@ -109,3 +100,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# No command builds a quiver, so ``lpsurf.quiver`` is imported on first use
+# of one of its names (PEP 562), not with the package.
+_QUIVER_NAMES = {"Quiver", "cancel_two_cycles", "double_mutate", "exchange_polys",
+                 "has_bad_path", "lp_seed_from_quiver", "mutate_vertex"}
+
+
+def __getattr__(name: str):
+    if name in _QUIVER_NAMES:
+        from . import quiver
+
+        return getattr(quiver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

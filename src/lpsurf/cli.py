@@ -1,16 +1,19 @@
 """Command-line surface over seeds, quivers, surfaces, and exploration.
 
 Exit codes: 0 on success, 1 on domain errors (malformed input file, invalid
-seed or surface), 2 on usage errors.  All output is deterministic and embeds ``schema: 1``.
+seed or surface), 2 on usage errors.  Both errors end in one ``Error: <msg>``
+line on stderr; a usage error prints the command's usage line first.  All
+output is deterministic and embeds ``schema: 1``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import random
 import sys
-
-import click
+from typing import Optional, Sequence
 
 from . import explorer
 from .lp_core import (
@@ -31,12 +34,23 @@ from .surface import (
 )
 
 
+class _Failure(Exception):
+    """A domain error a command reports itself: ``Error: <msg>``, exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the command's usage and ``Error: <msg>`` on stderr, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
+
+
 def _load_json(path: str) -> object:
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise click.ClickException(f"cannot read {path}: {exc}") from exc
+        raise _Failure(f"cannot read {path}: {exc}") from exc
 
 
 def _surface_seed(s: MarkedSurface):
@@ -44,24 +58,27 @@ def _surface_seed(s: MarkedSurface):
     return t, seed_from_quasi_triangulation(t)
 
 
-def _seed_arg(seed_path: str | None, surface_path: str | None) -> LPSeed:
+def _seed_arg(args: argparse.Namespace) -> LPSeed:
     """The seed of ``--seed`` or the initial seed of ``--surface``."""
-    if seed_path and surface_path:
-        raise click.UsageError("pass --seed or --surface, not both")
-    if seed_path:
-        return seed_from_json(_load_json(seed_path))
-    if surface_path:
-        return _surface_seed(surface_from_json(_load_json(surface_path)))[1]
-    raise click.UsageError("pass --seed or --surface")
+    if args.seed and args.surface:
+        args.command.error("pass --seed or --surface, not both")
+    if args.seed:
+        return seed_from_json(_load_json(args.seed))
+    if args.surface:
+        return _surface_seed(surface_from_json(_load_json(args.surface)))[1]
+    args.command.error("pass --seed or --surface")
 
 
-def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _emit(data: dict, out: Optional[str]) -> None:
+    _write(json.dumps(data, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _fraction_string(value: Polynomial) -> str:
@@ -70,54 +87,24 @@ def _fraction_string(value: Polynomial) -> str:
     return str(value) if den.is_constant else f"({value.num}) / ({den})"
 
 
-class _Main(click.Group):
-    """Reports a domain error, or a file that cannot be written, from any
-    command as ``Error: <msg>`` with exit 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (PolyError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-_depth = click.option("--depth", type=click.IntRange(min=0), default=None,
-                      help="stop the BFS after this many steps")
-_jobs = click.option("--jobs", type=click.IntRange(min=1), default=1, expose_value=False,
-                     help="accepted for compatibility; has no effect (one thread)")
-
-
-@click.group(cls=_Main)
-def main() -> None:
-    """Laurent phenomenon seeds and quasi-triangulations of marked surfaces."""
-
-
-@main.command()
-@click.option("--seed", "seed_path", type=click.Path(exists=True), help="seed JSON file")
-@click.option("--surface", "surface_path", type=click.Path(exists=True), help="surface JSON file")
-def validate(seed_path, surface_path):
-    """Validate a seed or a surface description."""
-    if not seed_path and not surface_path:
-        raise click.UsageError("pass --seed or --surface")
-    if seed_path:
-        seed = seed_from_json(_load_json(seed_path))
+def _validate(args: argparse.Namespace) -> None:
+    if not args.seed and not args.surface:
+        args.command.error("pass --seed or --surface")
+    if args.seed:
+        seed = seed_from_json(_load_json(args.seed))
         if seed.violations:
             for v in seed.violations:
-                click.echo(f"violation: {v}", err=True)
-            raise click.ClickException("invalid seed")
-        click.echo("seed ok")
-    if surface_path:
-        s = surface_from_json(_load_json(surface_path))
-        click.echo(f"surface ok (rank {s.rank})")
+                print(f"violation: {v}", file=sys.stderr)
+            raise _Failure("invalid seed")
+        print("seed ok")
+    if args.surface:
+        s = surface_from_json(_load_json(args.surface))
+        print(f"surface ok (rank {s.rank})")
 
 
-@main.command("normalize")
-@click.option("--seed", "seed_path", type=click.Path(exists=True), required=True)
-@click.option("--at", "at", default=None, help="cluster variable name (default: all)")
-def normalize_cmd(seed_path, at):
-    """Print normalized exchange polynomials and their exponent vectors."""
-    seed = seed_from_json(_load_json(seed_path))
-    slots = [seed.slot_of(at)] if at is not None else list(range(seed.n))
+def _normalize(args: argparse.Namespace) -> None:
+    seed = seed_from_json(_load_json(args.seed))
+    slots = [seed.slot_of(args.at)] if args.at is not None else list(range(seed.n))
     disp = seed.display_names()
     out = {"schema": SCHEMA_VERSION, "normalized": []}
     for j in slots:
@@ -132,108 +119,188 @@ def normalize_cmd(seed_path, at):
     _emit(out, None)
 
 
-@main.command("mutate")
-@click.option("--seed", "seed_path", type=click.Path(exists=True), required=True)
-@click.option("--at", "at", required=True, help="cluster variable name")
-@click.option("--name", "new_name", default=None, help="name for the new variable")
-@click.option("--out", "out", type=click.Path(), default=None)
-def mutate_cmd(seed_path, at, new_name, out):
-    """LP mutation of a seed in one direction."""
-    seed = seed_from_json(_load_json(seed_path))
-    slot = seed.slot_of(at)
-    result = mutate(seed, slot, new_name=new_name)
+def _mutate(args: argparse.Namespace) -> None:
+    seed = seed_from_json(_load_json(args.seed))
+    slot = seed.slot_of(args.at)
+    result = mutate(seed, slot, new_name=args.name)
     data = seed_to_json(result)
-    data["mutated_at"] = at
+    data["mutated_at"] = args.at
     data["new_variable"] = {
         "name": result.names[slot],
         "value": _fraction_string(result.values[slot]),
     }
-    _emit(data, out)
+    _emit(data, args.out)
 
 
-@main.command("seed-from-surface")
-@click.option("--surface", "surface_path", type=click.Path(exists=True), required=True)
-@click.option("--out", "out", type=click.Path(), default=None)
-@click.option("--triangulation-out", "tri_out", type=click.Path(), default=None)
-def seed_from_surface(surface_path, out, tri_out):
-    """Initial quasi-triangulation seed for a surface."""
-    t, seed = _surface_seed(surface_from_json(_load_json(surface_path)))
-    if tri_out:
-        with open(tri_out, "w") as fh:
-            json.dump(triangulation_to_json(t), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _emit(seed_to_json(seed), out)
+def _seed_from_surface(args: argparse.Namespace) -> None:
+    t, seed = _surface_seed(surface_from_json(_load_json(args.surface)))
+    if args.triangulation_out:
+        _emit(triangulation_to_json(t), args.triangulation_out)
+    _emit(seed_to_json(seed), args.out)
 
 
-@main.command("explore")
-@click.option("--seed", "seed_path", type=click.Path(exists=True))
-@click.option("--surface", "surface_path", type=click.Path(exists=True))
-@click.option("--mode", type=click.Choice(["seeds", "flips"]), default="seeds")
-@_depth
-@click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
-@_jobs
-@click.option("--out", "out", type=click.Path(), default=None)
-def explore(seed_path, surface_path, mode, depth, fmt, out):
-    """Enumerate the exchange graph by BFS."""
-    if mode == "flips":
-        if not surface_path:
-            raise click.UsageError("--mode flips needs --surface")
-        if seed_path:
-            raise click.UsageError("--mode flips takes no --seed")
-        t = initial_quasi_triangulation(surface_from_json(_load_json(surface_path)))
-        graph = explorer.explore_flips(t, depth=depth)
+def _explore(args: argparse.Namespace) -> None:
+    if args.mode == "flips":
+        if not args.surface:
+            args.command.error("--mode flips needs --surface")
+        if args.seed:
+            args.command.error("--mode flips takes no --seed")
+        t = initial_quasi_triangulation(surface_from_json(_load_json(args.surface)))
+        graph = explorer.explore_flips(t, depth=args.depth)
     else:
-        graph = explorer.explore_seeds(_seed_arg(seed_path, surface_path), depth=depth)
-    text = explorer.export(graph, fmt)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        graph = explorer.explore_seeds(_seed_arg(args), depth=args.depth)
+    _write(explorer.export(graph, args.format), args.out)
 
 
-@main.command("compare-graphs")
-@click.option("--surface", "surface_path", type=click.Path(exists=True), required=True)
-@_depth
-@_jobs
-def compare_graphs(surface_path, depth):
-    """Explore seeds and flips; check mutation at slot(q) is the flip of q, an isomorphism."""
-    t, seed = _surface_seed(surface_from_json(_load_json(surface_path)))
-    g_seeds = explorer.explore_seeds(seed, depth=depth)
-    g_flips = explorer.explore_flips(t, depth=depth)
+def _compare_graphs(args: argparse.Namespace) -> int:
+    t, seed = _surface_seed(surface_from_json(_load_json(args.surface)))
+    g_seeds = explorer.explore_seeds(seed, depth=args.depth)
+    g_flips = explorer.explore_flips(t, depth=args.depth)
     iso = explorer.flip_correspondence(g_seeds, g_flips, t) is not None
-    click.echo(
+    print(
         f"isomorphic: {'true' if iso else 'false'}, "
         f"nodes={g_seeds.node_count}, edges={g_seeds.edge_count}"
     )
-    if not iso:
-        sys.exit(1)
+    return 0 if iso else 1
 
 
-@main.command("verify-laurent")
-@click.option("--seed", "seed_path", type=click.Path(exists=True))
-@click.option("--surface", "surface_path", type=click.Path(exists=True))
-@click.option("--sequences", type=click.IntRange(min=0), default=200)
-@click.option("--max-length", type=click.IntRange(min=1), default=8)
-@click.option("--rng-seed", type=int, default=0)
-def verify_laurent_cmd(seed_path, surface_path, sequences, max_length, rng_seed):
-    """Random mutation sequences; report any non-Laurent tracked variable."""
-    seed = _seed_arg(seed_path, surface_path)
-    rng = random.Random(rng_seed)
+def _verify_laurent(args: argparse.Namespace) -> None:
+    seed = _seed_arg(args)
+    rng = random.Random(args.rng_seed)
     seqs = [
-        [rng.randrange(seed.n) for _ in range(rng.randint(1, max_length))]
-        for _ in range(sequences)
+        [rng.randrange(seed.n) for _ in range(rng.randint(1, args.max_length))]
+        for _ in range(args.sequences)
     ]
     report = explorer.verify_laurent(seed, seqs)
-    click.echo(
+    print(
         f"sequences: {report.sequences_checked}, variables: {report.variables_checked}, "
         f"violations: {len(report.violations)}"
     )
     for seq, name, value in report.violations[:10]:
-        click.echo(f"violation: sequence {list(seq)} variable {name} = {value}", err=True)
+        print(f"violation: sequence {list(seq)} variable {name} = {value}", file=sys.stderr)
     if not report.ok:
-        raise click.ClickException("Laurent phenomenon violated")
+        raise _Failure("Laurent phenomenon violated")
+
+
+def _existing_path(text: str) -> str:
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"path {text!r} does not exist")
+    return text
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return parse
+
+
+def _build_parser() -> _Parser:
+    """The parser of every command; each subparser sets ``run`` and ``command``."""
+    parser = _Parser(
+        prog="lpsurf", allow_abbrev=False,
+        description="Laurent phenomenon seeds and quasi-triangulations of marked surfaces.",
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, summary, seed=None, surface=None):
+        """A subparser; ``seed``/``surface`` None omits the option, else it is required or not."""
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.set_defaults(run=run, command=sub)
+        for flag, required in (("--seed", seed), ("--surface", surface)):
+            if required is not None:
+                sub.add_argument(flag, type=_existing_path, required=required,
+                                 metavar="PATH", help=f"{flag[2:]} JSON file")
+        return sub
+
+    def depth_and_jobs(sub):
+        sub.add_argument("--depth", type=_at_least(0), metavar="N",
+                         help="stop the BFS after this many steps")
+        sub.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
+                         help="accepted for compatibility; has no effect (one thread)")
+
+    command("validate", _validate, "Validate a seed or a surface description.",
+            seed=False, surface=False)
+
+    sub = command("normalize", _normalize,
+                  "Print normalized exchange polynomials and their exponent vectors.", seed=True)
+    sub.add_argument("--at", help="cluster variable name (default: all)")
+
+    sub = command("mutate", _mutate, "LP mutation of a seed in one direction.", seed=True)
+    sub.add_argument("--at", required=True, help="cluster variable name")
+    sub.add_argument("--name", help="name for the new variable")
+    sub.add_argument("--out", metavar="PATH", help="write the seed here instead of stdout")
+
+    sub = command("seed-from-surface", _seed_from_surface,
+                  "Initial quasi-triangulation seed for a surface.", surface=True)
+    sub.add_argument("--out", metavar="PATH", help="write the seed here instead of stdout")
+    sub.add_argument("--triangulation-out", metavar="PATH",
+                     help="also write the initial quasi-triangulation here")
+
+    sub = command("explore", _explore, "Enumerate the exchange graph by BFS.",
+                  seed=False, surface=False)
+    sub.add_argument("--mode", choices=("seeds", "flips"), default="seeds")
+    depth_and_jobs(sub)
+    sub.add_argument("--format", choices=("json", "dot"), default="json")
+    sub.add_argument("--out", metavar="PATH", help="write the graph here instead of stdout")
+
+    sub = command("compare-graphs", _compare_graphs,
+                  "Explore seeds and flips; check mutation at slot(q) is the flip of q, "
+                  "an isomorphism.", surface=True)
+    depth_and_jobs(sub)
+
+    sub = command("verify-laurent", _verify_laurent,
+                  "Random mutation sequences; report any non-Laurent tracked variable.",
+                  seed=False, surface=False)
+    sub.add_argument("--sequences", type=_at_least(0), default=200, metavar="N")
+    sub.add_argument("--max-length", type=_at_least(1), default=8, metavar="N")
+    sub.add_argument("--rng-seed", type=int, default=0, metavar="N")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command (``argv``, default ``sys.argv[1:]``) and return its exit code.
+
+    The one error boundary: a usage error prints the command's usage and
+    ``Error: <msg>`` on stderr and gives 2; a domain error, or a file that
+    cannot be read or written, prints ``Error: <msg>`` and gives 1.
+    """
+    try:
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:
+            args.command.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args.run(args) or 0
+    except SystemExit as exc:  # --help, or a usage error ``_Parser.error`` has printed
+        return exc.code
+    except (_Failure, PolyError, OSError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _main_compat(args: Optional[Sequence[str]] = None, prog_name: str = "lpsurf",
+                 standalone_mode: bool = True) -> int:
+    """``main(args)`` with the signature of the former click entry point ``main.main``.
+
+    With ``standalone_mode`` it raises ``SystemExit`` with the exit code,
+    otherwise it returns the code.  ``prog_name`` is accepted and not used:
+    usage lines always name ``lpsurf``.
+    """
+    code = main(args)
+    if standalone_mode:
+        raise SystemExit(code)
+    return code
+
+
+main.main = _main_compat
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

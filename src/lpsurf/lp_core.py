@@ -113,6 +113,18 @@ class LPSeed:
         """
         return tuple(validate_seed(self))
 
+    @cached_attribute
+    def _ranked_polys(self) -> tuple[Polynomial, ...]:
+        """The exchange polynomials with cluster exponents in value-rank order; computed once.
+
+        A slot's rank is the place of its value when the values are sorted
+        by terms.  :func:`seed_key` and :func:`_exchange_token` read these.
+        """
+        ranks = [0] * self.n
+        for rank, slot in enumerate(sorted(range(self.n), key=lambda i: self.values[i].terms)):
+            ranks[slot] = rank
+        return tuple(p.permute_cluster(ranks) for p in self.polys)
+
     def require_valid(self) -> "LPSeed":
         """This seed, or :class:`InvalidSeed` listing its violations."""
         if self.violations:
@@ -157,35 +169,14 @@ def validate_seed(seed: LPSeed) -> list[str]:
         out.append("duplicate cluster variable names")
     for i, f in enumerate(seed.polys):
         label = seed.names[i]
-        if f.is_zero:
-            out.append(f"F_{label} is zero")
-            continue
-        if not f.is_ordinary:
-            out.append(f"F_{label} has negative exponents")
-            continue
-        if f.is_unit:
-            out.append(f"F_{label} is a unit")
+        fatal, defects = f.exchange_defects  # checked once per polynomial object
+        if fatal:
+            out.append(f"F_{label} {fatal}")
             continue
         if f.involves(i):
             out.append(f"F_{label} depends on x_{label}")
-        if _is_cluster_variable(seed.ctx, f):
-            out.append(f"F_{label} is a cluster variable")
-        try:
-            if not is_irreducible(f):
-                out.append(f"F_{label} is reducible")
-        except PolyError:
-            pass  # already reported above
+        out.extend(f"F_{label} {d}" for d in defects)
     return out
-
-
-def _is_cluster_variable(ctx: VariableContext, f: Polynomial) -> bool:
-    if len(f.terms) != 1:
-        return False
-    e, c = f.terms[0]
-    if abs(c) != 1 or sum(abs(k) for k in e) != 1:
-        return False
-    i = next(j for j, k in enumerate(e) if k)
-    return e[i] == 1 and ctx.is_cluster_index(i)
 
 
 # -- normalization ------------------------------------------------------------
@@ -467,19 +458,10 @@ def seed_key(seed: LPSeed) -> tuple:
     keys = [v.terms for v in seed.values]
     if len(set(keys)) != len(keys):
         raise PolyError("cluster values are not distinct; not a transcendence basis")
-    ranks = _value_ranks(seed)
+    ranked = seed._ranked_polys
     return (seed.ctx.names, tuple(sorted(
-        (keys[i], seed.polys[i].permute_cluster(ranks).canonical_sign().terms)
-        for i in range(seed.n)
+        (keys[i], ranked[i].canonical_sign().terms) for i in range(seed.n)
     )))
-
-
-def _value_ranks(seed: LPSeed) -> list[int]:
-    """``ranks[slot]``: the place of the slot's value when the values are sorted by terms."""
-    ranks = [0] * seed.n
-    for rank, slot in enumerate(sorted(range(seed.n), key=lambda i: seed.values[i].terms)):
-        ranks[slot] = rank
-    return ranks
 
 
 def _exchange_token(seed: LPSeed, i: int) -> tuple:
@@ -490,7 +472,7 @@ def _exchange_token(seed: LPSeed, i: int) -> tuple:
     seeds with one key.  The sign must match too: ``seed_key`` ignores it,
     but the new value ``Fhat_i(values) / value_i`` does not.
     """
-    return seed.values[i].terms, seed.polys[i].permute_cluster(_value_ranks(seed)).terms
+    return seed.values[i].terms, seed._ranked_polys[i].terms
 
 
 def seeds_equal(s1: LPSeed, s2: LPSeed) -> bool:

@@ -191,6 +191,30 @@ class Polynomial:
             verdict = _IRR_CACHE[key] = _is_irreducible_impl(q)
         return verdict
 
+    @cached_attribute
+    def exchange_defects(self) -> tuple[Optional[str], tuple[str, ...]]:
+        """Why this polynomial is no exchange polynomial in any slot; computed once.
+
+        ``(fatal, others)``.  ``fatal`` is "is zero", "has negative
+        exponents" or "is a unit", which end the checks, or None; ``others``
+        holds "is a cluster variable" and "is reducible" where they apply.
+        :func:`lpsurf.lp_core.validate_seed` adds the one check that depends
+        on the slot: whether the polynomial involves the slot's own variable.
+        """
+        if self.is_zero:
+            return "is zero", ()
+        if not self.is_ordinary:
+            return "has negative exponents", ()
+        if self.is_unit:
+            return "is a unit", ()
+        others = []
+        (e, c), *rest = self.terms
+        if not rest and abs(c) == 1 and sum(e) == 1 and self.ctx.is_cluster_index(e.index(1)):
+            others.append("is a cluster variable")
+        if not is_irreducible(self):  # through the public check, which tracing counts
+            others.append("is reducible")
+        return None, tuple(others)
+
     @property
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps, _ in self.terms)

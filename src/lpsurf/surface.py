@@ -28,7 +28,6 @@ from typing import Mapping, Optional, Sequence
 
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext, cached_attribute
-from .quiver import Quiver, cancel_two_cycles
 from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
 
 __all__ = [
@@ -495,6 +494,8 @@ def cover_components(lt: LiftedTriangulation) -> int:
 
 def adjacency_quiver(lt: LiftedTriangulation) -> Quiver:
     """One arrow i -> j per oriented lifted triangle where j follows i."""
+    from .quiver import Quiver, cancel_two_cycles  # here: no command builds a quiver
+
     include_frozen = lt.base.surface.boundary_variables
     ordered = list(lt.mutable_edges) + (list(lt.frozen_edges) if include_frozen else [])
     pair_index = {e: i for i, e in enumerate(ordered)}

@@ -1,10 +1,50 @@
+import io
+import os
 import signal
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from typing import Optional
+from unittest import mock
 
 import pytest
 
 from lpsurf.lp_core import LPSeed
 from lpsurf.poly import Polynomial, VariableContext, is_irreducible
 from lpsurf.surface import MarkedSurface
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    output: str  # stdout and stderr together
+    exception: Optional[BaseException]  # what escaped the command, or None
+
+
+class CliRunner:
+    """Runs a command line in-process and collects its exit code and output."""
+
+    def invoke(self, cli, args, env=None) -> CliResult:
+        """``cli(args)`` with ``env`` added to ``os.environ`` for the duration of the call.
+
+        ``cli`` returns an exit code or raises ``SystemExit``; any other
+        exception gives exit code 1 and is kept as ``exception``.
+        """
+        out = io.StringIO()
+        exception = None
+        with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(out):
+            try:
+                code = cli(args)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return CliResult(code, out.getvalue(), exception)
+
+
+@pytest.fixture(scope="session")
+def runner():
+    return CliRunner()
 
 
 @pytest.fixture

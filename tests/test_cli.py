@@ -8,7 +8,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,11 +37,6 @@ FROZEN_VARIABLE_SEED = {"schema": 1, "cluster": ["x", "y"], "frozen": ["t"],
 # EXAMPLE_SEED with b renamed a', the default name for a mutated a.
 PRIMED_SEED = {**EXAMPLE_SEED, "cluster": ["a", "a'", "c"],
                "polys": ["a' + 1", "a*c + 1", "a^2*a' + a'^2 + 2*a' + 1"]}
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -231,43 +225,132 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
 
 
 # Runs in a fresh interpreter: import the CLI, then one command of each
-# benchmark workload's shape, and report after each step which of sympy and
-# networkx are loaded.
+# benchmark workload's shape, and report after each step which of sympy,
+# networkx and click are loaded.
 _SYMPY_PROBE = """
 import sys
 from lpsurf.cli import main
 def heavy():
-    return [m for m in ("sympy", "networkx") if m in sys.modules]
+    return [m for m in ("sympy", "networkx", "click") if m in sys.modules]
 loaded = [heavy()]
 for args in (["compare-graphs", "--surface", sys.argv[1]],
              ["verify-laurent", "--surface", sys.argv[2]],
              ["explore", "--surface", sys.argv[3], "--mode", "flips", "--format", "dot"]):
-    main.main(args, standalone_mode=False)
+    main(args)
     loaded.append(heavy())
 print(loaded)
 """
 
 
-def test_workload_commands_do_not_import_sympy(tmp_path):
-    """sympy costs about 0.35 s to import and networkx 0.2 s.
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(lpsurf.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
-    No benchmarked command may need either.
+
+def test_workload_commands_do_not_import_sympy(tmp_path):
+    """sympy costs about 0.35 s to import, networkx 0.2 s and click 14 ms.
+
+    No benchmarked command may need any of them.
     """
     paths = []
     for name, cross_caps, boundary in (("M4", 1, [4]), ("M2", 1, [2]), ("7-gon", 0, [7])):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**HEXAGON, "cross_caps": cross_caps, "boundary": boundary}))
         paths.append(str(path))
-    src = str(Path(lpsurf.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    result = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, *paths], env=env,
+    result = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, *paths], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0] == "isomorphic: true, nodes=64, edges=128"
     assert lines[1].endswith("violations: 0") and lines[2] == "graph flips {"
     assert lines[-1] == "[[], [], [], []]"
+
+
+def test_cli_import_loads_only_what_commands_reach():
+    """No command needs click, the quiver module, sympy or networkx at start-up."""
+    probe = ("import sys, lpsurf.cli; print([m for m in "
+             "('click', 'lpsurf.quiver', 'sympy', 'networkx') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_quiver_names_resolve_lazily():
+    from lpsurf import quiver
+
+    assert lpsurf.Quiver is quiver.Quiver and lpsurf.mutate_vertex is quiver.mutate_vertex
+    assert all(getattr(lpsurf, name) for name in lpsurf.__all__)
+    with pytest.raises(AttributeError):
+        lpsurf.no_such_name
+
+
+COMMAND_OPTIONS = {
+    "validate": ["--seed", "--surface"],
+    "normalize": ["--seed", "--at"],
+    "mutate": ["--seed", "--at", "--name", "--out"],
+    "seed-from-surface": ["--surface", "--out", "--triangulation-out"],
+    "explore": ["--seed", "--surface", "--mode", "--depth", "--format", "--jobs", "--out"],
+    "compare-graphs": ["--surface", "--depth", "--jobs"],
+    "verify-laurent": ["--seed", "--surface", "--sequences", "--max-length", "--rng-seed"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert (result.exit_code, result.exception) == (0, None), result.output
+    assert result.output.startswith(f"usage: lpsurf {command} ")
+    for option in COMMAND_OPTIONS[command]:
+        assert option in result.output
+
+
+def test_top_level_help_lists_every_command(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert all(command in result.output for command in COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "the following arguments are required: COMMAND"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+    (["compare-graphs"], "the following arguments are required: --surface"),
+    (["validate", "--surf", "x.json"], "unrecognized arguments: --surf"),
+    (["compare-graphs", "--surface", "does-not-exist.json"],
+     "argument --surface: path 'does-not-exist.json' does not exist"),
+    (["explore", "--seed", "does-not-exist.json"], "path 'does-not-exist.json' does not exist"),
+    (["verify-laurent", "--sequences", "many"], "argument --sequences: 'many' is not an integer"),
+])
+def test_usage_error_is_usage_then_one_error_line(runner, args, message):
+    result = runner.invoke(main, args)
+    _assert_clean_exit(result, (2,))
+    lines = result.output.splitlines()
+    assert lines[0].startswith("usage: lpsurf")
+    assert lines[-1].startswith("Error: ") and message in lines[-1]
+    assert sum(line.startswith("Error: ") for line in lines) == 1
+
+
+def test_click_style_entry_point(runner, hexagon_file):
+    """``main.main`` keeps the former click entry point's signature."""
+    args = ["compare-graphs", "--surface", hexagon_file]
+    result = runner.invoke(lambda a: main.main(args=a, prog_name="lpsurf"), args)
+    assert (result.exit_code, result.output) == (0, "isomorphic: true, nodes=14, edges=21\n")
+    assert result.exception is None
+    with pytest.raises(SystemExit) as exc:
+        main.main(["validate"])
+    assert exc.value.code == 2
+    assert main.main(["validate"], standalone_mode=False) == 2
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m lpsurf.cli`` runs a command in a fresh interpreter."""
+    (tmp_path / "hexagon.json").write_text(json.dumps(HEXAGON))
+    result = subprocess.run(
+        [sys.executable, "-m", "lpsurf.cli", "compare-graphs", "--surface", "hexagon.json"],
+        cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "isomorphic: true, nodes=14, edges=21\n", "")
 
 
 def _edit(doc, **changes):
@@ -457,8 +540,7 @@ def _corrupted_inputs(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_corrupted_inputs())
-def test_no_input_ends_in_a_traceback(case):
+def test_no_input_ends_in_a_traceback(runner, case):
     content, commands, env = case
-    runner = CliRunner()
     for command in commands:
         _assert_clean_exit(_run(runner, content, command, env))

@@ -55,6 +55,26 @@ class TestValidate:
         assert any("unit" in v for v in violations)
         assert any("zero" in v for v in violations)
 
+    @pytest.mark.parametrize("polys, want", [
+        (("1", "0"), ["F_x1 is a unit", "F_x2 is zero"]),
+        (("x2^-1 + 1", "x1 + 1"), ["F_x1 has negative exponents"]),
+        (("x1*x2 + x1", "x1 + 1"), ["F_x1 depends on x_x1", "F_x1 is reducible"]),
+        (("x1", "t"), ["F_x1 depends on x_x1", "F_x1 is a cluster variable"]),
+        (("2*x2 + 2", "-x1"), ["F_x1 is reducible", "F_x2 is a cluster variable"]),
+        (("t^2 - 1", "x1^2"), ["F_x1 is reducible", "F_x2 is reducible"]),
+    ])
+    def test_messages_and_their_order(self, polys, want):
+        assert validate_seed(LPSeed.initial(("x1", "x2"), ("t",), polys)) == want
+
+    def test_each_polynomial_object_is_checked_once(self):
+        """The slot-free checks are cached on the polynomial; ``involves`` is per slot."""
+        seed = LPSeed.initial(("x1", "x2"), ("t",), ("x2 + 1", "x1 + 1"))
+        p = parse_polynomial("x1 + t", seed.ctx)
+        assert validate_seed(replace(seed, polys=(p, p))) == ["F_x1 depends on x_x1"]
+        assert vars(p)["exchange_defects"] == (None, ())
+        vars(p)["exchange_defects"] = (None, ("is marked",))
+        assert validate_seed(replace(seed, polys=(seed.polys[0], p))) == ["F_x2 is marked"]
+
     def test_violations_computed_once_and_outside_equality_hashing_and_json(self):
         seed = LPSeed.initial(("a", "x", "y"), ("b",), ("x+y", "b*x + b*y", "x+1"))
         fresh = LPSeed.initial(("a", "x", "y"), ("b",), ("x+y", "b*x + b*y", "x+1"))

@@ -3,7 +3,6 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,9 +245,8 @@ class TestLowDegreeCertificate:
         assert is_irreducible(p) == want, p
         return proved, want
 
-    def test_every_workload_entry(self, tmp_path, monkeypatch):
+    def test_every_workload_entry(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(poly, "_IRR_CACHE", {})
-        runner = CliRunner()
         for command, genus, cross_caps, boundary in self.WORKLOAD_COMMANDS:
             path = tmp_path / "surface.json"
             path.write_text(json.dumps({"schema": 1, "genus": genus, "cross_caps": cross_caps,
