@@ -1,5 +1,6 @@
 """Laurent-phenomenon seeds, anti-symmetric quivers, and surface flip machinery."""
 
+from .build import LiftedTriangulation, double_cover, initial_quasi_triangulation
 from .explorer import (
     ExchangeGraph,
     explore_flips,
@@ -32,16 +33,12 @@ from .poly import (
     strip_laurent_monomial,
 )
 from .surface import (
-    LiftedTriangulation,
     MarkedSurface,
     QuasiTriangulation,
     SurfaceError,
-    adjacency_quiver,
     canonical_code,
     detect_m2,
-    double_cover,
     flip,
-    initial_quasi_triangulation,
     new_quasi_arc,
     rank,
     seed_from_quasi_triangulation,
@@ -103,8 +100,8 @@ __version__ = "0.1.0"
 
 # No command builds a quiver, so ``lpsurf.quiver`` is imported on first use
 # of one of its names (PEP 562), not with the package.
-_QUIVER_NAMES = {"Quiver", "cancel_two_cycles", "double_mutate", "exchange_polys",
-                 "has_bad_path", "lp_seed_from_quiver", "mutate_vertex"}
+_QUIVER_NAMES = {"Quiver", "adjacency_quiver", "cancel_two_cycles", "double_mutate",
+                 "exchange_polys", "has_bad_path", "lp_seed_from_quiver", "mutate_vertex"}
 
 
 def __getattr__(name: str):

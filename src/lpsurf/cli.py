@@ -16,6 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import explorer
+from .build import initial_quasi_triangulation
 from .lp_core import (
     LPSeed,
     mutate,
@@ -27,7 +28,6 @@ from .poly import PolyError, Polynomial
 from .schema import SCHEMA_VERSION
 from .surface import (
     MarkedSurface,
-    initial_quasi_triangulation,
     seed_from_quasi_triangulation,
     surface_from_json,
     triangulation_to_json,

@@ -34,9 +34,7 @@ DEFAULT_NODE_CAP = 100_000
 NODE_CAP_ENV = "LP_SURFACE_SEED_CAP"
 
 
-def _node_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
+def _node_cap() -> int:
     env = os.environ.get(NODE_CAP_ENV)
     if not env:
         return DEFAULT_NODE_CAP
@@ -73,7 +71,6 @@ def _bfs(
     label: Callable,
     kind: str,
     depth: Optional[int],
-    max_nodes: int,
 ) -> ExchangeGraph:
     """Canonical-key BFS; ``neighbors(payload, done)`` yields (direction, key, payload, back).
 
@@ -85,6 +82,7 @@ def _bfs(
     keeps the node keys in node order as ``keys``, and as ``parents`` the
     first ``(u, direction)`` that reached each node (None for the root).
     """
+    max_nodes = _node_cap()
     index = {start_key: 0}
     payloads = [start_payload]
     parents: list = [None]
@@ -123,7 +121,6 @@ def _bfs(
 def explore_seeds(
     seed: LPSeed,
     depth: Optional[int] = None,
-    max_nodes: Optional[int] = None,
 ) -> ExchangeGraph:
     """BFS over seeds up to unit-and-relabeling equality.
 
@@ -155,14 +152,12 @@ def explore_seeds(
         lambda s: ",".join(s.names),
         "seeds",
         depth,
-        _node_cap(max_nodes),
     )
 
 
 def explore_flips(
     t0: QuasiTriangulation,
     depth: Optional[int] = None,
-    max_nodes: Optional[int] = None,
 ) -> ExchangeGraph:
     """BFS over quasi-triangulations up to canonical labeling.
 
@@ -182,7 +177,6 @@ def explore_flips(
         lambda t: ",".join(str(q) for q in t.quasi_arcs),
         "flips",
         depth,
-        _node_cap(max_nodes),
     )
 
 
@@ -289,5 +283,10 @@ def graph_from_json(text: str) -> ExchangeGraph:
     for u, v, _ in edges:
         if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
             raise PolyError(f"graph edge [{u}, {v}] names a node that does not exist")
+        if u > v:
+            raise PolyError(f"graph edge [{u}, {v}] must list its smaller end first")
+    graph = {(u, v): d for u, v, d in edges}
+    if len(graph) < len(edges):
+        raise PolyError("graph edges must join each pair of nodes once")
     labels = [n["label"] for n in nodes]
-    return ExchangeGraph(kind, labels, {(u, v): d for u, v, d in edges}, truncated)
+    return ExchangeGraph(kind, labels, graph, truncated)

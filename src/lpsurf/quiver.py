@@ -10,11 +10,13 @@ lifted triangulations on orientable double covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
+from .build import LiftedTriangulation
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext
 from .schema import REQUIRED, SCHEMA_VERSION, fields
+from .surface import SurfaceError
 
 __all__ = [
     "Quiver",
@@ -24,6 +26,7 @@ __all__ = [
     "lp_seed_from_quiver",
     "has_bad_path",
     "cancel_two_cycles",
+    "adjacency_quiver",
     "quiver_to_json",
     "quiver_from_json",
 ]
@@ -134,6 +137,36 @@ def cancel_two_cycles(counts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(
         tuple(counts[i][j] - counts[j][i] for j in range(n)) for i in range(n)
     )
+
+
+def adjacency_quiver(lt: LiftedTriangulation) -> Quiver:
+    """One arrow i -> j per oriented lifted triangle where j follows i."""
+    include_frozen = lt.base.surface.boundary_variables
+    ordered = list(lt.mutable_edges) + (list(lt.frozen_edges) if include_frozen else [])
+    pair_index = {e: i for i, e in enumerate(ordered)}
+    n = len(ordered)
+    raw = [[0] * (2 * n) for _ in range(2 * n)]
+
+    def vertex(e: int, lift: int) -> Optional[int]:
+        if e not in pair_index:
+            return None
+        return pair_index[e] + lift * n
+
+    for _, walk in lt.triangles:
+        vs = [vertex(e, lift) for e, lift, _ in walk]
+        for k in range(3):
+            a, b = vs[k], vs[(k + 1) % 3]
+            if a is not None and b is not None:
+                raw[a][b] += 1
+    q = Quiver(n, cancel_two_cycles(raw), frozenset(
+        pair_index[e] for e in lt.frozen_edges if e in pair_index
+    ))
+    for v in range(2 * n):
+        if q.b[v][q.twin(v)] != 0:
+            raise SurfaceError("anti-self-folded triangle: arrow between twin lifts")
+    if not q.is_anti_symmetric():
+        raise SurfaceError("adjacency quiver is not anti-symmetric")
+    return q
 
 
 def exchange_polys(q: Quiver, ctx: VariableContext) -> list[Polynomial]:

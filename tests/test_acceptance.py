@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
+from lpsurf.build import double_cover, initial_quasi_triangulation
 from lpsurf.explorer import explore_flips, explore_seeds, flip_correspondence, verify_laurent
 from lpsurf.lp_core import (
     LPSeed,
@@ -16,15 +17,12 @@ from lpsurf.lp_core import (
     validate_seed,
 )
 from lpsurf.poly import VariableContext, parse_polynomial
-from lpsurf.quiver import double_mutate, has_bad_path, lp_seed_from_quiver
+from lpsurf.quiver import adjacency_quiver, double_mutate, has_bad_path, lp_seed_from_quiver
 from lpsurf.surface import (
     MarkedSurface,
-    adjacency_quiver,
     canonical_code,
     detect_m2,
-    double_cover,
     flip,
-    initial_quasi_triangulation,
     seed_from_quasi_triangulation,
 )
 

@@ -6,6 +6,7 @@ import pytest
 import lpsurf.explorer
 import lpsurf.lp_core
 
+from lpsurf.build import initial_quasi_triangulation
 from lpsurf.explorer import (
     ExchangeGraph,
     explore_flips,
@@ -18,13 +19,7 @@ from lpsurf.explorer import (
 )
 from lpsurf.lp_core import LaurentViolation, LPSeed, mutate, seed_key
 from lpsurf.poly import PolyError, parse_polynomial
-from lpsurf.surface import (
-    MarkedSurface,
-    canonical_code,
-    flip,
-    initial_quasi_triangulation,
-    seed_from_quasi_triangulation,
-)
+from lpsurf.surface import MarkedSurface, canonical_code, flip, seed_from_quasi_triangulation
 
 from conftest import random_frozen_variable_seed, random_valid_seed
 from oracles import degrees, dfs_count, polygon_flip_graph, seed_graph_json, vf2_isomorphic
@@ -61,8 +56,9 @@ class TestExploreSeeds:
         g = explore_seeds(hexagon_seed)
         assert (nodes, edges) == (g.node_count, g.edge_count)
 
-    def test_node_cap_truncates(self, hexagon_seed):
-        g = explore_seeds(hexagon_seed, max_nodes=5)
+    def test_node_cap_truncates(self, hexagon_state, monkeypatch):
+        monkeypatch.setenv("LP_SURFACE_SEED_CAP", "5")
+        g = explore_flips(hexagon_state)
         assert g.truncated and g.node_count <= 5
 
     def test_node_cap_env_override(self, hexagon_seed, monkeypatch):
@@ -397,8 +393,10 @@ class TestExport:
         ([-1, 0], [[0, 1, "0"]]),
         ([0], [[0, 5, "0"]]),
         ([0, 1], [[-1, 1, "0"]]),
+        ([0, 1], [[0, 1, "0"], [1, 0, "0"]]),
+        ([0, 1], [[0, 1, "0"], [0, 1, "1"]]),
     ], ids=["id-gap", "duplicate-id", "not-from-zero", "negative-id", "dangling-edge",
-            "negative-endpoint"])
+            "negative-endpoint", "reversed-edge", "repeated-edge"])
     def test_json_rejects_bad_node_ids(self, nodes, edges):
         data = {"schema": 1, "kind": "seeds", "truncated": False,
                 "nodes": [{"id": i, "label": "a"} for i in nodes], "edges": edges}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lpsurf.build import initial_quasi_triangulation
 from lpsurf.lp_core import (
     InvalidSeed,
     _divide_out_common,
@@ -20,7 +21,7 @@ from lpsurf.lp_core import (
 )
 from lpsurf.explorer import explore_seeds
 from lpsurf.poly import VariableContext, parse_polynomial, strip_laurent_monomial
-from lpsurf.surface import MarkedSurface, initial_quasi_triangulation, seed_from_quasi_triangulation
+from lpsurf.surface import MarkedSurface, seed_from_quasi_triangulation
 
 from conftest import random_frozen_variable_seed, random_valid_seed
 from oracles import divide_out_common, mutated_values_at, normalization_exponents, value_at

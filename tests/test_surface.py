@@ -6,11 +6,18 @@ from dataclasses import replace
 import pytest
 
 from lpsurf import surface as surface_module
+from lpsurf.build import (
+    cover_components,
+    double_cover,
+    initial_quasi_triangulation,
+    surface_stats,
+    verify_topology,
+)
 from lpsurf.explorer import explore_flips
 
 from lpsurf.lp_core import mutate, seed_to_json
 from lpsurf.poly import PolyError, VariableContext, parse_polynomial
-from lpsurf.quiver import double_mutate, exchange_polys, has_bad_path
+from lpsurf.quiver import adjacency_quiver, double_mutate, exchange_polys, has_bad_path
 from lpsurf.surface import (
     MOB1,
     POCKET,
@@ -18,23 +25,17 @@ from lpsurf.surface import (
     MarkedSurface,
     QuasiTriangulation,
     SurfaceError,
-    adjacency_quiver,
     canonical_code,
     check_state,
-    cover_components,
     detect_m2,
-    double_cover,
     flip,
-    initial_quasi_triangulation,
     new_quasi_arc,
     rank,
     seed_from_quasi_triangulation,
     surface_from_json,
-    surface_stats,
     surface_to_json,
     triangulation_from_json,
     triangulation_to_json,
-    verify_topology,
 )
 
 from oracles import canonical_code_oracle
@@ -212,7 +213,9 @@ class TestInitialTriangulation:
         lambda d: {**d, "next_id": str(d["next_id"])},
         lambda d: {**d, "boundary": [[str(e), lbl] for e, lbl in d["boundary"]]},
         lambda d: {**d, "regions": [[r[0]] + [str(x) for x in r[1:]] for r in d["regions"]]},
-    ], ids=["list", "schema", "surface-schema", "next-id", "boundary", "region-entries"])
+        lambda d: {**d, "next_id": d["next_id"] - 1},
+    ], ids=["list", "schema", "surface-schema", "next-id", "boundary", "region-entries",
+            "next-id-reused"])
     def test_triangulation_json_rejects_malformed(self, mobius3, edit):
         data = triangulation_to_json(initial_quasi_triangulation(mobius3))
         with pytest.raises(SurfaceError):
