@@ -1,9 +1,10 @@
-"""Initial triangulations of marked surfaces, their topology, and the double cover.
+"""Initial triangulations of marked surfaces, their topology, the double cover and JSON.
 
 :func:`initial_quasi_triangulation` builds a deterministic triangulation of
 every surface shape it supports and checks it against the surface: Euler
 characteristic, boundary components, no interior vertex, and a double cover
 that is connected exactly when the surface is non-orientable.
+:func:`triangulation_from_json` makes the same two checks on a loaded state.
 """
 
 from __future__ import annotations
@@ -12,7 +13,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .surface import TRI, MarkedSurface, QuasiTriangulation, Slot, SurfaceError, check_state
+from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
+from .surface import (
+    MOB1,
+    POCKET,
+    TRI,
+    MarkedSurface,
+    QuasiTriangulation,
+    Slot,
+    SurfaceError,
+    check_state,
+    surface_from_json,
+    surface_to_json,
+)
 
 __all__ = [
     "LiftedTriangulation",
@@ -21,6 +34,8 @@ __all__ = [
     "cover_components",
     "surface_stats",
     "verify_topology",
+    "triangulation_to_json",
+    "triangulation_from_json",
 ]
 
 
@@ -378,3 +393,47 @@ def cover_components(lt: LiftedTriangulation) -> int:
             seen.add(u)
             stack.extend(adj[u] - seen)
     return comps
+
+
+# -- serialization ----------------------------------------------------------------
+
+
+def triangulation_to_json(t: QuasiTriangulation) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "surface": surface_to_json(t.surface),
+        "regions": [list(_region_json(r)) for r in t.regions],
+        "boundary": [[e, lbl] for e, lbl in t.boundary],
+        "next_id": t.next_id,
+        "quasi_arcs": list(t.quasi_arcs),
+    }
+
+
+def _region_json(r) -> tuple:
+    if r[0] == TRI:
+        return (TRI, [list(s) for s in r[1]])
+    if r[0] == POCKET:
+        return (POCKET, r[1], r[2], r[3])
+    return (MOB1, list(r[1]), r[2])
+
+
+_REGION_SHAPES = {TRI: (str, ((int, int),) * 3), POCKET: (str, int, int, int),
+                  MOB1: (str, (int, int), int)}
+
+
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def triangulation_from_json(data: object) -> QuasiTriangulation:
+    surface, regions, boundary, next_id = fields(data, "triangulation", {
+        "surface": (dict, REQUIRED), "regions": ([list], REQUIRED),
+        "boundary": ([(int, str)], REQUIRED), "next_id": (int, REQUIRED),
+    }, SurfaceError)
+    for r in regions:
+        if not (r and isinstance(r[0], str) and matches(r, _REGION_SHAPES.get(r[0], ()))):
+            raise SurfaceError(f"malformed region {r!r}")
+    t = QuasiTriangulation(surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id)
+    check_state(t)
+    verify_topology(t)
+    return t

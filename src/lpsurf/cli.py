@@ -16,7 +16,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import explorer
-from .build import initial_quasi_triangulation
+from .build import initial_quasi_triangulation, triangulation_to_json
 from .lp_core import (
     LPSeed,
     mutate,
@@ -30,7 +30,6 @@ from .surface import (
     MarkedSurface,
     seed_from_quasi_triangulation,
     surface_from_json,
-    triangulation_to_json,
 )
 
 
@@ -58,6 +57,16 @@ def _surface_seed(s: MarkedSurface):
     return t, seed_from_quasi_triangulation(t)
 
 
+def _seed_surface(args: argparse.Namespace) -> MarkedSurface:
+    """The surface of ``--surface``; a seed BFS needs ``--depth`` on all but the
+    polygons and Moebius strips with one boundary component, which have finitely many seeds."""
+    s = surface_from_json(_load_json(args.surface))
+    finite = s.genus == 0 and s.cross_caps <= 1 and len(s.boundary) == 1
+    if "depth" in args and args.depth is None and not finite:
+        args.command.error("the seed graph of this surface is infinite; pass --depth")
+    return s
+
+
 def _seed_arg(args: argparse.Namespace) -> LPSeed:
     """The seed of ``--seed`` or the initial seed of ``--surface``."""
     if args.seed and args.surface:
@@ -65,7 +74,7 @@ def _seed_arg(args: argparse.Namespace) -> LPSeed:
     if args.seed:
         return seed_from_json(_load_json(args.seed))
     if args.surface:
-        return _surface_seed(surface_from_json(_load_json(args.surface)))[1]
+        return _surface_seed(_seed_surface(args))[1]
     args.command.error("pass --seed or --surface")
 
 
@@ -153,7 +162,7 @@ def _explore(args: argparse.Namespace) -> None:
 
 
 def _compare_graphs(args: argparse.Namespace) -> int:
-    t, seed = _surface_seed(surface_from_json(_load_json(args.surface)))
+    t, seed = _surface_seed(_seed_surface(args))
     g_seeds = explorer.explore_seeds(seed, depth=args.depth)
     g_flips = explorer.explore_flips(t, depth=args.depth)
     iso = explorer.flip_correspondence(g_seeds, g_flips, t) is not None

@@ -298,9 +298,6 @@ class Polynomial:
                 break
         return g
 
-    def height(self) -> int:
-        return max((abs(c) for _, c in self.terms), default=0)
-
     def canonical_sign(self) -> "Polynomial":
         """Representative with positive leading coefficient under graded lex."""
         if self.is_zero or self.terms[0][1] > 0:

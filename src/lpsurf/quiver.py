@@ -61,9 +61,6 @@ class Quiver:
     def twin(self, v: int) -> int:
         return (v + self.pairs) % (2 * self.pairs)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.b[i][j]
-
     def is_skew_symmetric(self) -> bool:
         n2 = self.size
         return all(self.b[i][j] == -self.b[j][i] for i in range(n2) for j in range(n2))

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, VariableContext, cached_attribute
-from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
+from .schema import REQUIRED, SCHEMA_VERSION, fields
 
 __all__ = [
     "MarkedSurface",
@@ -42,7 +42,6 @@ __all__ = [
     "check_state",
     "surface_to_json",
     "surface_from_json",
-    "triangulation_to_json",
 ]
 
 TRI = "tri"
@@ -305,12 +304,10 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     token ``("b", L, -1)``, L the least boundary label in string order, so
     the candidate flags are the slots of every boundary segment labelled L
     (labels may repeat), each entered against its sign.  Otherwise every flag
-    of the least kind is a candidate.  One candidate on a triangulation is
-    walked directly by :func:`_tri_code`.  Otherwise the walks of
-    :func:`_bfs_code` from the candidates advance row by row, a walk is
-    dropped as soon as its row exceeds the least row, and the one walk left
-    is finished; walks that tie to the end give one code.  The result equals
-    the minimum over all flags.
+    of the least kind is a candidate.  :func:`_walk_code` walks the first
+    candidate, then each other one against the least code so far, and drops
+    it at its first row above that code.  The result equals the minimum over
+    all flags.
     """
     regions, slots = t.regions, t.slots
     kind = min(r[0] for r in regions)
@@ -323,21 +320,18 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
         least_label = min(bnd)[0]
         flags = [(ri, p, -sides[ri][p][1])
                  for label, e in bnd if label == least_label for ri, p in slots[e]]
-        if len(flags) == 1:
-            return _tri_code(t, sides, *flags[0])
     else:
         flags = [(ri, p, d) for ri, rs in enumerate(sides) if regions[ri][0] == kind
                  for p in range(len(rs)) for d in (1, -1)]
-    walks = [_bfs_code(t, sides, *flag) for flag in flags]
-    code: list = []
-    while len(walks) > 1:
-        rows = [next(walk, None) for walk in walks]
-        if None in rows:  # an ended walk's code is a prefix of the others'
-            return tuple(code)
-        least = min(rows)
-        code.append(least)
-        walks = [walk for walk, row in zip(walks, rows) if row == least]
-    return tuple(code) + tuple(walks[0])
+    links = slots
+    if t.pockets:  # a portal also leads from its mouth triangle into its pocket
+        links = dict(slots)
+        for pi, portal, _, _ in t.pockets:
+            links[portal] = slots[portal] + [(pi, 0)]
+    code = None
+    for flag in flags:
+        code = _walk_code(t, sides, links, *flag, code) or code
+    return code
 
 
 # (arity, entry side p, direction d) -> the positions of a region's sides in
@@ -346,63 +340,43 @@ _WALK = {(n, p, d): tuple((p + d * k) % n for k in range(n))
          for n in (1, 3) for p in range(n) for d in (1, -1)}
 
 
-def _tri_code(t, sides, r0, p0, d0):
-    """The code of a pure triangulation from one flag, in one walk.
+def _walk_code(t, sides, links, r0, p0, d0, bound=None):
+    """The code from one flag: its rows in BFS order, then the region count.
 
-    Each row is built in one pass over the triangle's sides, which also
-    queues each unseen neighbour, entered so that the crossing is coherent.
-    A region is marked seen when it is queued, so it keeps the entry of its
-    first queueing, as in a walk that marks it when its row is built.
+    Each row is built in one pass over the region's sides, which also queues
+    each unseen neighbour across ``links`` (the slots of each edge), entered
+    so that the crossing is coherent.  A region is marked seen when it is
+    queued, so it keeps the entry of its first queueing, as in a walk that
+    marks it when its row is built.  With ``bound``, a code, the walk gives
+    None at its first row above ``bound``'s row at the same index, and
+    compares no more after a row below it.
     """
-    bnd_label, slots = t.boundary_labels, t.slots
+    regions, bnd_label = t.regions, t.boundary_labels
     seen = {r0}
-    num: dict[int, int] = {}  # arc ids in discovery order
+    num: dict[int, int] = {}  # arc and portal ids in discovery order
     queue = [(r0, p0, d0)]
     code = []
     for ri, entry, d in queue:
         rs = sides[ri]
-        row = [TRI]
-        for pos in _WALK[3, entry, d]:
-            e, s = rs[pos]
-            if e in bnd_label:
-                row.append(("b", bnd_label[e], d * s))
-                continue
-            row.append(("e", num.setdefault(e, len(num))))
-            for oi, opos in slots[e]:
-                if oi not in seen:
-                    seen.add(oi)
-                    queue.append((oi, opos, -d * s * sides[oi][opos][1]))
-        code.append(tuple(row))
-    code.append(("#regions", len(seen)))
-    return tuple(code)
-
-
-def _bfs_code(t, sides, r0, p0, d0):
-    """The code from one flag of any state, one row at a time: its rows in
-    BFS order, then the region count; rows are built as in :func:`_tri_code`."""
-    regions, bnd_label, slots = t.regions, t.boundary_labels, t.slots
-    pocket_of = t.pockets and t.pocket_of
-    seen = {r0}
-    num: dict[int, int] = {}  # arc and portal ids in discovery order
-    queue = [(r0, p0, d0)]
-    for ri, entry, d in queue:
-        kind, rs = regions[ri][0], sides[ri]
-        row = [kind]
+        row = [regions[ri][0]]
         for pos in _WALK[len(rs), entry, d]:
             e, s = rs[pos]
             if e in bnd_label:
                 row.append(("b", bnd_label[e], d * s))
                 continue
             row.append(("e", num.setdefault(e, len(num))))
-            # cross to the neighbor, entering so that the crossing is coherent; a
-            # portal leads from its mouth triangle into the pocket, whose
-            # entry direction changes nothing, and back through its one slot
-            for oi, opos in ((pocket_of[e][0], 0),) if kind == TRI and e in pocket_of else slots[e]:
+            for oi, opos in links[e]:
                 if oi not in seen:
                     seen.add(oi)
                     queue.append((oi, opos, -d * s * sides[oi][opos][1]))
-        yield tuple(row)
-    yield ("#regions", len(seen))
+        row = tuple(row)
+        if bound is not None and row != bound[len(code)]:
+            if row > bound[len(code)]:
+                return None
+            bound = None
+        code.append(row)
+    code.append(("#regions", len(seen)))
+    return tuple(code)
 
 
 # -- seed extraction -------------------------------------------------------------
@@ -524,43 +498,3 @@ def surface_from_json(data: object) -> MarkedSurface:
     if s.rank > MAX_RANK:
         raise SurfaceError(f"surface rank {s.rank} is above the limit of {MAX_RANK}")
     return s
-
-
-def triangulation_to_json(t: QuasiTriangulation) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "surface": surface_to_json(t.surface),
-        "regions": [list(_region_json(r)) for r in t.regions],
-        "boundary": [[e, lbl] for e, lbl in t.boundary],
-        "next_id": t.next_id,
-        "quasi_arcs": list(t.quasi_arcs),
-    }
-
-
-def _region_json(r) -> tuple:
-    if r[0] == TRI:
-        return (TRI, [list(s) for s in r[1]])
-    if r[0] == POCKET:
-        return (POCKET, r[1], r[2], r[3])
-    return (MOB1, list(r[1]), r[2])
-
-
-_REGION_SHAPES = {TRI: (str, ((int, int),) * 3), POCKET: (str, int, int, int),
-                  MOB1: (str, (int, int), int)}
-
-
-def _tuples(x):
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
-
-
-def triangulation_from_json(data: object) -> QuasiTriangulation:
-    surface, regions, boundary, next_id = fields(data, "triangulation", {
-        "surface": (dict, REQUIRED), "regions": ([list], REQUIRED),
-        "boundary": ([(int, str)], REQUIRED), "next_id": (int, REQUIRED),
-    }, SurfaceError)
-    for r in regions:
-        if not (r and isinstance(r[0], str) and matches(r, _REGION_SHAPES.get(r[0], ()))):
-            raise SurfaceError(f"malformed region {r!r}")
-    t = QuasiTriangulation(surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id)
-    check_state(t)
-    return t

@@ -48,9 +48,9 @@ def brute_force_reducible(p: Polynomial, height: Optional[int] = None) -> bool:
 
     Candidates range over all polynomials in p's variables with total degree
     at most deg(p)/2, per-variable degree at most that of p, and coefficients
-    bounded by ``height`` (default: the height of p).  Complete whenever p
-    actually has a factor within those bounds, which holds for every
-    reducible entry of the test corpus by construction.
+    bounded by ``height`` (default: the largest absolute coefficient of p).
+    Complete whenever p actually has a factor within those bounds, which holds
+    for every reducible entry of the test corpus by construction.
     """
     assert p.is_ordinary and not p.is_zero and not p.is_unit
     if p.is_constant:
@@ -58,7 +58,7 @@ def brute_force_reducible(p: Polynomial, height: Optional[int] = None) -> bool:
         return any(c % d == 0 for d in range(2, c) if d * d <= c)
     if p.content() != 1:
         return True
-    h = height if height is not None else p.height()
+    h = height if height is not None else max(abs(c) for _, c in p.terms)
     indices = list(p.involved_indices())
     nvars = p.ctx.nvars
     half = p.total_degree() // 2

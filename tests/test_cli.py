@@ -353,6 +353,46 @@ def test_module_entry_point(tmp_path):
         0, "isomorphic: true, nodes=14, edges=21\n", "")
 
 
+ANNULUS11 = {**HEXAGON, "boundary": [1, 1]}
+TORUS1 = {**HEXAGON, "genus": 1, "boundary": [1]}
+
+
+@pytest.mark.parametrize("surface", [ANNULUS11, TORUS1], ids=["annulus11", "torus1"])
+@pytest.mark.parametrize("command", ["compare-graphs --surface FILE",
+                                     "explore --surface FILE", "explore --mode seeds --surface FILE"])
+def test_infinite_seed_graph_needs_depth(runner, surface, command, time_limit):
+    """Without --depth, a seed BFS on a surface of infinite type would never end."""
+    result = _run(runner, surface, command, {})
+    _assert_clean_exit(result, (2,))
+    lines = result.output.splitlines()
+    assert lines[0].startswith(f"usage: lpsurf {command.split()[0]}")
+    assert lines[-1] == "Error: the seed graph of this surface is infinite; pass --depth"
+    assert sum(line.startswith("Error: ") for line in lines) == 1
+
+
+@pytest.mark.parametrize("surface", [ANNULUS11, TORUS1], ids=["annulus11", "torus1"])
+@pytest.mark.parametrize("command", ["explore --mode flips --surface FILE",
+                                     "explore --surface FILE --depth 2",
+                                     "compare-graphs --surface FILE --depth 2"])
+def test_infinite_seed_graph_runs_bounded(runner, surface, command, time_limit):
+    """The flip graph up to relabelling is finite, and --depth bounds the seed BFS."""
+    result = _run(runner, surface, command, {})
+    _assert_clean_exit(result, (0, 1))
+    if command.startswith("compare-graphs"):  # a truncated seed graph against the flips
+        assert (result.exit_code, result.output) == (
+            1, "Error: cannot compare a truncated graph with a complete one\n")
+    else:
+        assert result.exit_code == 0 and json.loads(result.output)["nodes"]
+
+
+@pytest.mark.parametrize("surface", [HEXAGON, M2, {**M2, "boundary": [3]}],
+                         ids=["hexagon", "M2", "M3"])
+@pytest.mark.parametrize("command", ["compare-graphs --surface FILE", "explore --surface FILE"])
+def test_finite_seed_graph_needs_no_depth(runner, surface, command, time_limit):
+    result = _run(runner, surface, command, {})
+    _assert_clean_exit(result, (0,))
+
+
 def _edit(doc, **changes):
     """``doc`` with fields replaced; a field set to ``...`` is removed."""
     out = {**doc, **changes}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpsurf import poly
-from lpsurf.build import initial_quasi_triangulation
+from lpsurf.build import initial_quasi_triangulation, triangulation_to_json
 from lpsurf.cli import main
 from lpsurf.lp_core import seed_to_json
 from lpsurf.poly import (
@@ -20,7 +20,7 @@ from lpsurf.poly import (
     parse_polynomial,
     strip_laurent_monomial,
 )
-from lpsurf.surface import MarkedSurface, seed_from_quasi_triangulation, triangulation_to_json
+from lpsurf.surface import MarkedSurface, seed_from_quasi_triangulation
 
 from oracles import brute_force_reducible, factor_irreducible, laurent_quotient, seed_graph_json
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,8 @@ from lpsurf.build import (
     double_cover,
     initial_quasi_triangulation,
     surface_stats,
+    triangulation_from_json,
+    triangulation_to_json,
     verify_topology,
 )
 from lpsurf.explorer import explore_flips
@@ -34,8 +37,6 @@ from lpsurf.surface import (
     seed_from_quasi_triangulation,
     surface_from_json,
     surface_to_json,
-    triangulation_from_json,
-    triangulation_to_json,
 )
 
 from oracles import canonical_code_oracle
@@ -220,6 +221,21 @@ class TestInitialTriangulation:
         data = triangulation_to_json(initial_quasi_triangulation(mobius3))
         with pytest.raises(SurfaceError):
             triangulation_from_json(edit(data))
+
+    @pytest.mark.parametrize("saved,named,message", [
+        (MarkedSurface(0, 1, (4,)), MarkedSurface(0, 0, (2, 2)),
+         r"^boundary structure \[4\] != expected \[2, 2\]$"),
+        (MarkedSurface(1, 0, (2,)), MarkedSurface(0, 2, (2,)),
+         "^double cover does not match orientability$"),
+    ], ids=str)
+    def test_triangulation_json_rejects_another_surface(self, saved, named, message):
+        """A state of one surface saved under another of the same rank passes
+        check_state; the loader's topology check rejects it."""
+        t = initial_quasi_triangulation(saved)
+        check_state(replace(t, surface=named))
+        data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
+        with pytest.raises(SurfaceError, match=message):
+            triangulation_from_json(data)
 
     def test_stray_boundary_edge_is_rejected(self, hexagon):
         """A boundary edge on no region would give the hexagon a seventh frozen b7."""
@@ -478,21 +494,18 @@ class TestCanonicalCode:
     def test_one_bfs_per_code_on_the_heptagon(self, monkeypatch):
         """Only the flag with the least first row is walked on a triangulation."""
         codes, walks = [], []
-        real_code = canonical_code
+        real_code, real_walk = canonical_code, surface_module._walk_code
 
         def counting_code(t):
             codes.append(t)
             return real_code(t)
 
-        def counting(real_walk):
-            def walk(*args):
-                walks.append(args)
-                return real_walk(*args)
-            return walk
+        def counting_walk(*args):
+            walks.append(args)
+            return real_walk(*args)
 
         monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
-        for name in ("_tri_code", "_bfs_code"):  # the direct and the lockstep walk
-            monkeypatch.setattr(surface_module, name, counting(getattr(surface_module, name)))
+        monkeypatch.setattr(surface_module, "_walk_code", counting_walk)
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # the initial state once, then the 4 flips of each of the 42 states
         assert (g.node_count, len(codes), len(walks)) == (42, 1 + 42 * 4, 1 + 42 * 4)
@@ -500,8 +513,7 @@ class TestCanonicalCode:
     def test_first_rows_only_for_candidate_flags(self, monkeypatch):
         """First rows are built only for the flags that can start the least code."""
         rows, per_code = [], []
-        real_code = canonical_code
-        real_tri_code, real_bfs_code = surface_module._tri_code, surface_module._bfs_code
+        real_code, real_walk = canonical_code, surface_module._walk_code
 
         def counting_code(t):
             before = len(rows)
@@ -509,22 +521,20 @@ class TestCanonicalCode:
             per_code.append((len(rows) - before, tuple(sorted(r[0] for r in t.regions))))
             return code
 
-        # the direct walk builds every row of its code; a lockstep walk builds
-        # the rows that are taken from it
-        def counting_tri_code(*args):
-            code = real_tri_code(*args)
-            rows.extend(code[:-1])
+        # a walk that gives a code builds every row of it; a walk cut by its
+        # bound builds the rows up to the first one above the bound's row
+        def counting_walk(t, sides, links, r0, p0, d0, bound=None):
+            code = real_walk(t, sides, links, r0, p0, d0, bound)
+            if code is None:
+                full = real_walk(t, sides, links, r0, p0, d0)
+                built = next(i for i, (row, least) in enumerate(zip(full, bound)) if row != least)
+                rows.extend(full[:built + 1])
+            else:
+                rows.extend(code[:-1])
             return code
 
-        def counting_bfs_code(*args):
-            for row in real_bfs_code(*args):
-                if row[0] != "#regions":
-                    rows.append(row)
-                yield row
-
         monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
-        monkeypatch.setattr(surface_module, "_tri_code", counting_tri_code)
-        monkeypatch.setattr(surface_module, "_bfs_code", counting_bfs_code)
+        monkeypatch.setattr(surface_module, "_walk_code", counting_walk)
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # 169 codes, each the 5 rows of one walk from one flag (b1 entered
         # against its sign); the full scan over all 30 flags built 5,915
@@ -533,14 +543,14 @@ class TestCanonicalCode:
         per_code.clear()
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (4,))))
         # a triangulation of M4 (4 triangles) builds 4 rows; a pocket state (a
-        # pocket and 3 triangles) walks from both pocket flags, whose first
-        # rows tie, in step until their second or third rows differ, and
-        # finishes one walk: 2 * 2 + 2 or 2 * 3 + 1 rows.  Walking both to the
-        # end built 2 + 2 * 4 rows (first rows built twice), the full scan 7,196.
+        # pocket and 3 triangles) walks its first pocket flag to the end, then
+        # the second against it: cut at its second or third row (6 or 7 rows),
+        # or walked to the end when it ties or wins (8 rows).  The full scan
+        # built 7,196.
         tris, pocket = (TRI,) * 4, (POCKET,) + (TRI,) * 3
-        assert set(per_code) == {(4, tris), (6, pocket), (7, pocket)}
-        assert len(per_code) == 1 + 64 * 4
-        assert len(rows) <= 7 * len(per_code)
+        assert sorted(Counter(per_code).items()) == [
+            ((4, tris), 177), ((6, pocket), 34), ((7, pocket), 11), ((8, pocket), 35)]
+        assert len(rows) == 1269 <= 7 * len(per_code)
 
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
@@ -554,10 +564,7 @@ class TestCanonicalCode:
         t = initial_quasi_triangulation(surface, labels=labels)
         for _ in range(60):
             t = flip(t, rng.choice(t.quasi_arcs))
-            sides = [t.region_sides(ri) for ri in range(len(t.regions))]
-            full = min(tuple(surface_module._bfs_code(t, sides, ri, p, d))
-                       for ri, rs in enumerate(sides) for p in range(len(rs)) for d in (1, -1))
-            assert canonical_code(t) == full
+            assert canonical_code(t) == canonical_code_oracle(t)
 
 
 class TestDoubleCover:
