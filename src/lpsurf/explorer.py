@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lp_core import LaurentViolation, LPSeed, _exchange_token, mutate, seed_key
-from .poly import PolyError
+from .poly import PolyError, release_cached
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import QuasiTriangulation, canonical_code, flip
 
@@ -45,7 +45,12 @@ def _node_cap() -> int:
 
 @dataclass
 class ExchangeGraph:
-    """Graph of canonical nodes joined by single moves; BFS adds ``keys`` and ``parents``."""
+    """Graph of canonical nodes joined by single moves; BFS adds ``keys`` and ``parents``.
+
+    ``payloads`` holds each node's seed or state.  The BFS releases the
+    cached derived structure of every node it expanded, so such a payload
+    rebuilds it on its next use.
+    """
 
     kind: str  # "seeds" or "flips"
     labels: list[str]
@@ -81,10 +86,16 @@ def _bfs(
     labelled.  Skip sets exist only for nodes that receive a token.  The graph
     keeps the node keys in node order as ``keys``, and as ``parents`` the
     first ``(u, direction)`` that reached each node (None for the root).
+
+    A node's label is taken when it is expanded, and then the payload's
+    cached derived structure is released (:func:`lpsurf.poly.release_cached`):
+    only nodes not yet expanded keep theirs, and a later read rebuilds it.
+    An edge's label string is built once, when the edge is new.
     """
     max_nodes = _node_cap()
     index = {start_key: 0}
     payloads = [start_payload]
+    labels: list = [None]
     parents: list = [None]
     depths = [0]
     edges: dict[tuple[int, int], str] = {}
@@ -97,7 +108,8 @@ def _bfs(
             break
         next_frontier = []
         for u in frontier:
-            for direction, key, payload, back in neighbors(payloads[u], skip.pop(u, ())):
+            node = payloads[u]
+            for direction, key, payload, back in neighbors(node, skip.pop(u, ())):
                 v = index.get(key)
                 if v is None:
                     if len(payloads) >= max_nodes:
@@ -106,15 +118,19 @@ def _bfs(
                     v = len(payloads)
                     index[key] = v
                     payloads.append(payload)
+                    labels.append(None)
                     parents.append((u, direction))
                     depths.append(depths[u] + 1)
                     next_frontier.append(v)
                 edge = (u, v) if u < v else (v, u)
-                edges.setdefault(edge, str(direction))
+                if edge not in edges:
+                    edges[edge] = str(direction)
                 if back is not None:
                     skip.setdefault(v, set()).add(back)
+            labels[u] = label(node)
+            release_cached(node)
         frontier = next_frontier
-    labels = [label(p) for p in payloads]
+    labels = [label(p) if lbl is None else lbl for p, lbl in zip(payloads, labels)]
     return ExchangeGraph(kind, labels, edges, truncated, payloads, list(index), parents)
 
 

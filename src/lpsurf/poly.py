@@ -44,6 +44,9 @@ class cached_attribute:
     may both compute the value, which is harmless for these pure functions.
     ``Polynomial`` caches its predicates and its variable support with it,
     ``LPSeed`` its violations and ``QuasiTriangulation`` its derived structure.
+    A value dropped by :func:`release_cached`, or stored by a caller that
+    already holds it (a flipped state takes its parent's boundary data), is
+    read the same way; a dropped one is rebuilt on its next use.
     """
 
     def __init__(self, func):
@@ -51,11 +54,24 @@ class cached_attribute:
         self.name = func.__name__
         self.__doc__ = func.__doc__
 
+    def __set_name__(self, owner, name):
+        owner._cached_names = (*getattr(owner, "_cached_names", ()), name)
+
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+def release_cached(obj) -> None:
+    """Drop every :class:`cached_attribute` value ``obj`` holds.
+
+    The BFS calls it on each node it has expanded, so a stored state keeps
+    no derived structure it will not read again; a later read rebuilds it.
+    """
+    for name in getattr(type(obj), "_cached_names", ()):
+        obj.__dict__.pop(name, None)
 
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")

@@ -112,13 +112,43 @@ def rank(surface: MarkedSurface) -> int:
 
 Slot = tuple[int, int]  # (edge id, +1/-1 traversal sign)
 
+# Objects that every state shares, so that a slot index or a code allocates
+# none of its own.  A table grows only by rebinding a longer copy (or by one
+# atomic ``setdefault``), so a thread never reads a half-built one.  No lock:
+# a thread that loses a race keeps entries equal to the winner's, and a table
+# a race left shorter is grown again on its next use.
+_SLOT_PAIRS: tuple = ()  # ((ri, 0), (ri, 1), (ri, 2)) at index ri
+_EDGE_TOKENS: tuple = ()  # ("e", k) at index k
+_BOUNDARY_TOKENS: dict = {}  # label L -> (None, ("b", L, 1), ("b", L, -1))
+
+
+def _slot_pairs(n: int) -> tuple:
+    global _SLOT_PAIRS
+    pairs = _SLOT_PAIRS
+    if len(pairs) < n:
+        pairs = _SLOT_PAIRS = pairs + tuple(
+            ((ri, 0), (ri, 1), (ri, 2)) for ri in range(len(pairs), n))
+    return pairs
+
+
+def _edge_tokens(n: int) -> tuple:
+    global _EDGE_TOKENS
+    tokens = _EDGE_TOKENS
+    if len(tokens) < n:
+        tokens = _EDGE_TOKENS = tokens + tuple(("e", k) for k in range(len(tokens), n))
+    return tokens
+
 
 @dataclass(frozen=True)
 class QuasiTriangulation:
     """Immutable region complex; flips return fresh states.
 
     The derived structure below is built on first use and cached on the
-    instance; it takes no part in equality, hashing or serialization.
+    instance; it takes no part in equality, hashing or serialization.  A
+    flipped state starts out holding its parent's boundary data (the
+    boundary dicts and the least-label segments), which a flip never
+    changes; the BFS drops an expanded state's structure, and a later read
+    rebuilds it.
     """
 
     surface: MarkedSurface
@@ -133,18 +163,35 @@ class QuasiTriangulation:
         return dict(self.boundary)
 
     @cached_attribute
+    def boundary_tokens(self) -> dict[int, tuple]:
+        """The shared code tokens of each boundary segment, indexed by sign.
+
+        Index 1 holds ``("b", label, 1)`` and index -1 ``("b", label, -1)``.
+        """
+        return {e: _BOUNDARY_TOKENS.get(label) or _BOUNDARY_TOKENS.setdefault(
+                    label, (None, ("b", label, 1), ("b", label, -1)))
+                for e, label in self.boundary}
+
+    @cached_attribute
+    def least_boundary(self) -> tuple[int, ...]:
+        """The boundary segments with the least label in string order."""
+        least = min((label for _, label in self.boundary), default=None)
+        return tuple(e for e, label in self.boundary if label == least)
+
+    @cached_attribute
     def slots(self) -> dict[int, list[tuple[int, int]]]:
         """Triangle and mob1 side slots per edge id: (region index, position).
 
         A portal's only slot is its side in the pocket's mouth triangle.
+        The pairs are shared by every state.
         """
         out: dict[int, list[tuple[int, int]]] = {}
-        for ri, r in enumerate(self.regions):
+        for r, pairs in zip(self.regions, _slot_pairs(len(self.regions))):
             if r[0] == TRI:
-                for pos, (e, _) in enumerate(r[1]):
-                    out.setdefault(e, []).append((ri, pos))
+                for (e, _), pair in zip(r[1], pairs):
+                    out.setdefault(e, []).append(pair)
             elif r[0] == MOB1:
-                out.setdefault(r[1][0], []).append((ri, 0))
+                out.setdefault(r[1][0], []).append(pairs[0])
         return out
 
     @cached_attribute
@@ -250,8 +297,9 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
 
     The new quasi-arc takes the id ``t.next_id``; a new pocket's portal takes
     the id after it.  The regions the flip replaces are dropped and its new
-    regions appended; the new state shares ``t``'s surface and boundary and
-    builds its own derived structure on first use.
+    regions appended.  The new state shares ``t``'s surface, boundary and the
+    structure derived from the boundary alone (``boundary_labels``,
+    ``boundary_tokens``, ``least_boundary``), and builds the rest on first use.
     """
     kind, drop, sides = _classify(t, q)
     n = t.next_id
@@ -274,7 +322,10 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
             add = ((TRI, (mouth, b, a)), (POCKET, portal, curve, n))
     regions = tuple(r for ri, r in enumerate(t.regions) if ri not in drop) + add
     next_id = n + 2 if kind == "to_curve" else n + 1
-    return QuasiTriangulation(t.surface, regions, t.boundary, next_id)
+    child = QuasiTriangulation(t.surface, regions, t.boundary, next_id)
+    vars(child).update(boundary_labels=t.boundary_labels, boundary_tokens=t.boundary_tokens,
+                       least_boundary=t.least_boundary)
+    return child
 
 
 def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
@@ -303,24 +354,21 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     < ``tri``).  On a pure triangulation it also opens with the least boundary
     token ``("b", L, -1)``, L the least boundary label in string order, so
     the candidate flags are the slots of every boundary segment labelled L
-    (labels may repeat), each entered against its sign.  Otherwise every flag
-    of the least kind is a candidate.  :func:`_walk_code` walks the first
+    (labels may repeat, see ``least_boundary``), each entered against its
+    sign.  Otherwise, or if no such segment has a slot, every flag of the
+    least kind is a candidate.  :func:`_walk_code` walks the first
     candidate, then each other one against the least code so far, and drops
     it at its first row above that code.  The result equals the minimum over
-    all flags.
+    all flags.  Its tokens are objects shared by every code.
     """
     regions, slots = t.regions, t.slots
     kind = min(r[0] for r in regions)
     if kind == TRI:
         sides = [r[1] for r in regions]
-        bnd = [(label, e) for e, label in t.boundary if e in slots]
+        flags = [(ri, p, -sides[ri][p][1]) for e in t.least_boundary for ri, p in slots.get(e, ())]
     else:
-        sides, bnd = [t.region_sides(ri) for ri in range(len(regions))], ()
-    if bnd:
-        least_label = min(bnd)[0]
-        flags = [(ri, p, -sides[ri][p][1])
-                 for label, e in bnd if label == least_label for ri, p in slots[e]]
-    else:
+        sides, flags = [t.region_sides(ri) for ri in range(len(regions))], ()
+    if not flags:
         flags = [(ri, p, d) for ri, rs in enumerate(sides) if regions[ri][0] == kind
                  for p in range(len(rs)) for d in (1, -1)]
     links = slots
@@ -351,7 +399,7 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
     None at its first row above ``bound``'s row at the same index, and
     compares no more after a row below it.
     """
-    regions, bnd_label = t.regions, t.boundary_labels
+    regions, bnd_tokens, edge_tokens = t.regions, t.boundary_tokens, _edge_tokens(len(links))
     seen = {r0}
     num: dict[int, int] = {}  # arc and portal ids in discovery order
     queue = [(r0, p0, d0)]
@@ -361,10 +409,10 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
         row = [regions[ri][0]]
         for pos in _WALK[len(rs), entry, d]:
             e, s = rs[pos]
-            if e in bnd_label:
-                row.append(("b", bnd_label[e], d * s))
+            if e in bnd_tokens:
+                row.append(bnd_tokens[e][d * s])
                 continue
-            row.append(("e", num.setdefault(e, len(num))))
+            row.append(edge_tokens[num.setdefault(e, len(num))])
             for oi, opos in links[e]:
                 if oi not in seen:
                     seen.add(oi)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,8 +20,14 @@ from lpsurf.explorer import (
     verify_laurent,
 )
 from lpsurf.lp_core import LaurentViolation, LPSeed, mutate, seed_key
-from lpsurf.poly import PolyError, parse_polynomial
-from lpsurf.surface import MarkedSurface, canonical_code, flip, seed_from_quasi_triangulation
+from lpsurf.poly import PolyError, cached_attribute, parse_polynomial
+from lpsurf.surface import (
+    MarkedSurface,
+    QuasiTriangulation,
+    canonical_code,
+    flip,
+    seed_from_quasi_triangulation,
+)
 
 from conftest import random_frozen_variable_seed, random_valid_seed
 from oracles import degrees, dfs_count, polygon_flip_graph, seed_graph_json, vf2_isomorphic
@@ -167,6 +175,53 @@ class TestExploreFlips:
         assert (gs.node_count, gs.edge_count) == (64, 128)
         assert flip_correspondence(gs, gf, t) is not None
         assert vf2_isomorphic(gs, gf)[0]
+
+
+M5 = MarkedSurface(0, 1, (5,))
+
+
+def cached_values(obj) -> set:
+    """The names of the cached_attribute values ``obj`` holds."""
+    cls = type(obj)
+    return {name for name in vars(obj) if isinstance(vars(cls).get(name), cached_attribute)}
+
+
+class TestReleaseAfterExpansion:
+    """An expanded node keeps no derived structure; the graph stays the same."""
+
+    def test_complete_flip_graph_keeps_none(self):
+        g = explore_flips(initial_quasi_triangulation(M5))
+        assert g.node_count == 256
+        assert not any(cached_values(t) for t in g.payloads)
+
+    def test_complete_seed_graph_keeps_none(self, hexagon_seed):
+        g = explore_seeds(hexagon_seed)
+        assert not any(cached_values(s) for s in g.payloads)
+
+    def test_depth_bound_keeps_it_on_unexpanded_nodes_only(self):
+        g = explore_flips(initial_quasi_triangulation(M5), depth=2)
+        depths = [0]
+        for u, _ in g.parents[1:]:
+            depths.append(depths[u] + 1)
+        keeping = [v for v, t in enumerate(g.payloads) if cached_values(t)]
+        assert keeping == [v for v, d in enumerate(depths) if d == 2] and len(keeping) == 14
+        fresh = [QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id)
+                 for t in g.payloads]
+        assert g.labels == [",".join(map(str, t.quasi_arcs)) for t in fresh]
+
+    def test_retained_bytes_per_node(self):
+        """About 1,700 B per node on CPython 3.11; keeping every state's index took 4,973 B."""
+        t0 = initial_quasi_triangulation(M5)
+        canonical_code(t0)  # the shared tables already hold M5's tokens
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = explore_flips(t0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / g.node_count <= 2500
 
 
 def _graphs(surface, depth=None):

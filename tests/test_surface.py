@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -565,6 +568,77 @@ class TestCanonicalCode:
         for _ in range(60):
             t = flip(t, rng.choice(t.quasi_arcs))
             assert canonical_code(t) == canonical_code_oracle(t)
+
+
+class TestSharedStructure:
+    """What a flip hands its child, and the objects codes share, equal a fresh build."""
+
+    @staticmethod
+    def assert_built_as_fresh(t, q):
+        t2 = flip(t, q)
+        fresh = QuasiTriangulation(t2.surface, t2.regions, t2.boundary, t2.next_id)
+        assert t2.boundary_labels is t.boundary_labels
+        for name in ("boundary_labels", "boundary_tokens", "least_boundary", "slots"):
+            assert getattr(t2, name) == getattr(fresh, name), name
+
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
+    def test_flips_of_golden_states(self, surface, depth, digest, seed_digest, labels):
+        g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
+        for t in g.payloads:
+            for q in t.quasi_arcs:
+                self.assert_built_as_fresh(t, q)
+
+    @pytest.mark.parametrize("surface,labels", [
+        (MarkedSurface(0, 1, (1,)), None), (MarkedSurface(0, 1, (4,)), None),
+        (MarkedSurface(0, 2, (2,)), None), (MarkedSurface(0, 0, (2, 2)), None),
+        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
+    ], ids=str)
+    def test_flips_of_scrambled_states(self, surface, labels):
+        rng = random.Random(f"shared {surface} {labels}")
+        for _ in range(20):
+            t = initial_quasi_triangulation(surface, labels=labels)
+            for _ in range(rng.randint(0, 8)):
+                t = flip(t, rng.choice(t.quasi_arcs))
+            t = TestCanonicalCode.scramble(t, rng)
+            for q in t.quasi_arcs:
+                self.assert_built_as_fresh(t, q)
+
+    def test_codes_share_their_tokens(self):
+        t = initial_quasi_triangulation(MarkedSurface(0, 1, (4,)))
+        other = TestCanonicalCode.scramble(flip(t, detect_m2(t)[0]), random.Random(0))
+        code, other_code = canonical_code(t), canonical_code(other)
+        assert code != other_code
+        tokens = {tok: tok for row in code[:-1] for tok in row[1:]}
+        shared = [tok for row in other_code[:-1] for tok in row[1:] if tok in tokens]
+        assert {tok[0] for tok in shared} == {"b", "e"}
+        assert all(tokens[tok] is tok for tok in shared)
+
+    @pytest.mark.parametrize("surface", [MarkedSurface(0, 0, (8,)), MarkedSurface(0, 1, (4,))],
+                             ids=str)
+    def test_codes_from_four_threads(self, surface, monkeypatch):
+        """Threads that start from empty shared tables get the serial codes."""
+        states = explore_flips(initial_quasi_triangulation(surface)).payloads
+        serial = [canonical_code(t) for t in states]
+        for name, empty in (("_SLOT_PAIRS", ()), ("_EDGE_TOKENS", ()), ("_BOUNDARY_TOKENS", {})):
+            monkeypatch.setattr(surface_module, name, empty)
+        fresh = [QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id) for t in states]
+        start = threading.Barrier(4)
+
+        def codes(k):
+            order = list(range(len(fresh)))
+            order = order[k * len(order) // 4:] + order[:k * len(order) // 4]  # its own start
+            start.wait(timeout=60)
+            return {i: canonical_code(fresh[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(codes, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [result[i] for i in range(len(fresh))] == serial
 
 
 class TestDoubleCover:
