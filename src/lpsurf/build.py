@@ -10,9 +10,9 @@ that is connected exactly when the surface is non-orientable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .poly import Record
 from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
 from .surface import (
     MOB1,
@@ -317,14 +317,18 @@ def verify_topology(t: QuasiTriangulation) -> None:
 # -- double cover -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftedTriangulation:
+class LiftedTriangulation(Record):
     """Oriented double cover of a pure triangulation with its deck involution."""
 
-    base: QuasiTriangulation
-    triangles: tuple  # ((region, sheet), walk) with walk = tuple of (edge, lift, sign)
-    mutable_edges: tuple[int, ...]
-    frozen_edges: tuple[int, ...]
+    _fields = ("base", "triangles", "mutable_edges", "frozen_edges")
+
+    def __init__(self, base: QuasiTriangulation, triangles: tuple,
+                 mutable_edges: tuple[int, ...], frozen_edges: tuple[int, ...]):
+        d = self.__dict__
+        d["base"] = base
+        d["triangles"] = triangles  # ((region, sheet), walk), walk = ((edge, lift, sign), ...)
+        d["mutable_edges"] = mutable_edges
+        d["frozen_edges"] = frozen_edges
 
     def edge_lifts(self) -> list[tuple[int, int]]:
         return [(e, k) for e in self.mutable_edges + self.frozen_edges for k in (0, 1)]

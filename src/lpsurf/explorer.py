@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lp_core import LaurentViolation, LPSeed, _exchange_token, mutate, seed_key
-from .poly import PolyError, release_cached
+from .lp_core import LaurentViolation, LPSeed, _exchange_token, _PartMemo, mutate, seed_key
+from .poly import PolyError, Record, release_cached
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import QuasiTriangulation, canonical_code, flip
 
@@ -43,22 +42,27 @@ def _node_cap() -> int:
     return int(env)
 
 
-@dataclass
-class ExchangeGraph:
+class ExchangeGraph(Record, frozen=False):
     """Graph of canonical nodes joined by single moves; BFS adds ``keys`` and ``parents``.
 
     ``payloads`` holds each node's seed or state.  The BFS releases the
     cached derived structure of every node it expanded, so such a payload
-    rebuilds it on its next use.
+    rebuilds it on its next use.  ``repr`` leaves out the last three fields.
     """
 
-    kind: str  # "seeds" or "flips"
-    labels: list[str]
-    edges: dict[tuple[int, int], str]
-    truncated: bool
-    payloads: list = field(default_factory=list, repr=False)
-    keys: list = field(default_factory=list, repr=False)
-    parents: list = field(default_factory=list, repr=False)
+    _fields = ("kind", "labels", "edges", "truncated", "payloads", "keys", "parents")
+    _repr_fields = _fields[:4]
+
+    def __init__(self, kind: str, labels: list[str], edges: dict[tuple[int, int], str],
+                 truncated: bool, payloads: Optional[list] = None, keys: Optional[list] = None,
+                 parents: Optional[list] = None):
+        self.kind = kind  # "seeds" or "flips"
+        self.labels = labels
+        self.edges = edges
+        self.truncated = truncated
+        self.payloads = [] if payloads is None else payloads
+        self.keys = [] if keys is None else keys
+        self.parents = [] if parents is None else parents
 
     @property
     def node_count(self) -> int:
@@ -148,11 +152,11 @@ def explore_seeds(
     value depends on the sign.
 
     Every edge calls :func:`mutate` once, with one memo per BFS.  No two
-    mutations here share a whole seed, but the exchange relation is local,
-    so they share its parts: on the 8-gon, 330 mutations compute 70 distinct
-    new values.
+    mutations here share a whole seed, so the memo keeps none, but the
+    exchange relation is local, so they share its parts: on the 8-gon, 330
+    mutations compute 70 distinct new values.
     """
-    memo: dict = {}
+    memo = _PartMemo()
 
     def neighbors(s: LPSeed, done):
         for i in range(s.n):
@@ -223,11 +227,14 @@ def flip_correspondence(g_seeds: ExchangeGraph, g_flips: ExchangeGraph,
 # -- Laurent phenomenon verification ------------------------------------------
 
 
-@dataclass
-class LaurentReport:
-    sequences_checked: int
-    variables_checked: int
-    violations: list[tuple[tuple[int, ...], str, str]]
+class LaurentReport(Record, frozen=False):
+    _fields = ("sequences_checked", "variables_checked", "violations")
+
+    def __init__(self, sequences_checked: int, variables_checked: int,
+                 violations: list[tuple[tuple[int, ...], str, str]]):
+        self.sequences_checked = sequences_checked
+        self.variables_checked = variables_checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -16,13 +16,13 @@ Laurent polynomial raises :class:`LaurentViolation`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .poly import (
     ContextMismatch,
     PolyError,
     Polynomial,
+    Record,
     VariableContext,
     _as_univariate,
     _check_name,
@@ -73,14 +73,18 @@ class LaurentViolation(PolyError):
         self.den = den
 
 
-@dataclass(frozen=True)
-class LPSeed:
+class LPSeed(Record):
     """Cluster slots with exchange polynomials, display names, tracked values."""
 
-    ctx: VariableContext
-    polys: tuple[Polynomial, ...]
-    names: tuple[str, ...]
-    values: tuple[Polynomial, ...]
+    _fields = ("ctx", "polys", "names", "values")
+
+    def __init__(self, ctx: VariableContext, polys: tuple[Polynomial, ...],
+                 names: tuple[str, ...], values: tuple[Polynomial, ...]):
+        d = self.__dict__
+        d["ctx"] = ctx
+        d["polys"] = polys
+        d["names"] = names
+        d["values"] = values
 
     @property
     def n(self) -> int:
@@ -132,7 +136,7 @@ class LPSeed:
         return self
 
     def with_values(self, values: Sequence[Polynomial]) -> "LPSeed":
-        return replace(self, values=tuple(values))
+        return LPSeed(self.ctx, self.polys, self.names, tuple(values))
 
     def slot_of(self, name: str) -> int:
         try:
@@ -335,7 +339,8 @@ def mutate(
     ``j`` under the context, ``Fhat_i|_{x_j<-0}``, ``F_j`` and ``i``, so
     exchanges whose ``Fhat_i`` differ only in terms divisible by ``x_j``
     share them.  The seeds of one BFS never share a whole input, but they
-    share these parts.
+    share these parts, and a memo made as :class:`_PartMemo` (the seed
+    BFS's) keeps no whole inputs.
     A part that fails is not kept.  The checks above and the result's
     validity check run on every call.  Without ``memo`` no key is built.
     """
@@ -346,8 +351,8 @@ def mutate(
     _check_name(name)
     if name in seed.names[:i] + seed.names[i + 1:] + seed.ctx.frozen:
         raise PolyError(f"new variable name {name!r} is already in use")
-    if memo is None:
-        polys, value = _exchange(seed, i, name, None)
+    if memo is None or type(memo) is _PartMemo:
+        polys, value = _exchange(seed, i, name, memo)
     else:
         key = ("seed", seed.ctx.names, tuple(p.terms for p in seed.polys),
                tuple(v.terms for v in seed.values), i)
@@ -369,6 +374,14 @@ def mutate(
     if result.violations:
         raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
     return result
+
+
+class _PartMemo(dict):
+    """A :func:`mutate` memo that keeps the parts of each exchange, not whole inputs.
+
+    The seeds of one BFS never share a whole input, so those entries would
+    only take memory: about 1.4 MB on M6.
+    """
 
 
 def _exchange(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -35,13 +34,58 @@ class ContextMismatch(PolyError):
     """Operands live over different variable contexts."""
 
 
+class Record:
+    """Base of the value classes: equality, hashing and repr from ``_fields``.
+
+    A subclass names its fields once, in order, in ``_fields``, and its
+    ``__init__`` writes them straight into the instance ``__dict__``.  Two
+    instances of one class are equal when their field tuples are, and any
+    other class gets ``NotImplemented``; the hash is the field tuple's hash,
+    and ``repr`` is ``Name(field=value, ...)`` over ``_repr_fields`` (by
+    default every field).  An instance is frozen: assigning or deleting an
+    attribute raises ``AttributeError``.  A class declared with
+    ``frozen=False`` takes assignment and has no hash.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_tuple = operator.attrgetter(*cls._fields)
+        if "_repr_fields" not in cls.__dict__:
+            cls._repr_fields = cls._fields
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._field_tuple(self) == other._field_tuple(other)
+
+    def __hash__(self):
+        return hash(self._field_tuple(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class cached_attribute:
     """A value computed on first access and stored in the instance ``__dict__``.
 
-    Like ``functools.cached_property``, it writes past a frozen dataclass's
-    ``__setattr__`` and so stays out of equality, hashing and JSON.  Unlike
-    it on Python 3.11, it takes no lock: two threads racing on a first access
-    may both compute the value, which is harmless for these pure functions.
+    Like ``functools.cached_property``, it writes past a frozen
+    :class:`Record`'s ``__setattr__`` and, not being a field, stays out of
+    equality, hashing and JSON.  Unlike it on Python 3.11, it takes no lock:
+    two threads racing on a first access may both compute the value, which
+    is harmless for these pure functions.
     ``Polynomial`` caches its predicates and its variable support with it,
     ``LPSeed`` its violations and ``QuasiTriangulation`` its derived structure.
     A value dropped by :func:`release_cached`, or stored by a caller that
@@ -83,8 +127,7 @@ def _check_name(name: str) -> None:
         raise PolyError(f"bad variable name {name!r}")
 
 
-@dataclass(frozen=True)
-class VariableContext:
+class VariableContext(Record):
     """Ordered cluster and frozen variable names with a fixed monomial order.
 
     The monomial order is graded lexicographic over the concatenation
@@ -92,14 +135,14 @@ class VariableContext:
     which is what makes canonical unit normalization well defined.
     """
 
-    cluster: tuple[str, ...]
-    frozen: tuple[str, ...] = ()
+    _fields = ("cluster", "frozen")
 
-    def __post_init__(self):
-        cluster = tuple(self.cluster)
-        frozen = tuple(self.frozen)
-        object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "frozen", frozen)
+    def __init__(self, cluster: Sequence[str], frozen: Sequence[str] = ()):
+        cluster = tuple(cluster)
+        frozen = tuple(frozen)
+        d = self.__dict__
+        d["cluster"] = cluster
+        d["frozen"] = frozen
         for name in cluster + frozen:
             _check_name(name)
         names = cluster + frozen
@@ -137,16 +180,19 @@ def _sorted_terms(d: Mapping[Exponents, int]) -> Terms:
     return tuple(items)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Sparse Laurent polynomial with integer coefficients.
 
     ``terms`` maps exponent vectors (over ``ctx.names``) to nonzero integer
     coefficients and is stored sorted by descending graded lex order.
     """
 
-    ctx: VariableContext
-    terms: Terms
+    _fields = ("ctx", "terms")
+
+    def __init__(self, ctx: VariableContext, terms: Terms):
+        d = self.__dict__
+        d["ctx"] = ctx
+        d["terms"] = terms
 
     # -- constructors -------------------------------------------------
 

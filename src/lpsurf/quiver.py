@@ -9,12 +9,11 @@ lifted triangulations on orientable double covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .build import LiftedTriangulation
 from .lp_core import LPSeed
-from .poly import Polynomial, PolyError, VariableContext
+from .poly import Polynomial, PolyError, Record, VariableContext
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import SurfaceError
 
@@ -36,22 +35,21 @@ def _pos(x: int) -> int:
     return x if x > 0 else 0
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """Skew-symmetric integer matrix on 2N paired vertices."""
 
-    pairs: int
-    b: tuple[tuple[int, ...], ...]
-    frozen: frozenset[int] = frozenset()
+    _fields = ("pairs", "b", "frozen")
 
-    def __post_init__(self):
-        object.__setattr__(self, "frozen", frozenset(self.frozen))
-        n2 = 2 * self.pairs
-        if len(self.b) != n2 or any(len(row) != n2 for row in self.b):
+    def __init__(self, pairs: int, b: Sequence[Sequence[int]], frozen: Iterable[int] = frozenset()):
+        d = self.__dict__
+        d["pairs"] = pairs
+        d["frozen"] = frozen = frozenset(frozen)
+        n2 = 2 * pairs
+        if len(b) != n2 or any(len(row) != n2 for row in b):
             raise PolyError("quiver matrix has the wrong shape")
-        object.__setattr__(self, "b", tuple(map(tuple, self.b)))
-        for p in self.frozen:
-            if not 0 <= p < self.pairs:
+        d["b"] = tuple(map(tuple, b))
+        for p in frozen:
+            if not 0 <= p < pairs:
                 raise PolyError(f"frozen pair {p} out of range")
 
     @property

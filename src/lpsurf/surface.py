@@ -22,11 +22,10 @@ Flips are local rewrites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .lp_core import LPSeed
-from .poly import Polynomial, PolyError, VariableContext, cached_attribute
+from .poly import Polynomial, PolyError, Record, VariableContext, cached_attribute
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 
 __all__ = [
@@ -57,14 +56,18 @@ class SurfaceError(PolyError):
     """Invalid surface or illegal state/flip request."""
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class MarkedSurface(Record):
     """Unpunctured bordered surface: genus, cross-caps, marked boundary."""
 
-    genus: int
-    cross_caps: int
-    boundary: tuple[int, ...]
-    boundary_variables: bool = True
+    _fields = ("genus", "cross_caps", "boundary", "boundary_variables")
+
+    def __init__(self, genus: int, cross_caps: int, boundary: tuple[int, ...],
+                 boundary_variables: bool = True):
+        d = self.__dict__
+        d["genus"] = genus
+        d["cross_caps"] = cross_caps
+        d["boundary"] = boundary
+        d["boundary_variables"] = boundary_variables
 
     def check(self) -> None:
         if self.genus < 0 or self.cross_caps < 0:
@@ -139,8 +142,7 @@ def _edge_tokens(n: int) -> tuple:
     return tokens
 
 
-@dataclass(frozen=True)
-class QuasiTriangulation:
+class QuasiTriangulation(Record):
     """Immutable region complex; flips return fresh states.
 
     The derived structure below is built on first use and cached on the
@@ -151,10 +153,15 @@ class QuasiTriangulation:
     rebuilds it.
     """
 
-    surface: MarkedSurface
-    regions: tuple
-    boundary: tuple[tuple[int, str], ...]  # (edge id, label) per boundary segment
-    next_id: int
+    _fields = ("surface", "regions", "boundary", "next_id")
+
+    def __init__(self, surface: MarkedSurface, regions: tuple,
+                 boundary: tuple[tuple[int, str], ...], next_id: int):
+        d = self.__dict__
+        d["surface"] = surface
+        d["regions"] = regions
+        d["boundary"] = boundary  # (edge id, label) per boundary segment
+        d["next_id"] = next_id
 
     # -- derived structure -------------------------------------------------
 

@@ -231,7 +231,8 @@ _SYMPY_PROBE = """
 import sys
 from lpsurf.cli import main
 def heavy():
-    return [m for m in ("sympy", "networkx", "click") if m in sys.modules]
+    return [m for m in ("sympy", "networkx", "click", "dataclasses", "inspect")
+            if m in sys.modules]
 loaded = [heavy()]
 for args in (["compare-graphs", "--surface", sys.argv[1]],
              ["verify-laurent", "--surface", sys.argv[2]],
@@ -250,7 +251,8 @@ def _src_env() -> dict:
 
 
 def test_workload_commands_do_not_import_sympy(tmp_path):
-    """sympy costs about 0.35 s to import, networkx 0.2 s and click 14 ms.
+    """sympy costs about 0.35 s to import, networkx 0.2 s, click 14 ms and
+    dataclasses, with inspect, about 10 ms.
 
     No benchmarked command may need any of them.
     """
@@ -269,9 +271,12 @@ def test_workload_commands_do_not_import_sympy(tmp_path):
 
 
 def test_cli_import_loads_only_what_commands_reach():
-    """No command needs click, the quiver module, sympy or networkx at start-up."""
-    probe = ("import sys, lpsurf.cli; print([m for m in "
-             "('click', 'lpsurf.quiver', 'sympy', 'networkx') if m in sys.modules])")
+    """No command needs click, the quiver module, sympy, networkx or dataclasses at start-up.
+
+    ``dataclasses`` costs about 10 ms to import, with the ``inspect`` it loads.
+    """
+    probe = ("import sys, lpsurf.cli; print([m for m in ('click', 'lpsurf.quiver', 'sympy', "
+             "'networkx', 'dataclasses', 'inspect') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr

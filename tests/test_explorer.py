@@ -407,6 +407,45 @@ class TestVerifyLaurentMemo:
             self.assert_same(seed, seqs)
 
 
+class TestWholeSeedMemoLevel:
+    """Only chains, which revisit seeds, keep whole seeds in their memo."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The memos that explorer's mutate calls get, and a count of computed exchanges."""
+        memos, exchanges = [], [0]
+        mutate_fn, exchange_fn = lpsurf.explorer.mutate, lpsurf.lp_core._exchange
+
+        def mutate_spy(*args, memo=None, **kwargs):
+            memos.append(memo)
+            return mutate_fn(*args, memo=memo, **kwargs)
+
+        def exchange_spy(*args):
+            exchanges[0] += 1
+            return exchange_fn(*args)
+
+        monkeypatch.setattr(lpsurf.explorer, "mutate", mutate_spy)
+        monkeypatch.setattr(lpsurf.lp_core, "_exchange", exchange_spy)
+        return memos, exchanges
+
+    def test_seed_bfs_keeps_only_parts(self, monkeypatch, mobius4):
+        memos, _ = self.spy(monkeypatch)
+        g = explore_seeds(seed_from_quasi_triangulation(initial_quasi_triangulation(mobius4)))
+        memo = memos[0]
+        assert len(memos) == g.edge_count and all(m is memo for m in memos)
+        assert {key[0] for key in memo} == {"power", "value", "step"}
+
+    def test_repeated_chain_hits_the_whole_seed_level(self, monkeypatch, mobius2):
+        memos, exchanges = self.spy(monkeypatch)
+        seed = seed_from_quasi_triangulation(initial_quasi_triangulation(mobius2))
+        chain = [0, 1, 0, 1]
+        once = verify_laurent(seed, [chain])
+        computed = exchanges[0]
+        twice = verify_laurent(seed, [chain, chain])
+        assert exchanges[0] == 2 * computed and twice.variables_checked == 2 * once.variables_checked
+        assert {key[0] for key in memos[-1]} >= {"seed"}
+
+
 class TestExport:
     def test_single_node_dot(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=0)

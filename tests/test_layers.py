@@ -61,3 +61,10 @@ def test_sibling_imports_sit_at_module_level(name):
                 if relative and function]
     assert deferred == ([("quiver", "__getattr__")] if name == "__init__.py" else [])
 
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_dataclasses(name):
+    """The value classes derive from ``poly.Record``; ``dataclasses`` loads ``inspect``."""
+    assert "dataclasses" not in {target for target, _, relative in imports(PACKAGE / name)
+                                 if not relative}

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -71,10 +70,10 @@ class TestValidate:
         """The slot-free checks are cached on the polynomial; ``involves`` is per slot."""
         seed = LPSeed.initial(("x1", "x2"), ("t",), ("x2 + 1", "x1 + 1"))
         p = parse_polynomial("x1 + t", seed.ctx)
-        assert validate_seed(replace(seed, polys=(p, p))) == ["F_x1 depends on x_x1"]
+        assert validate_seed(LPSeed(seed.ctx, (p, p), seed.names, seed.values)) == ["F_x1 depends on x_x1"]
         assert vars(p)["exchange_defects"] == (None, ())
         vars(p)["exchange_defects"] = (None, ("is marked",))
-        assert validate_seed(replace(seed, polys=(seed.polys[0], p))) == ["F_x2 is marked"]
+        assert validate_seed(LPSeed(seed.ctx, (seed.polys[0], p), seed.names, seed.values)) == ["F_x2 is marked"]
 
     def test_violations_computed_once_and_outside_equality_hashing_and_json(self):
         seed = LPSeed.initial(("a", "x", "y"), ("b",), ("x+y", "b*x + b*y", "x+1"))
@@ -270,7 +269,7 @@ class TestMutationMemo:
     def test_key_holds_the_sign(self, mutation_example_seed):
         """Seeds with one key up to sign mutate to values of opposite sign (ROADMAP item 7)."""
         s1 = mutation_example_seed
-        s2 = replace(s1, polys=(s1.polys[0].neg(),) + s1.polys[1:])
+        s2 = LPSeed(s1.ctx, (s1.polys[0].neg(),) + s1.polys[1:], s1.names, s1.values)
         assert mutate(s2, 0).values[0] == mutate(s1, 0).values[0].neg()
         memo: dict = {}
         for s in (s1, s2):

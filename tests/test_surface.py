@@ -5,7 +5,6 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -235,7 +234,7 @@ class TestInitialTriangulation:
         """A state of one surface saved under another of the same rank passes
         check_state; the loader's topology check rejects it."""
         t = initial_quasi_triangulation(saved)
-        check_state(replace(t, surface=named))
+        check_state(QuasiTriangulation(named, t.regions, t.boundary, t.next_id))
         data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
         with pytest.raises(SurfaceError, match=message):
             triangulation_from_json(data)
@@ -248,7 +247,8 @@ class TestInitialTriangulation:
         with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
             triangulation_from_json(data)
         with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
-            check_state(replace(t, boundary=t.boundary + ((99, "b7"),)))
+            check_state(QuasiTriangulation(t.surface, t.regions, t.boundary + ((99, "b7"),),
+                                           t.next_id))
 
 
 class TestFlips:
@@ -327,13 +327,15 @@ class TestFlips:
         triangle: on the hexagon, boundary 0 then has two slots.
         """
         t = initial_quasi_triangulation(MarkedSurface(0, 0, (5,)))
-        bad = replace(t, regions=t.regions[:-1])
+        bad = QuasiTriangulation(t.surface, t.regions[:-1], t.boundary, t.next_id)
         for call in (check_state, seed_from_quasi_triangulation, lambda s: flip(s, 6)):
             with pytest.raises(SurfaceError, match="edge 6 has 1 slots, expected 2"):
                 call(bad)
         hexagon = initial_quasi_triangulation(MarkedSurface(0, 0, (6,)))
         assert hexagon.regions[0] == (TRI, ((0, 1), (1, 1), (6, -1)))
-        doubled = replace(hexagon, regions=((TRI, ((0, 1), (0, 1), (6, -1))),) + hexagon.regions[1:])
+        doubled = QuasiTriangulation(hexagon.surface,
+                                     ((TRI, ((0, 1), (0, 1), (6, -1))),) + hexagon.regions[1:],
+                                     hexagon.boundary, hexagon.next_id)
         with pytest.raises(SurfaceError, match="edge 0 has 2 slots, expected 1"):
             check_state(doubled)
 
@@ -415,7 +417,7 @@ class TestCanonicalCode:
     def test_code_values_golden(self, surface, depth, digest, seed_digest, labels):
         h, h_seed = hashlib.sha256(), hashlib.sha256()
         for bv in (True, False):
-            s = replace(surface, boundary_variables=bv)
+            s = MarkedSurface(surface.genus, surface.cross_caps, surface.boundary, bv)
             g = explore_flips(initial_quasi_triangulation(s, labels=labels), depth=depth)
             h.update("\n".join(sorted(repr(canonical_code(t)) for t in g.payloads)).encode())
             h_seed.update("\n".join(map(seed_text, g.payloads)).encode())
