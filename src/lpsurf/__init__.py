@@ -6,7 +6,6 @@ from .explorer import (
     explore_flips,
     explore_seeds,
     export,
-    flip_correspondence,
     verify_laurent,
 )
 from .lp_core import (
@@ -73,7 +72,6 @@ __all__ = [
     "explore_seeds",
     "export",
     "flip",
-    "flip_correspondence",
     "has_bad_path",
     "initial_quasi_triangulation",
     "is_irreducible",

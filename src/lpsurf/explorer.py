@@ -22,7 +22,6 @@ __all__ = [
     "ExchangeGraph",
     "explore_seeds",
     "explore_flips",
-    "flip_correspondence",
     "verify_laurent",
     "LaurentReport",
     "export",
@@ -43,26 +42,26 @@ def _node_cap() -> int:
 
 
 class ExchangeGraph(Record, frozen=False):
-    """Graph of canonical nodes joined by single moves; BFS adds ``keys`` and ``parents``.
+    """Graph of canonical nodes joined by single moves.
 
-    ``payloads`` holds each node's seed or state.  The BFS releases the
-    cached derived structure of every node it expanded, so such a payload
-    rebuilds it on its next use.  ``repr`` leaves out the last three fields.
+    ``payloads`` holds each node's seed or state, or its lockstep tuple (see
+    :func:`explore_seeds`).  The BFS releases the cached derived structure of
+    every node it expanded, so such a payload rebuilds it on its next use.
+    ``mismatch`` names the first failed lockstep check.  ``repr`` leaves out
+    the last two fields.
     """
 
-    _fields = ("kind", "labels", "edges", "truncated", "payloads", "keys", "parents")
+    _fields = ("kind", "labels", "edges", "truncated", "payloads", "mismatch")
     _repr_fields = _fields[:4]
 
     def __init__(self, kind: str, labels: list[str], edges: dict[tuple[int, int], str],
-                 truncated: bool, payloads: Optional[list] = None, keys: Optional[list] = None,
-                 parents: Optional[list] = None):
+                 truncated: bool, payloads: Optional[list] = None, mismatch: Optional[str] = None):
         self.kind = kind  # "seeds" or "flips"
         self.labels = labels
         self.edges = edges
         self.truncated = truncated
         self.payloads = [] if payloads is None else payloads
-        self.keys = [] if keys is None else keys
-        self.parents = [] if parents is None else parents
+        self.mismatch = mismatch
 
     @property
     def node_count(self) -> int:
@@ -73,37 +72,30 @@ class ExchangeGraph(Record, frozen=False):
         return len(self.edges)
 
 
-def _bfs(
-    start_key,
-    start_payload,
-    neighbors: Callable,
-    label: Callable,
-    kind: str,
-    depth: Optional[int],
-) -> ExchangeGraph:
+def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: str,
+         depth: Optional[int], revisit: Optional[Callable] = None) -> ExchangeGraph:
     """Canonical-key BFS; ``neighbors(payload, done)`` yields (direction, key, payload, back).
 
     ``back`` is a token naming the move from the reached node back to this
     one, or None.  The tokens a node receives reach its own ``neighbors``
-    call as the set ``done``, whose moves it may skip: when moves are
-    involutions, such a move only closes an edge that the first end already
-    labelled.  Skip sets exist only for nodes that receive a token.  The graph
-    keeps the node keys in node order as ``keys``, and as ``parents`` the
-    first ``(u, direction)`` that reached each node (None for the root).
+    call in the dict ``done``, each mapped to the payload that sent it.  The
+    node may skip those moves: when moves are involutions, such a move only
+    closes an edge that the first end already labelled.  A move that reaches
+    a stored node calls ``revisit(payload, direction, stored, reached)``.
 
-    A node's label is taken when it is expanded, and then the payload's
-    cached derived structure is released (:func:`lpsurf.poly.release_cached`):
-    only nodes not yet expanded keep theirs, and a later read rebuilds it.
-    An edge's label string is built once, when the edge is new.
+    A node's label is taken when it is expanded, and then the cached derived
+    structure of its payload, or of each part of a tuple, is released
+    (:func:`lpsurf.poly.release_cached`): only nodes not yet expanded keep
+    theirs, and a later read rebuilds it.  An edge's label string is built
+    once, when the edge is new.
     """
     max_nodes = _node_cap()
     index = {start_key: 0}
     payloads = [start_payload]
     labels: list = [None]
-    parents: list = [None]
     depths = [0]
     edges: dict[tuple[int, int], str] = {}
-    skip: dict[int, set] = {}
+    skip: dict[int, dict] = {}
     truncated = False
     frontier = [0]
     while frontier:
@@ -113,7 +105,7 @@ def _bfs(
         next_frontier = []
         for u in frontier:
             node = payloads[u]
-            for direction, key, payload, back in neighbors(node, skip.pop(u, ())):
+            for direction, key, payload, back in neighbors(node, skip.pop(u, {})):
                 v = index.get(key)
                 if v is None:
                     if len(payloads) >= max_nodes:
@@ -123,26 +115,30 @@ def _bfs(
                     index[key] = v
                     payloads.append(payload)
                     labels.append(None)
-                    parents.append((u, direction))
                     depths.append(depths[u] + 1)
                     next_frontier.append(v)
+                elif revisit is not None:
+                    revisit(node, direction, payloads[v], payload)
                 edge = (u, v) if u < v else (v, u)
                 if edge not in edges:
                     edges[edge] = str(direction)
                 if back is not None:
-                    skip.setdefault(v, set()).add(back)
+                    skip.setdefault(v, {})[back] = node
             labels[u] = label(node)
-            release_cached(node)
+            for part in node if type(node) is tuple else (node,):
+                release_cached(part)
         frontier = next_frontier
     labels = [label(p) if lbl is None else lbl for p, lbl in zip(payloads, labels)]
-    return ExchangeGraph(kind, labels, edges, truncated, payloads, list(index), parents)
+    return ExchangeGraph(kind, labels, edges, truncated, payloads)
 
 
-def explore_seeds(
-    seed: LPSeed,
-    depth: Optional[int] = None,
-) -> ExchangeGraph:
-    """BFS over seeds up to unit-and-relabeling equality.
+def _names(s: LPSeed) -> str:
+    return ",".join(s.names)
+
+
+def explore_seeds(seed: LPSeed, depth: Optional[int] = None,
+                  state: Optional[QuasiTriangulation] = None) -> ExchangeGraph:
+    """BFS over seeds up to unit-and-relabeling equality, in lockstep with flips of ``state``.
 
     LP mutation is an involution (Lam-Pylyavskyy), so each edge is mutated
     from one end only: mutating ``s`` at slot ``i`` gives ``t``, and the
@@ -155,31 +151,60 @@ def explore_seeds(
     mutations here share a whole seed, so the memo keeps none, but the
     exchange relation is local, so they share its parts: on the 8-gon, 330
     mutations compute 70 distinct new values.
+
+    With ``state``, ``seed``'s quasi-triangulation, a node is (seed, state,
+    arcs, code) and each slot's arc ``arcs[i]`` is flipped, the new arc taking
+    slot i.  The flip's :func:`canonical_code` must be the one stored for the
+    seed the mutation reaches (forward check), or, on a slot a back token
+    skips, the sender's (back check).  A complete graph's codes must also be
+    distinct; then they are closed under flips, so node to code is an
+    isomorphism onto the flip graph.  ``mismatch`` is the first failure.
     """
     memo = _PartMemo()
+    if state is None:
+        def neighbors(s: LPSeed, done):
+            for i in range(s.n):
+                if done and _exchange_token(s, i) in done:
+                    continue
+                t = mutate(s, i, memo=memo)
+                yield i, seed_key(t), t, _exchange_token(t, i)
 
-    def neighbors(s: LPSeed, done):
+        return _bfs(seed_key(seed), seed, neighbors, _names, "seeds", depth)
+
+    failures = []
+
+    def lockstep(node, done):
+        s, t, arcs, _ = node
         for i in range(s.n):
-            if done and _exchange_token(s, i) in done:
-                continue
-            t = mutate(s, i, memo=memo)
-            yield i, seed_key(t), t, _exchange_token(t, i)
+            t2 = flip(t, arcs[i])
+            sender = done.get(_exchange_token(s, i)) if done else None
+            if sender is None:
+                s2 = mutate(s, i, memo=memo)
+                arcs2 = arcs[:i] + (t.next_id,) + arcs[i + 1:]
+                yield i, seed_key(s2), (s2, t2, arcs2, canonical_code(t2)), _exchange_token(s2, i)
+            elif canonical_code(t2) != sender[3]:
+                failures.append(f"node {_names(s)} slot {i}: back check failed")
 
-    return _bfs(
-        seed_key(seed),
-        seed,
-        neighbors,
-        lambda s: ",".join(s.names),
-        "seeds",
-        depth,
-    )
+    def revisit(node, i, stored, reached) -> None:
+        if stored[3] != reached[3]:
+            failures.append(f"node {_names(node[0])} slot {i}: forward check failed")
+
+    g = _bfs(seed_key(seed), (seed, state, state.quasi_arcs, canonical_code(state)), lockstep,
+             lambda node: _names(node[0]), "seeds", depth, revisit)
+    first: dict = {}
+    for v, node in enumerate([] if g.truncated else g.payloads):
+        u = first.setdefault(node[3], v)
+        if u != v:
+            failures.append(f"nodes {g.labels[u]} and {g.labels[v]}: distinct-code check failed")
+    g.mismatch = failures[0] if failures else None
+    return g
 
 
 def explore_flips(
     t0: QuasiTriangulation,
     depth: Optional[int] = None,
 ) -> ExchangeGraph:
-    """BFS over quasi-triangulations up to canonical labeling.
+    """BFS over quasi-triangulations up to canonical labeling, for ``explore --mode flips``.
 
     Every state is flipped at every quasi-arc: arc ids are not canonical, so
     no token names the flip back.
@@ -198,30 +223,6 @@ def explore_flips(
         "flips",
         depth,
     )
-
-
-def flip_correspondence(g_seeds: ExchangeGraph, g_flips: ExchangeGraph,
-                        t0: QuasiTriangulation) -> Optional[list[int]]:
-    """The flip node of each seed node, mutation at slot(q) read as the flip of q; or None.
-
-    Slot i of ``t0``'s seed holds ``t0.quasi_arcs[i]``.  The seed BFS tree is replayed
-    as flips; a flip's new quasi-arc (id ``next_id``) takes the mutated slot.  With
-    equal counts, an injective map sending seed edges to flip edges is an isomorphism.
-    """
-    if g_seeds.truncated != g_flips.truncated:
-        raise PolyError("cannot compare a truncated graph with a complete one")
-    if g_seeds.node_count != g_flips.node_count or g_seeds.edge_count != g_flips.edge_count:
-        return None
-    replay = [(t0, t0.quasi_arcs)]
-    for u, i in g_seeds.parents[1:]:
-        t, arcs = replay[u]
-        replay.append((flip(t, arcs[i]), arcs[:i] + (t.next_id,) + arcs[i + 1:]))
-    index = {key: v for v, key in enumerate(g_flips.keys)}
-    image = [index.get(canonical_code(t)) for t, _ in replay]
-    if None in image or len(set(image)) < len(image):
-        return None
-    mapped = {(min(image[u], image[v]), max(image[u], image[v])) for u, v in g_seeds.edges}
-    return image if mapped == g_flips.edges.keys() else None
 
 
 # -- Laurent phenomenon verification ------------------------------------------

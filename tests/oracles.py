@@ -217,6 +217,25 @@ def degrees(g) -> list[int]:
     return deg
 
 
+def edge_depths(g) -> list[int]:
+    """Each node's distance from node 0 along the edges of an exchange graph."""
+    adjacent = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    depths = [0] + [None] * (g.node_count - 1)
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            for v in adjacent[u]:
+                if depths[v] is None:
+                    depths[v] = depths[u] + 1
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return depths
+
+
 # -- cluster values at a rational point -------------------------------------------
 
 

@@ -1,10 +1,13 @@
 import gc
+import inspect
 import json
 import random
 import tracemalloc
+import types
 
 import pytest
 
+import lpsurf.cli
 import lpsurf.explorer
 import lpsurf.lp_core
 
@@ -14,7 +17,6 @@ from lpsurf.explorer import (
     explore_flips,
     explore_seeds,
     export,
-    flip_correspondence,
     graph_from_json,
     LaurentReport,
     verify_laurent,
@@ -30,7 +32,14 @@ from lpsurf.surface import (
 )
 
 from conftest import random_frozen_variable_seed, random_valid_seed
-from oracles import degrees, dfs_count, polygon_flip_graph, seed_graph_json, vf2_isomorphic
+from oracles import (
+    degrees,
+    dfs_count,
+    edge_depths,
+    polygon_flip_graph,
+    seed_graph_json,
+    vf2_isomorphic,
+)
 
 
 @pytest.fixture
@@ -173,7 +182,7 @@ class TestExploreFlips:
         assert (gf.node_count, gf.edge_count) == (64, 128)
         gs = explore_seeds(seed_from_quasi_triangulation(t))
         assert (gs.node_count, gs.edge_count) == (64, 128)
-        assert flip_correspondence(gs, gf, t) is not None
+        assert explore_seeds(seed_from_quasi_triangulation(t), state=t).mismatch is None
         assert vf2_isomorphic(gs, gf)[0]
 
 
@@ -200,14 +209,18 @@ class TestReleaseAfterExpansion:
 
     def test_depth_bound_keeps_it_on_unexpanded_nodes_only(self):
         g = explore_flips(initial_quasi_triangulation(M5), depth=2)
-        depths = [0]
-        for u, _ in g.parents[1:]:
-            depths.append(depths[u] + 1)
+        depths = edge_depths(g)
         keeping = [v for v, t in enumerate(g.payloads) if cached_values(t)]
         assert keeping == [v for v, d in enumerate(depths) if d == 2] and len(keeping) == 14
         fresh = [QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id)
                  for t in g.payloads]
         assert g.labels == [",".join(map(str, t.quasi_arcs)) for t in fresh]
+
+    def test_lockstep_releases_seeds_and_states(self, mobius4):
+        t = initial_quasi_triangulation(mobius4)
+        g = explore_seeds(seed_from_quasi_triangulation(t), state=t)
+        assert g.node_count == 64
+        assert not any(cached_values(s) or cached_values(state) for s, state, _, _ in g.payloads)
 
     def test_retained_bytes_per_node(self):
         """About 1,700 B per node on CPython 3.11; keeping every state's index took 4,973 B."""
@@ -224,74 +237,128 @@ class TestReleaseAfterExpansion:
         assert retained / g.node_count <= 2500
 
 
-def _graphs(surface, depth=None):
+def _lockstep(surface, depth=None, explorer=lpsurf.explorer):
     t = initial_quasi_triangulation(MarkedSurface(*surface))
     seed = seed_from_quasi_triangulation(t)
-    return t, explore_seeds(seed, depth=depth), explore_flips(t, depth=depth)
+    return t, seed, explorer.explore_seeds(seed, depth, t)
 
 
-class TestFlipCorrespondence:
-    def test_root_and_first_flips(self, hexagon_state, hexagon_seed):
-        """Mutating slot i from the root lands where flipping quasi-arc i does."""
-        gs = explore_seeds(hexagon_seed)
-        gf = explore_flips(hexagon_state)
-        witness = flip_correspondence(gs, gf, hexagon_state)
-        assert witness[0] == 0
-        for v, parent in enumerate(gs.parents):
-            if parent is not None and parent[0] == 0:
-                assert gf.parents[witness[v]] == (0, hexagon_state.quasi_arcs[parent[1]])
+COMPLETE = [
+    pytest.param((0, 0, (6,)), True, id="hexagon"),
+    pytest.param((0, 0, (6,), False), False, id="hexagon-no-boundary-variables"),
+    pytest.param((0, 0, (7,)), True, id="7-gon"),
+    pytest.param((0, 0, (8,)), True, id="8-gon"),
+    pytest.param((0, 1, (1,), False), True, id="M1-no-boundary-variables"),
+    pytest.param((0, 1, (2,)), True, id="M2"),
+    pytest.param((0, 1, (3,)), True, id="M3"),
+    pytest.param((0, 1, (4,)), True, id="M4"),
+]
 
-    def test_path_vs_cycle(self, hexagon_state):
+BALLS = [
+    pytest.param(surface, depth, id=f"{name}-depth{depth}")
+    for name, surface, depths in [
+        ("8-gon", (0, 0, (8,)), (2,)), ("M5", (0, 1, (5,)), (3,)),
+        ("annulus22", (0, 0, (2, 2)), (2, 3, 4)), ("annulus12", (0, 0, (1, 2)), (2, 3, 4)),
+        ("annulus31", (0, 0, (3, 1)), (2, 3, 4)), ("torus1", (1, 0, (1,)), (2, 3, 4)),
+        ("klein2", (0, 2, (2,)), (2, 3, 4)), ("annulus11", (0, 0, (1, 1)), (2,)),
+    ]
+    for depth in depths
+]
+
+# The flip's new arc takes slot i; the mutant puts it in slot (i + 1) mod n
+# and moves the arc it displaces to slot i.
+RIGHT_SLOT = "arcs2 = arcs[:i] + (t.next_id,) + arcs[i + 1:]"
+WRONG_SLOT = ("arcs2 = tuple(t.next_id if k == (i + 1) % len(arcs) else arcs[(i + 1) % len(arcs)]"
+              " if k == i else a for k, a in enumerate(arcs))")
+
+
+@pytest.fixture(scope="module")
+def wrong_slot_explorer():
+    """A copy of ``lpsurf.explorer`` whose lockstep pairs slot i with the wrong arc."""
+    source = inspect.getsource(lpsurf.explorer)
+    assert source.count(RIGHT_SLOT) == 1
+    module = types.ModuleType("lpsurf.wrong_slot_explorer")
+    module.__package__ = "lpsurf"
+    exec(compile(source.replace(RIGHT_SLOT, WRONG_SLOT), module.__name__, "exec"), vars(module))
+    return module
+
+
+class TestLockstepCompare:
+    """``explore_seeds(seed, depth, state)``: mutation at slot i is the flip of slot i's arc."""
+
+    @pytest.mark.parametrize("surface, iso", COMPLETE)
+    def test_complete_verdicts(self, surface, iso):
+        """The lockstep adds checks, not nodes, edges or labels."""
+        _, seed, g = _lockstep(surface)
+        assert not g.truncated and (g.mismatch is None) == iso
+        assert export(g, "json") == export(explore_seeds(seed), "json")
+
+    @pytest.mark.parametrize("surface, iso", COMPLETE)
+    def test_vf2_agrees_on_complete_graphs(self, surface, iso):
+        """An isomorphism check that shares no code with the lockstep."""
+        t, seed, _ = _lockstep(surface)
+        assert vf2_isomorphic(explore_seeds(seed), explore_flips(t))[0] == iso
+
+    def test_vf2_tells_path_from_cycle(self):
         path = ExchangeGraph("seeds", ["a", "b", "c"], {(0, 1): "0", (1, 2): "0"}, False)
         cycle = ExchangeGraph(
             "flips", ["a", "b", "c"], {(0, 1): "0", (1, 2): "0", (0, 2): "1"}, False
         )
-        assert flip_correspondence(path, cycle, hexagon_state) is None
         assert vf2_isomorphic(path, cycle) == (False, None)
 
-    def test_seed_vs_flip_graphs(self, hexagon_state, hexagon_seed):
-        gs = explore_seeds(hexagon_seed)
-        gf = explore_flips(hexagon_state)
-        witness = flip_correspondence(gs, gf, hexagon_state)
-        # witness maps nodes bijectively preserving adjacency
-        assert sorted(witness) == list(range(gf.node_count))
-        mapped = {(min(witness[u], witness[v]), max(witness[u], witness[v]))
-                  for u, v in gs.edges}
-        assert mapped == set(gf.edges)
-        assert vf2_isomorphic(gs, gf)[0]
+    @pytest.mark.parametrize("surface, depth", BALLS)
+    def test_depth_bounded_balls_pass(self, surface, depth):
+        _, seed, g = _lockstep(surface, depth)
+        assert g.truncated and g.mismatch is None
+        assert export(g, "json") == export(explore_seeds(seed, depth), "json")
 
-    @pytest.mark.parametrize("surface, depth, iso", [
-        ((0, 0, (6,)), None, True), ((0, 0, (6,), False), None, False),
-        ((0, 0, (7,)), None, True), ((0, 0, (8,)), None, True), ((0, 0, (8,)), 2, True),
-        ((0, 1, (2,)), None, True), ((0, 1, (3,)), None, True), ((0, 1, (4,)), None, True),
-        ((0, 1, (5,)), 3, True), ((0, 0, (2, 2)), 2, False), ((0, 0, (2, 2)), 3, False),
-        ((0, 0, (1, 2)), 2, False), ((0, 0, (3, 1)), 3, False), ((0, 2, (2,)), 2, True),
-        ((0, 2, (2,)), 3, False),
-    ], ids=["hexagon", "hexagon-no-boundary-variables", "7-gon", "8-gon", "8-gon-depth2",
-            "M2", "M3", "M4", "M5-depth3", "annulus22-depth2", "annulus22-depth3",
-            "annulus12-depth2", "annulus31-depth3", "klein2-depth2", "klein2-depth3"])
-    def test_verdict_matches_vf2(self, surface, depth, iso):
-        t, gs, gf = _graphs(surface, depth)
-        assert (flip_correspondence(gs, gf, t) is not None) == iso
-        assert vf2_isomorphic(gs, gf)[0] == iso
+    def test_witness_names_node_slot_and_check(self):
+        _, _, g = _lockstep((0, 0, (6,), False))
+        assert (g.node_count, g.edge_count) == (10, 15)
+        assert g.mismatch == "node x6',x7,x8 slot 2: forward check failed"
+
+    @pytest.mark.parametrize("surface, flips, mutations", [
+        ((0, 0, (6,)), 42, 21), ((0, 1, (4,)), 256, 128),
+    ], ids=["hexagon", "M4"])
+    def test_each_slot_flips_once_and_each_edge_mutates_once(
+            self, monkeypatch, surface, flips, mutations):
+        """2E flips close the image under flips; back tokens keep mutations at E."""
+        calls = {"flip": 0, "mutate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(lpsurf.explorer, name)
+            monkeypatch.setattr(lpsurf.explorer, name, counted(name, fn))
+        _, _, g = _lockstep(surface)
+        assert g.mismatch is None and calls == {"flip": 2 * g.edge_count, "mutate": g.edge_count}
+        assert calls == {"flip": flips, "mutate": mutations}
+
+    def test_shared_codes_fail_a_complete_graph_only(self, monkeypatch):
+        """With one code for every state only the distinct-code check can fail."""
+        monkeypatch.setattr(lpsurf.explorer, "canonical_code", lambda t: ())
+        assert _lockstep((0, 0, (6,)))[2].mismatch == (
+            "nodes x6,x7,x8 and x6',x7,x8: distinct-code check failed")
+        assert _lockstep((0, 0, (2, 2)), 2)[2].mismatch is None
 
     @pytest.mark.parametrize("surface, depth", [
-        ((0, 0, (1, 2)), 3), ((1, 0, (1,)), 2),
-    ], ids=["annulus12-depth3", "torus-depth2"])
-    def test_truncated_against_complete_raises(self, surface, depth):
-        """The flip graph, taken up to the mapping class group, is finite; the seed ball is not."""
-        t, gs, gf = _graphs(surface, depth)
-        assert gs.truncated != gf.truncated
-        with pytest.raises(PolyError):
-            flip_correspondence(gs, gf, t)
-
-    def test_mutant_keys_break_the_map_not_the_graph(self, hexagon_state, hexagon_seed):
-        """Swapping two flip keys keeps some isomorphism, but not mutation = flip."""
-        gs = explore_seeds(hexagon_seed)
-        gf = explore_flips(hexagon_state)
-        gf.keys[0], gf.keys[1] = gf.keys[1], gf.keys[0]
-        assert vf2_isomorphic(gs, gf)[0]
-        assert flip_correspondence(gs, gf, hexagon_state) is None
+        ((0, 0, (6,)), None), ((0, 1, (4,)), None), ((0, 0, (2, 2)), 2),
+    ], ids=["hexagon", "M4", "annulus22-depth2"])
+    def test_wrong_slot_mutant_fails(self, wrong_slot_explorer, monkeypatch, tmp_path,
+                                     surface, depth):
+        _, _, g = _lockstep(surface, depth, wrong_slot_explorer)
+        assert g.mismatch is not None
+        genus, cross_caps, boundary = surface
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"schema": 1, "genus": genus, "cross_caps": cross_caps,
+                                    "boundary": list(boundary), "boundary_variables": True}))
+        monkeypatch.setattr(lpsurf.cli, "explorer", wrong_slot_explorer)
+        args = ["compare-graphs", "--surface", str(path)]
+        assert lpsurf.cli.main(args + (["--depth", str(depth)] if depth else [])) == 1
 
 
 class TestVerifyLaurent:

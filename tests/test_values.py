@@ -36,7 +36,7 @@ VALUES = {
     "LiftedTriangulation": (lambda: double_cover(initial_quasi_triangulation(SQUARE)),
                             ("base", "triangles", "mutable_edges", "frozen_edges")),
     "ExchangeGraph": (lambda: explore_seeds(_seed()),
-                      ("kind", "labels", "edges", "truncated", "payloads", "keys", "parents")),
+                      ("kind", "labels", "edges", "truncated", "payloads", "mismatch")),
     "LaurentReport": (lambda: verify_laurent(_seed(), [(0, 1, 0)]),
                       ("sequences_checked", "variables_checked", "violations")),
     "Quiver": (lambda: Quiver(1, ((0, 1), (-1, 0))), ("pairs", "b", "frozen")),
@@ -69,8 +69,11 @@ def test_equality_sees_each_field():
     assert MarkedSurface(0, 0, (4,), False) != SQUARE
     g = explore_seeds(_seed())
     h = explore_seeds(_seed())
-    h.parents[1] = None
-    assert g != h  # payloads, keys and parents compare, though repr leaves them out
+    h.payloads[1] = None
+    assert g != h  # payloads and mismatch compare, though repr leaves them out
+    h = explore_seeds(_seed())
+    h.mismatch = "node x,y slot 0"
+    assert g != h
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -151,8 +154,7 @@ def test_defaults_and_constructor_checks():
     with pytest.raises(PolyError, match="out of range"):
         Quiver(1, ((0, 1), (-1, 0)), {1})
     g, h = ExchangeGraph("seeds", [], {}, False), ExchangeGraph("seeds", [], {}, False)
-    for name in ("payloads", "keys", "parents"):
-        assert getattr(g, name) == [] and getattr(g, name) is not getattr(h, name)
+    assert g.payloads == [] and g.payloads is not h.payloads and g.mismatch is None
     assert LaurentReport(0, 0, []).ok
 
 
