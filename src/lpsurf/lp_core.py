@@ -197,15 +197,22 @@ def normalize(
     (frozen variables are not units).  Writing ``F_j = sum_m c_m x_k^m``,
     that is ``a_k = min_m (m + v(c_m))`` with ``v`` the number of factors
     ``F_k`` in ``c_m``, counted by exact division in the polynomial ring.
-    Raises :class:`InvalidSeed` on an invalid seed.  With ``memo`` (see
-    :func:`mutate`), each ``a_k`` is computed once per ``F_k``, ``F_j`` and ``k``.
+    Raises :class:`InvalidSeed` on an invalid seed.
+
+    Most powers are decided from the variable supports alone: when ``F_k``
+    involves a variable that ``F_j`` does not, it divides no ``c_m`` (a
+    multiple of ``F_k`` involves that variable too), so ``a_k`` is the
+    least ``m``, ``F_j``'s valuation in ``x_k``.  That is 0, because a valid
+    ``F_j`` is irreducible and no cluster variable, so no ``x_k`` divides it.
+    Only the other powers are computed by division, and with ``memo`` (see
+    :func:`mutate`) each of those once per ``F_k``, ``F_j`` and ``k``.
     """
     seed.require_valid()
     f = seed.polys[j]
+    support = f._support
     exponents = [0] * seed.n
-    for k in range(seed.n):
-        if k != j:
-            fk = seed.polys[k]
+    for k, fk in enumerate(seed.polys):
+        if k != j and not fk._support & ~support:
             exponents[k] = _once(memo, lambda: ("power", fk.terms, f.terms, k), _power_of, fk, f, k)
     shift = [-a for a in exponents] + [0] * len(seed.ctx.frozen)
     return f.times_monomial(shift), tuple(exponents)
@@ -291,7 +298,7 @@ def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
     irreducible factor of ``q`` (sympy factors a reducible ``q``).
     """
     if p.is_monomial and abs(p.leading_coefficient()) == 1:
-        return strip_laurent_monomial(h, p.involved_indices())[0]
+        return strip_laurent_monomial(h, [k for k, e in enumerate(p.terms[0][0]) if e])[0]
     if not p.is_monomial and p.is_ordinary and is_irreducible(p):
         # divide_exact treats monomials as units and never fails on one, so
         # this loop ends only because p is not a monomial
@@ -299,7 +306,7 @@ def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
             h = q
         return h
     c = p.content()
-    q, shift = strip_laurent_monomial(divide_exact(p, Polynomial.const(p.ctx, c)))
+    q, shift = strip_laurent_monomial(p if c == 1 else divide_exact(p, Polynomial.const(p.ctx, c)))
     while (d := math.gcd(c, h.content())) != 1:
         h = divide_exact(h, Polynomial.const(h.ctx, d))
     # shift[k] < 0 exactly where x_k divides p
@@ -332,15 +339,16 @@ def mutate(
     its ``num`` and ``den`` and raised again under this call's name.  On a
     miss the exchange is computed in parts, and since the relation
     ``x_i * x_i' = Fhat_i`` is local, each part is looked up under only the
-    data it depends on: a power ``a_k`` of :func:`normalize` under ``F_k``,
-    ``F_i`` and ``k``; the new value under the context, ``value_i`` and, per
-    term of ``Fhat_i``, the signed coefficient, the frozen exponents and the
-    values raised to a nonzero power with those powers; steps 1-3 for slot
-    ``j`` under the context, ``Fhat_i|_{x_j<-0}``, ``F_j`` and ``i``, so
-    exchanges whose ``Fhat_i`` differ only in terms divisible by ``x_j``
-    share them.  The seeds of one BFS never share a whole input, but they
-    share these parts, and a memo made as :class:`_PartMemo` (the seed
-    BFS's) keeps no whole inputs.
+    data it depends on: a power ``a_k`` of :func:`normalize` that the
+    variable supports leave open (they decide most, with no key) under
+    ``F_k``, ``F_i`` and ``k``; the new value under the context, ``value_i``
+    and, per term of ``Fhat_i``, the signed coefficient, the frozen
+    exponents and the values raised to a nonzero power with those powers;
+    steps 1-3 for slot ``j`` under the context, ``Fhat_i|_{x_j<-0}``,
+    ``F_j`` and ``i``, so exchanges whose ``Fhat_i`` differ only in terms
+    divisible by ``x_j`` share them.  The seeds of one BFS never share a
+    whole input, but they share these parts, and a memo made as
+    :class:`_PartMemo` (the seed BFS's) keeps no whole inputs.
     A part that fails is not kept.  The checks above and the result's
     validity check run on every call.  Without ``memo`` no key is built.
     """
@@ -449,11 +457,13 @@ def _exchange_step(
     h = _divide_out_common(h, n_stripped)
     # Step 3: the unique monic Laurent monomial making the result an
     # ordinary polynomial not divisible by any cluster variable, with the
-    # canonical positive leading coefficient.
-    fj_new, _ = strip_laurent_monomial(h, cluster_idx)
-    if not fj_new.is_ordinary:
-        raise MutationError("mutated exchange polynomial left the coefficient ring")
-    return fj_new
+    # canonical positive leading coefficient.  That monomial is 1 here.
+    # Step 1 leaves h ordinary (F_j and Fhat_i have no negative frozen
+    # exponents) with valuation 0 in every cluster variable.  Step 2 keeps
+    # this: it strips variables to valuation 0, divides by integers, and
+    # divides by polynomials that no variable divides, and valuations add
+    # under products.  So only the sign is left to normalize.
+    return h.canonical_sign()
 
 
 # -- equality up to units -------------------------------------------------------

@@ -148,14 +148,9 @@ class VariableContext(Record):
         names = cluster + frozen
         if len(set(names)) != len(names):
             raise PolyError("cluster and frozen names must be disjoint and duplicate-free")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.cluster + self.frozen
-
-    @property
-    def nvars(self) -> int:
-        return len(self.cluster) + len(self.frozen)
+        # derived once; not fields, so equality, hashing and repr ignore them
+        d["names"] = names
+        d["nvars"] = len(names)
 
     def index(self, name: str) -> int:
         try:
@@ -390,9 +385,18 @@ class Polynomial(Record):
         return self.add(other.neg())
 
     def mul(self, other: "Polynomial") -> "Polynomial":
+        """The product; a one-term factor shifts the other's terms, which keeps their order.
+
+        Grlex is a monomial order, so ``e1 > e2`` implies ``e1 + m > e2 + m``.
+        """
         self._same_ctx(other)
-        d: dict[Exponents, int] = {}
         add = operator.add
+        many, one = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(one.terms) == 1:
+            (m, k), = one.terms
+            terms = tuple((tuple(map(add, e, m)), c * k) for e, c in many.terms)
+            return Polynomial(self.ctx, terms)
+        d: dict[Exponents, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = tuple(map(add, e1, e2))
@@ -423,14 +427,17 @@ class Polynomial(Record):
     def pow(self, k: int) -> "Polynomial":
         if k < 0:
             raise PolyError("negative power of a polynomial")
-        result = Polynomial.const(self.ctx, 1)
+        if k == 0:
+            return Polynomial.const(self.ctx, 1)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result.mul(base)
-            base = base.mul(base) if k > 1 else base
+                result = base if result is None else result.mul(base)
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base.mul(base)
 
     __add__ = add
     __sub__ = sub
@@ -443,32 +450,33 @@ class Polynomial(Record):
     def subs_poly(self, i: int, value: "Polynomial") -> "Polynomial":
         """Substitute variable ``i`` by a (Laurent) polynomial.
 
-        Exponents of variable ``i`` in ``self`` must be nonnegative.
+        Exponents of variable ``i`` in ``self`` must be nonnegative.  Every
+        power's products go into one sum, sorted once.
         """
         self._same_ctx(value)
-        out = Polynomial.zero(self.ctx)
-        by_power: dict[int, dict[Exponents, int]] = {}
+        by_power: dict[int, list[tuple[Exponents, int]]] = {}
         for e, c in self.terms:
             k = e[i]
             if k < 0:
                 raise PolyError("substitution into a negative exponent")
             rest = list(e)
             rest[i] = 0
-            by_power.setdefault(k, {})[tuple(rest)] = c
-        for k, d in sorted(by_power.items()):
-            part = Polynomial(self.ctx, _sorted_terms(d))
-            out = out.add(part.mul(value.pow(k)))
-        return out
+            by_power.setdefault(k, []).append((tuple(rest), c))
+        out: dict[Exponents, int] = {}
+        add = operator.add
+        for k, part in by_power.items():
+            for e2, c2 in value.pow(k).terms:
+                for e1, c1 in part:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        return Polynomial(self.ctx, _sorted_terms(out))
 
     def subs_zero(self, i: int) -> "Polynomial":
         """Set variable ``i`` to zero; requires its exponents to be >= 0."""
-        d: dict[Exponents, int] = {}
-        for e, c in self.terms:
-            if e[i] < 0:
-                raise PolyError("substituting 0 into a negative exponent")
-            if e[i] == 0:
-                d[e] = d.get(e, 0) + c
-        return Polynomial(self.ctx, _sorted_terms(d))
+        if any(e[i] < 0 for e, _ in self.terms):
+            raise PolyError("substituting 0 into a negative exponent")
+        # the terms it keeps are a subsequence of sorted terms, so they stay sorted
+        return Polynomial(self.ctx, tuple(t for t in self.terms if t[0][i] == 0))
 
     def permute_cluster(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel cluster coordinates: new exponent at slot ``perm[i]`` is old slot ``i``."""
@@ -519,8 +527,9 @@ def _strip_raw(p: Polynomial, indices: Iterable[int]) -> tuple[Polynomial, Expon
     """
     if p.is_zero:
         raise PolyError("cannot strip the zero polynomial")
-    low = tuple(map(min, zip(*(e for e, _ in p.terms))))
-    shift = [0] * p.ctx.nvars
+    terms = p.terms
+    low = terms[0][0] if len(terms) == 1 else tuple(map(min, zip(*(e for e, _ in terms))))
+    shift = [0] * len(low)
     for i in indices:
         shift[i] = -low[i]
     return p.times_monomial(shift), tuple(shift)
@@ -555,6 +564,13 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
         raise ContextMismatch("divide_exact over different contexts")
     if p.is_zero:
         return p
+    if len(q.terms) == 1:
+        # a unit times a constant: the constant must divide every coefficient
+        qe, qc = q.terms[0]
+        if any(c % qc for _, c in p.terms):
+            return None
+        sub = operator.sub
+        return Polynomial(p.ctx, tuple((tuple(map(sub, e, qe)), c // qc) for e, c in p.terms))
     everything = range(p.ctx.nvars)
     ps, pshift = _strip_raw(p, everything)
     qs, qshift = _strip_raw(q, everything)
@@ -607,13 +623,13 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
 
 def _as_univariate(p: Polynomial, v: int) -> dict[int, Polynomial]:
     """Coefficients of powers of variable ``v`` (polynomials with v-slot zeroed)."""
-    coeffs: dict[int, dict[Exponents, int]] = {}
+    coeffs: dict[int, list[tuple[Exponents, int]]] = {}
     for e, c in p.terms:
-        k = e[v]
         rest = list(e)
         rest[v] = 0
-        coeffs.setdefault(k, {})[tuple(rest)] = c
-    return {k: Polynomial(p.ctx, _sorted_terms(d)) for k, d in coeffs.items()}
+        coeffs.setdefault(e[v], []).append((tuple(rest), c))
+    # the terms with one power x_v^k, divided by it, keep their order (see ``mul``)
+    return {k: Polynomial(p.ctx, tuple(terms)) for k, terms in coeffs.items()}
 
 
 # -- irreducibility -----------------------------------------------------------

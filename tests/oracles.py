@@ -7,10 +7,10 @@ traversal double-checks breadth-first enumeration counts, an unpruned
 queue-based search rebuilds the seed graph's JSON export, networkx's VF2
 asks whether two exchange graphs are isomorphic at all, cluster values
 are followed as exact rationals at a point, and normalization exponents,
-irreducibility, step 2 of mutation and exact division come from sympy; the
-last five read only ``.terms``.  The canonical code of a quasi-triangulation
-is the least code over every flag, walked from its definition on the
-state's regions and boundary alone.
+irreducibility, step 2 of mutation, products, powers, substitution and
+exact division come from sympy; the last eight read only ``.terms``.  The
+canonical code of a quasi-triangulation is the least code over every flag,
+walked from its definition on the state's regions and boundary alone.
 """
 
 from __future__ import annotations
@@ -301,6 +301,47 @@ def normalization_exponents(polys: Sequence[Polynomial], j: int) -> tuple[int, .
             s, a = q, a + 1
         out.append(a)
     return tuple(out)
+
+
+# -- Laurent arithmetic by sympy expressions ---------------------------------------
+
+
+def _laurent_expr(terms, gens: Sequence[sympy.Symbol]) -> sympy.Expr:
+    return sympy.Add(*(c * sympy.Mul(*(g ** k for g, k in zip(gens, e))) for e, c in terms))
+
+
+def _laurent_terms(expr: sympy.Expr, gens: Sequence[sympy.Symbol]) -> dict[tuple[int, ...], int]:
+    """Terms of an expanded Laurent expression, negative exponents included."""
+    out = {}
+    for mono, c in sympy.expand(expr).as_coefficients_dict().items():
+        powers = mono.as_powers_dict()
+        out[tuple(int(powers.get(g, 0)) for g in gens)] = int(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def laurent_product(p: Polynomial, q: Polynomial) -> dict[tuple[int, ...], int]:
+    """Terms of ``p * q``, expanded by sympy."""
+    gens = sympy.symbols(f"v:{p.ctx.nvars}")
+    return _laurent_terms(_laurent_expr(p.terms, gens) * _laurent_expr(q.terms, gens), gens)
+
+
+def laurent_power(p: Polynomial, k: int) -> dict[tuple[int, ...], int]:
+    """Terms of ``p ** k``, expanded by sympy (``0 ** 0`` is 1)."""
+    gens = sympy.symbols(f"v:{p.ctx.nvars}")
+    return _laurent_terms(_laurent_expr(p.terms, gens) ** k, gens)
+
+
+def laurent_substitution(p: Polynomial, i: int, value: Polynomial) -> dict[tuple[int, ...], int]:
+    """Terms of ``p`` with variable ``i`` replaced by ``value``, by sympy's ``subs``."""
+    gens = sympy.symbols(f"v:{p.ctx.nvars}")
+    expr = _laurent_expr(p.terms, gens).subs(gens[i], _laurent_expr(value.terms, gens))
+    return _laurent_terms(expr, gens)
+
+
+def strictly_descending_grlex(terms) -> bool:
+    """Whether the exponent vectors fall strictly, by total degree and then lexicographically."""
+    keys = [(sum(e), tuple(e)) for e, _ in terms]
+    return all(a > b for a, b in zip(keys, keys[1:]))
 
 
 # -- exact division by sympy --------------------------------------------------------

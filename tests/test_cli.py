@@ -232,6 +232,34 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
     assert len(lpsurf.poly._IRR_CACHE) == irreducible
 
 
+@pytest.mark.parametrize("boundary, cross_caps, depth, powers, positive", [
+    ([6], 0, None, 0, 0), ([7], 0, None, 0, 0), ([8], 0, None, 0, 0),
+    ([3], 1, None, 6, 3), ([4], 1, None, 12, 6), ([2, 2], 0, 3, 0, 0),
+], ids=["hexagon", "7-gon", "8-gon", "M3", "M4", "annulus22-depth3"])
+def test_compare_graphs_divides_only_where_supports_leave_the_power_open(
+        runner, tmp_path, monkeypatch, boundary, cross_caps, depth, powers, positive):
+    """On the benchmark's ladder, ``normalize`` divides for 18 powers ``a_k``, 9 of them positive.
+
+    Every other power has an ``F_k`` that involves a variable ``F_j`` does
+    not, which decides it without a division.
+    """
+    found = []  # (whether F_j involves every variable of F_k, a_k) per division
+
+    def power_of(fk, f, k):
+        found.append((set(fk.involved_indices()) <= set(f.involved_indices()), power(fk, f, k)))
+        return found[-1][1]
+
+    power = lpsurf.lp_core._power_of
+    monkeypatch.setattr(lpsurf.lp_core, "_power_of", power_of)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({**HEXAGON, "cross_caps": cross_caps, "boundary": boundary}))
+    args = ["compare-graphs", "--surface", str(path)] + (["--depth", str(depth)] if depth else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0 and result.output.startswith("isomorphic: true"), result.output
+    assert all(open_ for open_, _ in found)
+    assert (len(found), sum(a > 0 for _, a in found)) == (powers, positive)
+
+
 # Runs in a fresh interpreter: import the CLI, then one command of each
 # benchmark workload's shape, and report after each step which of sympy,
 # networkx and click are loaded.

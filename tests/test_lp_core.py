@@ -151,6 +151,23 @@ class TestNormalizeOracle:
         for s in explore_seeds(surface_seed(*surface), depth=depth).payloads:
             self.check(s)
 
+    def test_seeds_cover_both_ways_of_deciding_a_power(self):
+        """M4's seeds have powers decided by supports and powers that need division, some positive.
+
+        ``normalize`` divides only where every variable of ``F_k`` is one of
+        ``F_j``'s, so the oracle above checks both branches.
+        """
+        decided, divided = [], []
+        for s in explore_seeds(surface_seed(0, 1, (4,))).payloads:
+            for j in range(s.n):
+                exps = normalization_exponents(s.polys, j)
+                support = set(s.polys[j].involved_indices())
+                for k in range(s.n):
+                    if k != j:
+                        open_ = set(s.polys[k].involved_indices()) <= support
+                        (divided if open_ else decided).append(exps[k])
+        assert (len(decided), len(divided), sum(a > 0 for a in divided)) == (728, 40, 20)
+
     def test_random_seeds(self):
         rng = random.Random(13)
         for _ in range(200):

@@ -22,7 +22,16 @@ from lpsurf.poly import (
 )
 from lpsurf.surface import MarkedSurface, seed_from_quasi_triangulation
 
-from oracles import brute_force_reducible, factor_irreducible, laurent_quotient, seed_graph_json
+from oracles import (
+    brute_force_reducible,
+    factor_irreducible,
+    laurent_power,
+    laurent_product,
+    laurent_quotient,
+    laurent_substitution,
+    seed_graph_json,
+    strictly_descending_grlex,
+)
 
 
 def P(text, ctx):
@@ -353,6 +362,62 @@ def test_divide_exact_matches_sympy_division(p, q, r):
     for n in (p.mul(q), p.mul(q).add(r)):
         got = divide_exact(n, q)
         assert (None if got is None else dict(got.terms)) == laurent_quotient(n, q)
+
+
+def _one_terms(max_coeff=6):
+    exponent = st.integers(min_value=-2, max_value=3)
+    coeff = st.integers(min_value=-max_coeff, max_value=max_coeff).filter(bool)
+    return st.builds(lambda e, c: Polynomial.monomial(_ctx, e, c),
+                     st.tuples(exponent, exponent, exponent), coeff)
+
+
+def _check(got: Polynomial, want: dict) -> None:
+    """``got`` has the oracle's terms, in strictly descending grlex order."""
+    assert dict(got.terms) == want
+    assert strictly_descending_grlex(got.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(allow_laurent=True), _one_terms())
+def test_mul_by_one_term_or_zero_matches_sympy(p, m):
+    """The one-term fast path of ``mul`` on either side, and products with zero."""
+    zero = Polynomial.zero(_ctx)
+    _check(p.mul(m), laurent_product(p, m))
+    _check(m.mul(p), laurent_product(m, p))
+    _check(m.mul(m), laurent_product(m, m))
+    _check(p.mul(zero), {})
+    _check(zero.mul(m), {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(max_terms=3, max_coeff=3, allow_laurent=True), st.integers(0, 3))
+def test_pow_matches_sympy(p, k):
+    _check(p.pow(k), laurent_power(p, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(allow_laurent=True), st.integers(0, 2), _polys(max_terms=3, allow_laurent=True))
+def test_subs_poly_matches_sympy(p, i, value):
+    """Substitution into a Laurent polynomial whose variable ``i`` has no negative exponent."""
+    if not p.is_zero:
+        shift = [0, 0, 0]
+        shift[i] = max(0, -p.valuation_in(i))
+        p = p.times_monomial(shift)
+    _check(p.subs_poly(i, value), laurent_substitution(p, i, value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(allow_laurent=True), _one_terms(), _one_terms())
+def test_divide_exact_by_one_term_matches_sympy(p, m, r):
+    """By a one-term divisor: a multiple, and a sum with coefficients it may not divide."""
+    _check(divide_exact(p.mul(m), m), laurent_quotient(p.mul(m), m))
+    n = p.mul(m).add(r)
+    got = divide_exact(n, m)
+    want = laurent_quotient(n, m)
+    if any(c % m.terms[0][1] for _, c in n.terms):
+        assert got is None and want is None
+    else:
+        _check(got, want)
 
 
 @settings(max_examples=60, deadline=None)
