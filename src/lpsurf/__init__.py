@@ -36,6 +36,7 @@ from .surface import (
     QuasiTriangulation,
     SurfaceError,
     canonical_code,
+    canonical_form,
     detect_m2,
     flip,
     new_quasi_arc,
@@ -63,6 +64,7 @@ __all__ = [
     "adjacency_quiver",
     "cancel_two_cycles",
     "canonical_code",
+    "canonical_form",
     "detect_m2",
     "divide_exact",
     "double_cover",

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .lp_core import LaurentViolation, LPSeed, _exchange_token, _PartMemo, mutate, seed_key
 from .poly import PolyError, Record, release_cached
 from .schema import REQUIRED, SCHEMA_VERSION, fields
-from .surface import QuasiTriangulation, canonical_code, flip
+from .surface import QuasiTriangulation, canonical_code, canonical_form, flip
 
 __all__ = [
     "ExchangeGraph",
@@ -77,9 +77,12 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
     """Canonical-key BFS; ``neighbors(payload, done)`` yields (direction, key, payload, back).
 
     ``back`` is a token naming the move from the reached node back to this
-    one, or None.  The tokens a node receives reach its own ``neighbors``
-    call in the dict ``done``, each mapped to the payload that sent it.  The
-    node may skip those moves: when moves are involutions, such a move only
+    one, or None.  It must name that move on whichever payload is stored for
+    the reached key: the seed BFS names a slot by its value and signed
+    exchange polynomial, the flip BFS an arc by its key in the canonical
+    numbering.  The tokens a node receives reach its own ``neighbors`` call
+    in the dict ``done``, each mapped to the payload that sent it.  The node
+    may skip those moves: when moves are involutions, such a move only
     closes an edge that the first end already labelled.  A move that reaches
     a stored node calls ``revisit(payload, direction, stored, reached)``.
 
@@ -206,17 +209,56 @@ def explore_flips(
 ) -> ExchangeGraph:
     """BFS over quasi-triangulations up to canonical labeling, for ``explore --mode flips``.
 
-    Every state is flipped at every quasi-arc: arc ids are not canonical, so
-    no token names the flip back.
+    A flip is an involution, so where equal codes mean isomorphic states
+    (see below) each edge is flipped from one end only.  Flipping ``t`` at
+    ``q`` gives ``t2``, whose new arc ``t.next_id`` has a key in ``t2``'s
+    numbering (:func:`canonical_form`).  That key is the back token: the
+    state stored for ``t2``'s code holds its own numbering
+    (``canonical_numbering``) and skips the arc with that key, whose flip
+    gives ``t``'s code.  On other surfaces every state is flipped at every
+    quasi-arc.
     """
+    # Why equal codes mean isomorphic states on orientable surfaces and on
+    # those with first Betti number b1 = 1 - chi = 1 (the annulus and M_n).
+    # A code rebuilds its state but for one bit per closing edge, an edge
+    # whose second slot the walk meets in a region it had already queued:
+    # whether that gluing keeps the walk's orientation, since edge tokens
+    # carry no sign.  Each row after the first opens with the edge the walk
+    # entered it by, and that crossing is coherent; the inside of a pocket
+    # or a mob1 region is the same in every state.  The regions and the
+    # edges joining them form a graph G.  The surface retracts onto G with a
+    # circle, the one-sided curve, attached at each of its p pocket and mob1
+    # regions, so the closing edges, one per independent loop of G, number
+    # b1 - p.
+    # * Orientable: a closing edge closes a loop through the walk's tree,
+    #   and no loop reverses orientation, so every closing edge keeps it.
+    # * b1 = 1, non-orientable (M_n): with a pocket or mob1 region there is
+    #   no closing edge.  Without one there is one, and its loop generates
+    #   H1, on which the orientation character is not zero, so the gluing
+    #   reverses.
+    # Either way the bits follow from the code and the surface, so states of
+    # one code are isomorphic by a map that takes one walk's numbering to
+    # the other's, and flips commute with it.  With b1 >= 2 and cross-caps
+    # the bits are free: equal codes can mean states whose flips differ,
+    # and a back token would drop edges, so none is sent.
+    surface = t0.surface
+    back_tokens = surface.orientable or surface.euler_characteristic == 0
 
     def neighbors(t: QuasiTriangulation, done):
+        num = t.canonical_numbering if done else None
         for q in t.quasi_arcs:
+            if done and num[q] in done:
+                continue
             t2 = flip(t, q)
-            yield q, canonical_code(t2), t2, None
+            code, num2 = canonical_form(t2)
+            back = None
+            if back_tokens:
+                vars(t2)["canonical_numbering"] = num2
+                back = num2[t.next_id]
+            yield q, code, t2, back
 
     return _bfs(
-        canonical_code(t0),
+        canonical_form(t0)[0],
         t0,
         neighbors,
         lambda t: ",".join(str(q) for q in t.quasi_arcs),

@@ -36,6 +36,7 @@ __all__ = [
     "flip",
     "new_quasi_arc",
     "canonical_code",
+    "canonical_form",
     "seed_from_quasi_triangulation",
     "detect_m2",
     "check_state",
@@ -226,6 +227,15 @@ class QuasiTriangulation(Record):
         ids.update(self.mob1_of)
         return tuple(sorted(ids))
 
+    @cached_attribute
+    def canonical_numbering(self) -> dict:
+        """The numbering of :func:`canonical_form`.
+
+        The flip BFS stores it when it computes the code, and drops it once
+        the state is expanded.
+        """
+        return canonical_form(self)[1]
+
     def is_pure_triangulation(self) -> bool:
         return all(r[0] == TRI for r in self.regions)
 
@@ -327,7 +337,10 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
             add = ((TRI, ((n, 1), b, (crossing, 1))), (TRI, ((n, -1), (crossing, 1), a)))
         else:  # reattach the mouth the other way around
             add = ((TRI, (mouth, b, a)), (POCKET, portal, curve, n))
-    regions = tuple(r for ri, r in enumerate(t.regions) if ri not in drop) + add
+    regions = t.regions
+    for ri in sorted(drop, reverse=True):
+        regions = regions[:ri] + regions[ri + 1:]
+    regions += add
     next_id = n + 2 if kind == "to_curve" else n + 1
     child = QuasiTriangulation(t.surface, regions, t.boundary, next_id)
     vars(child).update(boundary_labels=t.boundary_labels, boundary_tokens=t.boundary_tokens,
@@ -347,13 +360,26 @@ def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
 
 
 def canonical_code(t: QuasiTriangulation) -> tuple:
-    """Least BFS code over all starting flags; gauge and label invariant.
+    """The code of :func:`canonical_form`; gauge and label invariant."""
+    return canonical_form(t)[0]
+
+
+def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
+    """The least BFS code over all starting flags, and its walk's numbering.
 
     A flag is a region, an entry side and a direction; the code from a flag
     has one row per region in BFS order.  Boundary tokens carry the traversal
     sign relative to the segment's stored direction, which pins the boundary
     orientation and keeps mirror states distinct; arcs and portals are
-    numbered in discovery order.
+    numbered in discovery order.  That numbering, of the walk that gives the
+    code, is the second result: it maps each arc and portal id to its index.
+    A pocket's curve and crossing arc map to ``("curve", k)`` and
+    ``("crossing", k)``, k the index of the pocket's portal, and a mob1
+    curve to ``("mob1", 0)``: its region's one side is a boundary segment,
+    so no edge leads into it, and a walk that reaches it starts there.  Two
+    states with one code get the same keys on arcs that an isomorphism
+    matches, where equal codes mean isomorphic states (see
+    :func:`lpsurf.explorer.explore_flips`).
 
     The first row depends on the flag alone (its arcs are numbered fresh), and
     codes compare row by row, so the least code starts with the least first
@@ -362,31 +388,71 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
     token ``("b", L, -1)``, L the least boundary label in string order, so
     the candidate flags are the slots of every boundary segment labelled L
     (labels may repeat, see ``least_boundary``), each entered against its
-    sign.  Otherwise, or if no such segment has a slot, every flag of the
-    least kind is a candidate.  :func:`_walk_code` walks the first
-    candidate, then each other one against the least code so far, and drops
-    it at its first row above that code.  The result equals the minimum over
-    all flags.  Its tokens are objects shared by every code.
+    sign.  On a pocket state every pocket flag has the first row
+    ``("pocket", ("e", 0))`` and then enters its pocket's mouth triangle, so
+    the candidates are the flags whose mouth row is least
+    (:func:`_pocket_flags`).  Otherwise, or if no boundary segment labelled
+    L has a slot, every flag of the least kind is a candidate.
+    :func:`_walk_code` walks the first candidate, then each other one against
+    the least code so far, and drops it at its first row above that code.
+    The result equals the minimum over all flags.  Its tokens are objects
+    shared by every code.
     """
     regions, slots = t.regions, t.slots
     kind = min(r[0] for r in regions)
-    if kind == TRI:
+    links = slots
+    if kind == TRI:  # no pocket: read no pocket index
         sides = [r[1] for r in regions]
         flags = [(ri, p, -sides[ri][p][1]) for e in t.least_boundary for ri, p in slots.get(e, ())]
     else:
-        sides, flags = [t.region_sides(ri) for ri in range(len(regions))], ()
+        sides = [t.region_sides(ri) for ri in range(len(regions))]
+        flags = _pocket_flags(t, sides) if kind == POCKET else ()
+        if t.pockets:  # a portal also leads from its mouth triangle into its pocket
+            links = dict(slots)
+            for pi, portal, _, _ in t.pockets:
+                links[portal] = slots[portal] + [(pi, 0)]
     if not flags:
         flags = [(ri, p, d) for ri, rs in enumerate(sides) if regions[ri][0] == kind
                  for p in range(len(rs)) for d in (1, -1)]
-    links = slots
-    if t.pockets:  # a portal also leads from its mouth triangle into its pocket
-        links = dict(slots)
-        for pi, portal, _, _ in t.pockets:
-            links[portal] = slots[portal] + [(pi, 0)]
-    code = None
+    code = num = None
     for flag in flags:
-        code = _walk_code(t, sides, links, *flag, code) or code
-    return code
+        walk = _walk_code(t, sides, links, *flag, code)
+        if walk is not None:
+            code, num = walk
+    if kind == POCKET:
+        for _, portal, curve, crossing in t.pockets:
+            num[curve], num[crossing] = ("curve", num[portal]), ("crossing", num[portal])
+    elif kind == MOB1:
+        for curve in t.mob1_of:
+            num[curve] = ("mob1", 0)
+    return code, num
+
+
+def _pocket_flags(t: QuasiTriangulation, sides: list) -> list[tuple[int, int, int]]:
+    """The pocket flags whose second row, their mouth triangle's, is least.
+
+    A pocket's one side is its portal, whose only other slot is in the mouth
+    triangle, so the walk from a pocket flag (pocket, 0, d) numbers the
+    portal 0 and enters the mouth at the portal, in the direction that makes
+    the crossing coherent.  The row built here is the one
+    :func:`_walk_code` builds there.
+    """
+    bnd_tokens, edge_tokens = t.boundary_tokens, _edge_tokens(3)
+    least, flags = None, []
+    for pi, portal, _, _ in t.pockets:
+        mi, pos = t.slots[portal][0]
+        rs = sides[mi]
+        for d in (1, -1):
+            dm = -d * rs[pos][1]
+            num: dict[int, int] = {}
+            row = (TRI, *(bnd_tokens[e][dm * s] if e in bnd_tokens
+                          else edge_tokens[num.setdefault(e, len(num))]
+                          for e, s in (rs[p] for p in _WALK[3, pos, dm])))
+            if least is None or row < least:
+                least, flags = row, [(pi, 0, d)]
+            elif row == least:
+                flags.append((pi, 0, d))
+    return flags
 
 
 # (arity, entry side p, direction d) -> the positions of a region's sides in
@@ -404,7 +470,8 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
     queued, so it keeps the entry of its first queueing, as in a walk that
     marks it when its row is built.  With ``bound``, a code, the walk gives
     None at its first row above ``bound``'s row at the same index, and
-    compares no more after a row below it.
+    compares no more after a row below it.  A code comes with the walk's
+    numbering of arc and portal ids.
     """
     regions, bnd_tokens, edge_tokens = t.regions, t.boundary_tokens, _edge_tokens(len(links))
     seen = {r0}
@@ -419,11 +486,14 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
             if e in bnd_tokens:
                 row.append(bnd_tokens[e][d * s])
                 continue
-            row.append(edge_tokens[num.setdefault(e, len(num))])
-            for oi, opos in links[e]:
-                if oi not in seen:
-                    seen.add(oi)
-                    queue.append((oi, opos, -d * s * sides[oi][opos][1]))
+            k = num.get(e)
+            if k is None:  # the first crossing of e queues every region it links
+                k = num[e] = len(num)
+                for oi, opos in links[e]:
+                    if oi not in seen:
+                        seen.add(oi)
+                        queue.append((oi, opos, -d * s * sides[oi][opos][1]))
+            row.append(edge_tokens[k])
         row = tuple(row)
         if bound is not None and row != bound[len(code)]:
             if row > bound[len(code)]:
@@ -431,7 +501,7 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
             bound = None
         code.append(row)
     code.append(("#regions", len(seen)))
-    return tuple(code)
+    return tuple(code), num
 
 
 # -- seed extraction -------------------------------------------------------------

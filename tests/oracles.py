@@ -4,13 +4,14 @@ These deliberately avoid the code paths they check: the factor search
 enumerates candidate divisors directly, the polygon enumerator builds the
 hexagon flip graph from non-crossing diagonal sets, the depth-first
 traversal double-checks breadth-first enumeration counts, an unpruned
-queue-based search rebuilds the seed graph's JSON export, networkx's VF2
-asks whether two exchange graphs are isomorphic at all, cluster values
-are followed as exact rationals at a point, and normalization exponents,
-irreducibility, step 2 of mutation, products, powers, substitution and
-exact division come from sympy; the last eight read only ``.terms``.  The
-canonical code of a quasi-triangulation is the least code over every flag,
-walked from its definition on the state's regions and boundary alone.
+queue-based search rebuilds the seed and flip graphs' JSON exports,
+networkx's VF2 asks whether two exchange graphs are isomorphic at all,
+cluster values are followed as exact rationals at a point, and
+normalization exponents, irreducibility, step 2 of mutation, products,
+powers, substitution and exact division come from sympy; the last eight
+read only ``.terms``.  The canonical code of a quasi-triangulation is the
+least code over every flag, walked from its definition on the state's
+regions and boundary alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sympy
 from lpsurf.lp_core import LPSeed, mutate, seed_key
 from lpsurf.poly import Polynomial, divide_exact
 from lpsurf.schema import SCHEMA_VERSION
+from lpsurf.surface import canonical_code, flip
 
 
 # -- brute-force factor search ------------------------------------------------
@@ -149,20 +151,19 @@ def dfs_count(start_key, start_payload, neighbors) -> tuple[int, int]:
     return len(payloads), len(edges)
 
 
-# -- unpruned seed-graph search ---------------------------------------------------
+# -- unpruned graph search --------------------------------------------------------
 
 
-def seed_graph_json(seed: LPSeed, depth: Optional[int] = None) -> str:
-    """The seed graph of ``seed`` as ``export(explore_seeds(seed, depth), "json")``.
+def _unpruned_graph_json(start, depth: Optional[int], moves, key, label, kind: str) -> str:
+    """The JSON export of the graph reached from ``start`` by ``moves``.
 
-    A FIFO queue takes seeds in discovery order and mutates each in every
-    direction, never skipping the one that leads back; the first direction
-    that joins two nodes labels their edge.  A seed at ``depth`` mutations is
-    not expanded and marks the graph truncated.  It shares ``mutate`` and
-    ``seed_key`` with ``explore_seeds``, but neither its BFS nor its skip.
+    A FIFO queue takes nodes in discovery order and makes every move of
+    each, never skipping the one that leads back; the first move that joins
+    two nodes labels their edge.  A node at ``depth`` moves is not expanded
+    and marks the graph truncated.
     """
-    index = {seed_key(seed): 0}
-    seeds = [seed]
+    index = {key(start): 0}
+    nodes = [start]
     dist = [0]
     edges: dict[tuple[int, int], str] = {}
     truncated = False
@@ -172,22 +173,42 @@ def seed_graph_json(seed: LPSeed, depth: Optional[int] = None) -> str:
         if depth is not None and dist[u] >= depth:
             truncated = True
             continue
-        for i in range(seeds[u].n):
-            t = mutate(seeds[u], i)
-            v = index.setdefault(seed_key(t), len(seeds))
-            if v == len(seeds):
-                seeds.append(t)
+        for direction, t in moves(nodes[u]):
+            v = index.setdefault(key(t), len(nodes))
+            if v == len(nodes):
+                nodes.append(t)
                 dist.append(dist[u] + 1)
                 queue.append(v)
-            edges.setdefault((min(u, v), max(u, v)), str(i))
+            edges.setdefault((min(u, v), max(u, v)), str(direction))
     data = {
         "schema": SCHEMA_VERSION,
-        "kind": "seeds",
+        "kind": kind,
         "truncated": truncated,
-        "nodes": [{"id": k, "label": ",".join(s.names)} for k, s in enumerate(seeds)],
+        "nodes": [{"id": k, "label": label(node)} for k, node in enumerate(nodes)],
         "edges": [[u, v, d] for (u, v), d in sorted(edges.items())],
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def seed_graph_json(seed: LPSeed, depth: Optional[int] = None) -> str:
+    """The seed graph of ``seed`` as ``export(explore_seeds(seed, depth), "json")``.
+
+    It shares ``mutate`` and ``seed_key`` with ``explore_seeds``, but neither
+    its BFS nor its skip.
+    """
+    return _unpruned_graph_json(seed, depth, lambda s: ((i, mutate(s, i)) for i in range(s.n)),
+                                seed_key, lambda s: ",".join(s.names), "seeds")
+
+
+def flip_graph_json(t, depth: Optional[int] = None) -> str:
+    """The flip graph of ``t`` as ``export(explore_flips(t, depth), "json")``.
+
+    It shares ``flip`` and ``canonical_code`` with ``explore_flips``, but
+    neither its BFS nor its back tokens.
+    """
+    return _unpruned_graph_json(t, depth, lambda t: ((q, flip(t, q)) for q in t.quasi_arcs),
+                                canonical_code, lambda t: ",".join(map(str, t.quasi_arcs)),
+                                "flips")
 
 
 # -- graph isomorphism and degrees ------------------------------------------------

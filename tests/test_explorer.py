@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import json
 import random
@@ -36,6 +37,7 @@ from oracles import (
     degrees,
     dfs_count,
     edge_depths,
+    flip_graph_json,
     polygon_flip_graph,
     seed_graph_json,
     vf2_isomorphic,
@@ -184,6 +186,49 @@ class TestExploreFlips:
         assert (gs.node_count, gs.edge_count) == (64, 128)
         assert explore_seeds(seed_from_quasi_triangulation(t), state=t).mismatch is None
         assert vf2_isomorphic(gs, gf)[0]
+
+    @pytest.mark.parametrize("surface,depth", [
+        ((0, 0, (6,)), None), ((0, 0, (7,)), None), ((0, 1, (1,)), None), ((0, 1, (2,)), None),
+        ((0, 1, (3,)), None), ((0, 1, (5,)), None), ((0, 0, (2, 2)), 4), ((0, 0, (1, 2)), 4),
+        ((0, 0, (3, 1)), 3), ((0, 0, (1, 1)), 3), ((1, 0, (1,)), 3), ((1, 0, (2,)), 3),
+        ((0, 1, (2, 2)), 3), ((0, 2, (2,)), 3),
+    ], ids=str)
+    def test_back_tokens_change_no_output(self, surface, depth):
+        """The export equals an unpruned search's, with and without back tokens."""
+        t = initial_quasi_triangulation(MarkedSurface(*surface))
+        assert export(explore_flips(t, depth), "json") == flip_graph_json(t, depth)
+
+    @pytest.mark.parametrize("surface,depth,flips", [
+        ((0, 0, (9,)), None, "edges"), ((0, 1, (4,)), None, "edges"),
+        ((0, 1, (6,)), None, "edges"),
+        # no back tokens: every quasi-arc of each of the 20 expanded nodes
+        ((0, 2, (2,)), 3, 100),
+    ], ids=str)
+    def test_each_edge_is_flipped_once(self, surface, depth, flips, monkeypatch):
+        calls = 0
+        real_flip = lpsurf.explorer.flip
+
+        def counted(t, q):
+            nonlocal calls
+            calls += 1
+            return real_flip(t, q)
+
+        monkeypatch.setattr(lpsurf.explorer, "flip", counted)
+        g = explore_flips(initial_quasi_triangulation(MarkedSurface(*surface)), depth=depth)
+        assert calls == (g.edge_count if flips == "edges" else flips)
+
+    @pytest.mark.parametrize("boundary,cross_caps,depth,digest", [
+        ([2], 2, 3, "2417e26a7ce1d638f8d1a5dad774286299831f99ef34fa278fd7c2922940db26"),
+        ([2, 2], 1, 3, "398ac2fd8c10b44136c255f28a13718e024b6e75aaca48a6efc71fdbf7fbaf43"),
+        ([2, 2], 0, 4, "143ce058cb144f5ef6b92a0f63a7684d1fea183660135160d2ed0ec467aa12ca"),
+    ], ids=["klein2-depth3", "M22-depth3", "annulus22-depth4"])
+    def test_json_export_frozen(self, boundary, cross_caps, depth, digest, tmp_path, capsys):
+        """sha256 of ``explore --mode flips --format json``, frozen before back tokens."""
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps({"schema": 1, "cross_caps": cross_caps, "boundary": boundary}))
+        assert lpsurf.cli.main(["explore", "--surface", str(path), "--mode", "flips",
+                                "--depth", str(depth), "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 M5 = MarkedSurface(0, 1, (5,))

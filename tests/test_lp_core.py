@@ -8,6 +8,7 @@ from lpsurf.build import initial_quasi_triangulation
 from lpsurf.lp_core import (
     InvalidSeed,
     _divide_out_common,
+    _exchange_step,
     LaurentViolation,
     LPSeed,
     mutate,
@@ -434,6 +435,20 @@ class TestStepTwo:
             want = divide_out_common(h, p)
             got = dict(_divide_out_common(h, p).terms)
             assert got in (want, {e: -c for e, c in want.items()}), (str(h), numerator)
+
+    def test_step_three_takes_the_positive_sign(self):
+        """The new exchange polynomial has a positive grlex leading coefficient.
+
+        Fhat_i|_{x_j<-0} = (x2 - x3^2)(x2 + 1) is reducible, so step 2 divides
+        by sympy's factors, which sympy signs in lex order: x2 - x3^2 leads
+        with -x3^2 in grlex.  Step 1 gives (x3^2 - x2)(x1 + x2 + 1), and
+        dividing out x2 - x3^2 leaves -(x1 + x2 + 1): only step 3's sign
+        normalization makes the result canonical.
+        """
+        ctx = VariableContext(("x1", "x2", "x3"))
+        numerator = parse_polynomial("(x2 - x3^2)*(x2 + 1)", ctx)
+        fj = parse_polynomial("x1 + x2 - x3^2", ctx)
+        assert _exchange_step(ctx, numerator, fj, 0) == parse_polynomial("x1 + x2 + 1", ctx)
 
 
 class TestValidateOnce:

@@ -31,6 +31,7 @@ from lpsurf.surface import (
     QuasiTriangulation,
     SurfaceError,
     canonical_code,
+    canonical_form,
     check_state,
     detect_m2,
     flip,
@@ -371,8 +372,9 @@ class TestDerivedStructure:
 
         monkeypatch.setattr(cached, "func", counting)
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
-        # the initial state, then the 4 flips of each of the 42 states
-        assert (g.node_count, len(builds)) == (42, 1 + 42 * 4)
+        # the initial state, then one flip per edge: the graph has 42 nodes
+        # and 84 edges
+        assert (g.node_count, len(builds)) == (42, 1 + 84)
 
 
 class TestCanonicalCode:
@@ -496,66 +498,112 @@ class TestCanonicalCode:
             assert canonical_code_oracle(t) == canonical_code(t)
         assert (kinds != {TRI}) == (not surface.orientable)
 
+    @pytest.mark.parametrize("surface", [
+        MarkedSurface(0, 0, (9,)), MarkedSurface(0, 1, (4,)), MarkedSurface(0, 1, (5,)),
+        MarkedSurface(0, 0, (2, 2)),
+    ], ids=str)
+    def test_numberings_match_arcs_whose_flips_agree(self, surface):
+        """A state and a scramble of it: equal keys name arcs whose flips share a code."""
+        rng = random.Random(f"numbering {surface}")
+        kinds = set()
+        for t in explore_flips(initial_quasi_triangulation(surface), depth=4).payloads:
+            code, num = canonical_form(t)
+            t2 = self.scramble(t, rng)
+            code2, num2 = canonical_form(t2)
+            assert code2 == code == canonical_code_oracle(t2)
+            arc = {key: q for q, key in num2.items()}
+            assert len(arc) == len(num2) and set(t2.quasi_arcs) <= set(num2)
+            for q in t.quasi_arcs:
+                assert canonical_code(flip(t2, arc[num[q]])) == canonical_code(flip(t, q))
+            kinds.update(r[0] for r in t.regions)
+        assert (kinds != {TRI}) == (not surface.orientable)
+
+    def test_mob1_curve_is_keyed_through_its_region(self):
+        t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
+        t2 = flip(t, t.quasi_arcs[0])
+        assert [r[0] for r in t2.regions] == [MOB1]
+        assert canonical_form(t2)[1] == {t.next_id: ("mob1", 0)}
+
+    def test_equal_codes_need_not_mean_equal_flips(self):
+        """A code does not record the twist of a cycle-closing edge.
+
+        On the Klein bottle minus a disk, (0,2,(2,)), these two states share
+        a code, the minimum over all flags as the oracle computes it, yet
+        their flips reach different codes: they are not isomorphic.  So
+        ``explore_flips`` sends no back token there.
+        """
+        t0 = initial_quasi_triangulation(MarkedSurface(0, 2, (2,)))
+        a = flip(flip(t0, 2), 3)
+        b = flip(a, 4)
+        assert canonical_code(a) == canonical_code(b)
+        assert canonical_code_oracle(a) == canonical_code_oracle(b)
+
+        def neighbourhood(t):
+            return Counter(canonical_code(flip(t, q)) for q in t.quasi_arcs)
+
+        assert neighbourhood(a) != neighbourhood(b)
+
     def test_one_bfs_per_code_on_the_heptagon(self, monkeypatch):
         """Only the flag with the least first row is walked on a triangulation."""
         codes, walks = [], []
-        real_code, real_walk = canonical_code, surface_module._walk_code
+        real_form, real_walk = canonical_form, surface_module._walk_code
 
-        def counting_code(t):
+        def counting_form(t):
             codes.append(t)
-            return real_code(t)
+            return real_form(t)
 
         def counting_walk(*args):
             walks.append(args)
             return real_walk(*args)
 
-        monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
+        monkeypatch.setattr("lpsurf.explorer.canonical_form", counting_form)
         monkeypatch.setattr(surface_module, "_walk_code", counting_walk)
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
-        # the initial state once, then the 4 flips of each of the 42 states
-        assert (g.node_count, len(codes), len(walks)) == (42, 1 + 42 * 4, 1 + 42 * 4)
+        # the initial state once, then one flip per edge of the 84
+        assert (g.node_count, len(codes), len(walks)) == (42, 1 + 84, 1 + 84)
 
     def test_first_rows_only_for_candidate_flags(self, monkeypatch):
         """First rows are built only for the flags that can start the least code."""
         rows, per_code = [], []
-        real_code, real_walk = canonical_code, surface_module._walk_code
+        real_form, real_walk = canonical_form, surface_module._walk_code
 
-        def counting_code(t):
+        def counting_form(t):
             before = len(rows)
-            code = real_code(t)
+            form = real_form(t)
             per_code.append((len(rows) - before, tuple(sorted(r[0] for r in t.regions))))
-            return code
+            return form
 
         # a walk that gives a code builds every row of it; a walk cut by its
         # bound builds the rows up to the first one above the bound's row
         def counting_walk(t, sides, links, r0, p0, d0, bound=None):
-            code = real_walk(t, sides, links, r0, p0, d0, bound)
-            if code is None:
-                full = real_walk(t, sides, links, r0, p0, d0)
+            walk = real_walk(t, sides, links, r0, p0, d0, bound)
+            if walk is None:
+                full, _ = real_walk(t, sides, links, r0, p0, d0)
                 built = next(i for i, (row, least) in enumerate(zip(full, bound)) if row != least)
                 rows.extend(full[:built + 1])
             else:
-                rows.extend(code[:-1])
-            return code
+                rows.extend(walk[0][:-1])
+            return walk
 
-        monkeypatch.setattr("lpsurf.explorer.canonical_code", counting_code)
+        monkeypatch.setattr("lpsurf.explorer.canonical_form", counting_form)
         monkeypatch.setattr(surface_module, "_walk_code", counting_walk)
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
-        # 169 codes, each the 5 rows of one walk from one flag (b1 entered
-        # against its sign); the full scan over all 30 flags built 5,915
-        assert len(per_code) == 169 and len(rows) == 169 * 5
+        # 85 codes (one per edge and the initial state's), each the 5 rows of
+        # one walk from one flag (b1 entered against its sign); the full scan
+        # over all 30 flags built 30 * 5 per code
+        assert len(per_code) == 85 and len(rows) == 85 * 5
         rows.clear()
         per_code.clear()
         explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (4,))))
         # a triangulation of M4 (4 triangles) builds 4 rows; a pocket state (a
-        # pocket and 3 triangles) walks its first pocket flag to the end, then
-        # the second against it: cut at its second or third row (6 or 7 rows),
-        # or walked to the end when it ties or wins (8 rows).  The full scan
-        # built 7,196.
+        # pocket and 3 triangles) walks only the pocket flags whose mouth
+        # triangle row is least: one flag (4 rows) when the two directions'
+        # mouth rows differ; when they tie, the second walk is cut at its
+        # third row (7 rows) or walked to the end (8 rows).
         tris, pocket = (TRI,) * 4, (POCKET,) + (TRI,) * 3
         assert sorted(Counter(per_code).items()) == [
-            ((4, tris), 177), ((6, pocket), 34), ((7, pocket), 11), ((8, pocket), 35)]
-        assert len(rows) == 1269 <= 7 * len(per_code)
+            ((4, pocket), 30), ((4, tris), 91), ((7, pocket), 6), ((8, pocket), 2)]
+        assert len(rows) == 542 <= 7 * len(per_code)
 
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
