@@ -1,10 +1,12 @@
 """Initial triangulations of marked surfaces, their topology, the double cover and JSON.
 
 :func:`initial_quasi_triangulation` builds a deterministic triangulation of
-every surface shape it supports and checks it against the surface: Euler
-characteristic, boundary components, no interior vertex, and a double cover
-that is connected exactly when the surface is non-orientable.
-:func:`triangulation_from_json` makes the same two checks on a loaded state.
+every surface shape it supports, and :func:`triangulation_from_json` loads a
+state; both run :func:`check_state` and :func:`verify_topology` on it.  The
+topology checks (connectedness, Euler characteristic, boundary components,
+no interior vertex, and orientability: a one-sided curve or a connected
+double cover only on a non-orientable surface) rest on one union-find,
+:func:`_components`.
 """
 
 from __future__ import annotations
@@ -217,101 +219,88 @@ def initial_quasi_triangulation(
 # -- topology ---------------------------------------------------------------------
 
 
-def _corner_classes(t: QuasiTriangulation) -> tuple[dict, int]:
-    """Union-find over region corners; corner i sits between sides i-1 and i."""
-    parent: dict = {}
+def _components(items, pairs) -> dict:
+    """Union-find: each item's representative once every pair is joined."""
+    parent = {x: x for x in items}
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
-    # walking side pos of a region runs from corner pos to corner pos+1
-    incidences: dict[int, list] = {}
-    for ri in range(len(t.regions)):
-        sides = t.region_sides(ri)
-        for pos, (e, s) in enumerate(sides):
-            parent[ri, pos] = (ri, pos)
-            incidences.setdefault(e, []).append(((ri, pos), (ri, (pos + 1) % len(sides)), s))
-    for incs in incidences.values():
-        if len(incs) > 1:
-            (a_start, a_end, s1), (b_start, b_end, s2) = incs
-            if s1 != s2:
-                b_start, b_end = b_end, b_start
-            parent[find(a_start)] = find(b_start)
-            parent[find(a_end)] = find(b_end)
-    classes = {c: find(c) for c in parent}
-    return classes, len(set(classes.values()))
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {x: find(x) for x in parent}
 
 
 def surface_stats(t: QuasiTriangulation) -> dict:
-    """Euler characteristic, vertex count, and boundary walk structure."""
-    classes, nverts = _corner_classes(t)
-    edges = set(t.slots).union(t.boundary_labels, (p for _, p, _, _ in t.pockets))
-    ntris = sum(1 for r in t.regions if r[0] == TRI)
-    chi = nverts - len(edges) + ntris
-    # trace boundary cycles as an undirected multigraph on vertex classes
-    # (stored edge directions are per-region gauge, so they may disagree)
-    bnd_label = t.boundary_labels
-    endpoints: dict[int, tuple] = {}
+    """Euler characteristic, vertices, boundary component sizes and connected pieces.
+
+    Vertices are classes of region corners, corner i sitting between sides
+    i-1 and i.  ``boundary_components`` lists the sizes, in segments, of the
+    classes of boundary segments joined at their end vertices, in increasing
+    order.  ``pieces`` counts the classes of regions joined across every
+    edge on two region sides, a pocket's portal joining it to its mouth.
+    """
+    ends: dict[int, list] = {}  # edge -> (start, end) corner per side, in the edge's direction
     for ri in range(len(t.regions)):
         sides = t.region_sides(ri)
-        arity = len(sides)
-        for pos, (e, _) in enumerate(sides):
-            if e in bnd_label:
-                endpoints[e] = (classes[(ri, pos)], classes[(ri, (pos + 1) % arity)])
-    at_vertex: dict = {}
-    for e, (u, v) in endpoints.items():
-        at_vertex.setdefault(u, []).append(e)
-        at_vertex.setdefault(v, []).append(e)
-    components = []
-    seen_edges: set[int] = set()
-    for e0, _ in t.boundary:
-        if e0 in seen_edges:
-            continue
-        cycle = [bnd_label[e0]]
-        seen_edges.add(e0)
-        cur = endpoints[e0][1]
-        while True:
-            nxts = [x for x in at_vertex.get(cur, ()) if x not in seen_edges]
-            if not nxts:
-                break
-            e = nxts[0]
-            seen_edges.add(e)
-            cycle.append(bnd_label[e])
-            u, v = endpoints[e]
-            cur = v if cur == u else u
-        components.append(tuple(cycle))
-    # every vertex must lie on the boundary (no punctures)
-    interior = set(classes.values()).difference(*endpoints.values())
+        for pos, (e, s) in enumerate(sides):
+            side = ((ri, pos), (ri, (pos + 1) % len(sides)))
+            ends.setdefault(e, []).append(side if s > 0 else side[::-1])
+    glued = [sides for sides in ends.values() if len(sides) == 2]
+    vertex = _components((c for sides in ends.values() for side in sides for c in side),
+                         (pair for a, b in glued for pair in zip(a, b)))
+    nverts = len(set(vertex.values()))
+    edges = set(t.slots).union(t.boundary_labels, (p for _, p, _, _ in t.pockets))
+    ntris = sum(1 for r in t.regions if r[0] == TRI)
+    # boundary segments and their end vertices; every vertex must lie on one
+    bnd = {e: [vertex[c] for c in ends[e][0]] for e in t.boundary_labels}
+    first: dict = {}  # vertex -> the first segment ending there
+    loops = _components(bnd, ((e, first.setdefault(v, e)) for e, vs in bnd.items() for v in vs))
+    sizes: dict = {}
+    for e in bnd:
+        sizes[loops[e]] = sizes.get(loops[e], 0) + 1
+    # a corner is (region, position)
+    pieces = _components(range(len(t.regions)), ((a[0][0], b[0][0]) for a, b in glued))
     return {
         "vertices": nverts,
         "edges": len(edges),
         "triangles": ntris,
-        "chi": chi,
-        "boundary_components": components,
-        "interior_vertices": len(interior),
+        "chi": nverts - len(edges) + ntris,
+        "boundary_components": sorted(sizes.values()),
+        "interior_vertices": len(set(vertex.values()).difference(*bnd.values())),
+        "pieces": len(set(pieces.values())),
     }
 
 
 def verify_topology(t: QuasiTriangulation) -> None:
+    """Check that ``t`` is a state of its surface; raises :class:`SurfaceError` if not.
+
+    The state must be connected, have the surface's Euler characteristic, no
+    interior vertex (a puncture) and the surface's boundary component sizes.
+    A state with a pocket or mob1 region holds a one-sided curve, so its
+    surface must be non-orientable; a triangulation's double cover must be
+    connected exactly when the surface is non-orientable.
+    """
     s = t.surface
     stats = surface_stats(t)
+    if stats["pieces"] != 1:
+        raise SurfaceError(f"state has {stats['pieces']} connected pieces, expected 1")
     if stats["chi"] != s.euler_characteristic:
         raise SurfaceError(
             f"Euler characteristic {stats['chi']} != expected {s.euler_characteristic}"
         )
     if stats["interior_vertices"]:
         raise SurfaceError("interior vertex found: punctures are forbidden")
-    got = sorted(len(c) for c in stats["boundary_components"])
     want = sorted(s.boundary)
-    if got != want:
-        raise SurfaceError(f"boundary structure {got} != expected {want}")
-    if t.is_pure_triangulation():
-        comps = cover_components(double_cover(t))
-        if (comps == 2) != s.orientable:
-            raise SurfaceError("double cover does not match orientability")
+    if stats["boundary_components"] != want:
+        raise SurfaceError(f"boundary structure {stats['boundary_components']} != expected {want}")
+    if not t.is_pure_triangulation():
+        if s.orientable:
+            raise SurfaceError("one-sided curve on an orientable surface")
+    elif (cover_components(double_cover(t)) == 2) != s.orientable:
+        raise SurfaceError("double cover does not match orientability")
 
 
 # -- double cover -----------------------------------------------------------------
@@ -372,31 +361,11 @@ def double_cover(t: QuasiTriangulation) -> LiftedTriangulation:
 
 def cover_components(lt: LiftedTriangulation) -> int:
     """Connected components of the double cover (2 iff the base is orientable)."""
-    adj: dict[tuple[int, int], set] = {}
-    lift_members: dict[tuple[int, int], list] = {}
-    for key, walk in lt.triangles:
-        adj.setdefault(key, set())
-        for e, lift, _ in walk:
-            lift_members.setdefault((e, lift), []).append(key)
-    for members in lift_members.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].add(b)
-    seen: set = set()
-    comps = 0
-    for key in adj:
-        if key in seen:
-            continue
-        comps += 1
-        stack = [key]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adj[u] - seen)
-    return comps
+    first: dict = {}  # edge lift -> the first triangle holding it
+    reps = _components((key for key, _ in lt.triangles),
+                       ((key, first.setdefault(lift[:2], key))
+                        for key, walk in lt.triangles for lift in walk))
+    return len(set(reps.values()))
 
 
 # -- serialization ----------------------------------------------------------------

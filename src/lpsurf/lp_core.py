@@ -186,9 +186,7 @@ def validate_seed(seed: LPSeed) -> list[str]:
 # -- normalization ------------------------------------------------------------
 
 
-def normalize(
-    seed: LPSeed, j: int, memo: Optional[dict] = None
-) -> tuple[Polynomial, tuple[int, ...]]:
+def normalize(seed: LPSeed, j: int) -> tuple[Polynomial, tuple[int, ...]]:
     """Normalized exchange polynomial of slot ``j`` and its exponent vector.
 
     Returns ``(Fhat_j, (a_1..a_n))`` with
@@ -204,8 +202,7 @@ def normalize(
     multiple of ``F_k`` involves that variable too), so ``a_k`` is the
     least ``m``, ``F_j``'s valuation in ``x_k``.  That is 0, because a valid
     ``F_j`` is irreducible and no cluster variable, so no ``x_k`` divides it.
-    Only the other powers are computed by division, and with ``memo`` (see
-    :func:`mutate`) each of those once per ``F_k``, ``F_j`` and ``k``.
+    Only the other powers are computed by division.
     """
     seed.require_valid()
     f = seed.polys[j]
@@ -213,7 +210,7 @@ def normalize(
     exponents = [0] * seed.n
     for k, fk in enumerate(seed.polys):
         if k != j and not fk._support & ~support:
-            exponents[k] = _once(memo, lambda: ("power", fk.terms, f.terms, k), _power_of, fk, f, k)
+            exponents[k] = _power_of(fk, f, k)
     shift = [-a for a in exponents] + [0] * len(seed.ctx.frozen)
     return f.times_monomial(shift), tuple(exponents)
 
@@ -339,16 +336,16 @@ def mutate(
     its ``num`` and ``den`` and raised again under this call's name.  On a
     miss the exchange is computed in parts, and since the relation
     ``x_i * x_i' = Fhat_i`` is local, each part is looked up under only the
-    data it depends on: a power ``a_k`` of :func:`normalize` that the
-    variable supports leave open (they decide most, with no key) under
-    ``F_k``, ``F_i`` and ``k``; the new value under the context, ``value_i``
+    data it depends on: the new value under the context, ``value_i``
     and, per term of ``Fhat_i``, the signed coefficient, the frozen
     exponents and the values raised to a nonzero power with those powers;
     steps 1-3 for slot ``j`` under the context, ``Fhat_i|_{x_j<-0}``,
     ``F_j`` and ``i``, so exchanges whose ``Fhat_i`` differ only in terms
-    divisible by ``x_j`` share them.  The seeds of one BFS never share a
-    whole input, but they share these parts, and a memo made as
-    :class:`_PartMemo` (the seed BFS's) keeps no whole inputs.
+    divisible by ``x_j`` share them.  :func:`normalize` keeps nothing: the
+    variable supports decide most of its powers with no division.  The
+    seeds of one BFS never share a whole input, but they share these parts,
+    and a memo made as :class:`_PartMemo` (the seed BFS's) keeps no whole
+    inputs.
     A part that fails is not kept.  The checks above and the result's
     validity check run on every call.  Without ``memo`` no key is built.
     """
@@ -402,7 +399,7 @@ def _exchange(
     part is looked up by the data it depends on (see :func:`mutate`).
     """
     ctx = seed.ctx
-    fhat_i, _ = normalize(seed, i, memo)
+    fhat_i, _ = normalize(seed, i)
     if fhat_i.is_zero:
         raise MutationError("normalized polynomial vanished")
     value = _once(memo, lambda: _value_key(seed, i, fhat_i), _new_value, seed, i, fhat_i, name)

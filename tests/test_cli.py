@@ -234,11 +234,11 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
 
 @pytest.mark.parametrize("boundary, cross_caps, depth, powers, positive", [
     ([6], 0, None, 0, 0), ([7], 0, None, 0, 0), ([8], 0, None, 0, 0),
-    ([3], 1, None, 6, 3), ([4], 1, None, 12, 6), ([2, 2], 0, 3, 0, 0),
+    ([3], 1, None, 6, 3), ([4], 1, None, 20, 10), ([2, 2], 0, 3, 0, 0),
 ], ids=["hexagon", "7-gon", "8-gon", "M3", "M4", "annulus22-depth3"])
 def test_compare_graphs_divides_only_where_supports_leave_the_power_open(
         runner, tmp_path, monkeypatch, boundary, cross_caps, depth, powers, positive):
-    """On the benchmark's ladder, ``normalize`` divides for 18 powers ``a_k``, 9 of them positive.
+    """On the benchmark's ladder, ``normalize`` divides for 26 powers ``a_k``, 13 of them positive.
 
     Every other power has an ``F_k`` that involves a variable ``F_j`` does
     not, which decides it without a division.

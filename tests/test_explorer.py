@@ -545,7 +545,7 @@ class TestWholeSeedMemoLevel:
         g = explore_seeds(seed_from_quasi_triangulation(initial_quasi_triangulation(mobius4)))
         memo = memos[0]
         assert len(memos) == g.edge_count and all(m is memo for m in memos)
-        assert {key[0] for key in memo} == {"power", "value", "step"}
+        assert {key[0] for key in memo} == {"value", "step"}
 
     def test_repeated_chain_hits_the_whole_seed_level(self, monkeypatch, mobius2):
         memos, exchanges = self.spy(monkeypatch)
@@ -586,7 +586,12 @@ class TestExport:
         lambda d: {**d, "truncated": "no"},
         lambda d: {**d, "edges": [[str(u), str(v), e] for u, v, e in d["edges"]]},
         lambda d: {**d, "nodes": [{"id": n["id"]} for n in d["nodes"]]},
-    ], ids=["list", "schema", "no-edges", "truncated-string", "edge-strings", "no-labels"])
+        # export writes these into DOT unquoted or between quotes
+        lambda d: {**d, "kind": "x } digraph y {"},
+        lambda d: {**d, "nodes": [{**n, "label": n["label"] + '"'} for n in d["nodes"]]},
+        lambda d: {**d, "edges": [[u, v, e + '"'] for u, v, e in d["edges"]]},
+    ], ids=["list", "schema", "no-edges", "truncated-string", "edge-strings", "no-labels",
+            "dot-kind", "quoted-node-label", "quoted-edge-label"])
     def test_json_rejects_malformed(self, hexagon_seed, edit):
         data = json.loads(export(explore_seeds(hexagon_seed, depth=1), "json"))
         with pytest.raises(PolyError):

@@ -374,7 +374,6 @@ class TestLocalMemo:
         """F_b = F_c, yet a_b = 1 and a_c = 0 in normalizing F_a at one call."""
         s, _ = exchange(ABC, ["b + c*t + c", "t + 1", "t + 1"])
         assert normalize(s, 0)[1] == (0, 1, 0)
-        assert normalize(s, 0, {}) == normalize(s, 0)
         assert mutate(s, 0, memo={}) == mutate(s, 0)
 
 

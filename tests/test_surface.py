@@ -64,6 +64,22 @@ SURFACE_GRID = [
 ]
 
 
+def pocket_state_02():
+    """A pocket state of (0,2,(2,)): it holds a one-sided curve."""
+    t = initial_quasi_triangulation(MarkedSurface(0, 2, (2,)))
+    return flip(t, detect_m2(t)[0])
+
+
+def m2_and_torus():
+    """M_2 beside a one-holed torus, as one state of rank 2 + 5."""
+    a = initial_quasi_triangulation(MarkedSurface(0, 1, (2,)), labels=[("a1", "a2")])
+    b = initial_quasi_triangulation(MarkedSurface(1, 0, (2,)), labels=[("c1", "c2")])
+    k = a.next_id
+    regions = a.regions + tuple((TRI, tuple((e + k, s) for e, s in r[1])) for r in b.regions)
+    boundary = a.boundary + tuple((e + k, lbl) for e, lbl in b.boundary)
+    return QuasiTriangulation(a.surface, regions, boundary, k + b.next_id)
+
+
 def m4_digon_state():
     """M_4 triangulation with the cross-cap inside an arc digon.
 
@@ -239,6 +255,37 @@ class TestInitialTriangulation:
         data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
         with pytest.raises(SurfaceError, match=message):
             triangulation_from_json(data)
+
+    @pytest.mark.parametrize("state,named,message", [
+        (pocket_state_02, MarkedSurface(1, 0, (2,)), "^one-sided curve on an orientable surface$"),
+        (m2_and_torus, MarkedSurface(0, 1, (2, 2)), "^state has 2 connected pieces, expected 1$"),
+    ], ids=["pocket-as-torus", "m2-and-torus"])
+    def test_triangulation_json_rejects_a_state_of_another_shape(self, state, named, message):
+        """Each state has the named surface's rank, Euler characteristic and
+        boundary, and passes check_state, yet is not a state of that surface."""
+        t = state()
+        check_state(QuasiTriangulation(named, t.regions, t.boundary, t.next_id))
+        data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
+        with pytest.raises(SurfaceError, match=message):
+            triangulation_from_json(data)
+
+    @pytest.mark.parametrize("surface,depth", [
+        (MarkedSurface(0, 1, (3,)), None), (MarkedSurface(0, 1, (4,)), None),
+        (MarkedSurface(0, 2, (2,)), 3), (MarkedSurface(0, 0, (2, 2)), 3),
+        (MarkedSurface(1, 0, (2,)), 3),
+    ], ids=str)
+    def test_every_flip_state_loads_back(self, surface, depth):
+        states = explore_flips(initial_quasi_triangulation(surface), depth).payloads
+        for t in states:
+            assert triangulation_from_json(triangulation_to_json(t)) == t
+        if not surface.orientable:
+            assert any(not t.is_pure_triangulation() for t in states)
+
+    def test_mob1_state_loads_back(self):
+        t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
+        t2 = flip(t, t.quasi_arcs[0])
+        assert [r[0] for r in t2.regions] == [MOB1]
+        assert triangulation_from_json(triangulation_to_json(t2)) == t2
 
     def test_stray_boundary_edge_is_rejected(self, hexagon):
         """A boundary edge on no region would give the hexagon a seventh frozen b7."""
@@ -1102,6 +1149,12 @@ class TestStats:
         stats = surface_stats(t)
         assert stats["chi"] == surface.euler_characteristic
         assert stats["interior_vertices"] == 0
+
+    @pytest.mark.parametrize("surface,sizes", [
+        (MarkedSurface(1, 2, (2, 3)), [2, 3]), (MarkedSurface(0, 0, (2, 2)), [2, 2]),
+    ], ids=["(1,2,(2,3))", "annulus22"])
+    def test_boundary_component_sizes(self, surface, sizes):
+        assert surface_stats(initial_quasi_triangulation(surface))["boundary_components"] == sizes
 
     def test_stats_on_pocket_state(self, mobius2):
         t = initial_quasi_triangulation(mobius2)
