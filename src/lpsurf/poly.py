@@ -168,6 +168,13 @@ class VariableContext(Record):
 Exponents = tuple[int, ...]
 Terms = tuple[tuple[Exponents, int], ...]
 
+# Products and exact divisions of at least this many term pairs run on packed
+# exponent vectors (see ``Polynomial.mul`` and ``_divide_ordinary``).  Packing
+# pays for itself from about 64 pairs in a product and 330 in a division, but
+# the first packed operation of a process also compiles ``lpsurf._packed``,
+# and below this size an operation saves less than that costs.
+PACKED_PAIRS = 2048
+
 
 def _sorted_terms(d: Mapping[Exponents, int]) -> Terms:
     items = [(e, c) for e, c in d.items() if c != 0]
@@ -388,6 +395,14 @@ class Polynomial(Record):
         """The product; a one-term factor shifts the other's terms, which keeps their order.
 
         Grlex is a monomial order, so ``e1 > e2`` implies ``e1 + m > e2 + m``.
+        Operands with at least ``PACKED_PAIRS`` term pairs multiply on packed
+        exponent vectors (``lpsurf._packed.product``): one int per monomial,
+        a total-degree field on top and then one field per variable, each
+        biased to start at 0 and wide enough for the product's exponent
+        range, so that adding two ints adds their exponents without a carry
+        and comparing them compares in grlex order.  A polynomial times
+        itself adds each cross product once, as ``2*ci*cj``.  Smaller
+        operands multiply exponent tuples, which costs less than packing.
         """
         self._same_ctx(other)
         add = operator.add
@@ -396,6 +411,10 @@ class Polynomial(Record):
             (m, k), = one.terms
             terms = tuple((tuple(map(add, e, m)), c * k) for e, c in many.terms)
             return Polynomial(self.ctx, terms)
+        if len(self.terms) * len(other.terms) >= PACKED_PAIRS:
+            from . import _packed  # compiled only by a command that makes such a product
+
+            return Polynomial(self.ctx, _packed.product(self.terms, other.terms))
         d: dict[Exponents, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -425,6 +444,7 @@ class Polynomial(Record):
         )
 
     def pow(self, k: int) -> "Polynomial":
+        """``self**k`` by repeated squaring; a large square takes ``mul``'s packed path."""
         if k < 0:
             raise PolyError("negative power of a polynomial")
         if k == 0:
@@ -592,7 +612,19 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     second entry: it lies below the leading term, so its first entry is
     still in the heap.  The leading terms, and so the quotient, are those of
     the plain greedy division.
+
+    When ``len(p) * (len(q) - 1)`` is at least ``PACKED_PAIRS``, the same
+    division runs on packed exponent vectors (``lpsurf._packed.quotient``):
+    ints ordered as grlex, with a field per variable sized by ``p``'s
+    degree plus one guard bit, so that one subtraction and one mask test
+    whether ``q``'s leading monomial divides the remainder's (a field where
+    it does not borrows into its guard bit).
     """
+    if len(p.terms) * (len(q.terms) - 1) >= PACKED_PAIRS:
+        from . import _packed
+
+        terms = _packed.quotient(p.terms, q.terms)
+        return None if terms is None else Polynomial(p.ctx, terms)
     add, neg, sub = operator.add, operator.neg, operator.sub
     rem = p._dict()
     heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]

@@ -581,6 +581,8 @@ def check_state(t: QuasiTriangulation) -> None:
     if t.next_id <= max(set(slots).union(bnd, t.quasi_arcs), default=-1):
         raise SurfaceError(f"next_id {t.next_id} is not above every id of the state")
     for ri, r in enumerate(t.regions):
+        if any(s not in (1, -1) for _, s in t.region_sides(ri)):
+            raise SurfaceError(f"region {ri} has a side sign other than 1 or -1")
         if r[0] == TRI:
             by_edge: dict[int, list[int]] = {}
             for pos, (e, s) in enumerate(r[1]):

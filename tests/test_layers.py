@@ -4,7 +4,9 @@
 initial triangulations, their topology checks and the double cover; and
 ``quiver`` the twin-vertex layout, adjacency quivers included.  Every import
 of a sibling module sits at module level, except the hook in
-``lpsurf/__init__.py`` that loads ``quiver`` on first use.
+``lpsurf/__init__.py`` that loads ``quiver`` on first use, and ``poly``'s
+imports of its packed kernels, which a command compiles only when it makes a
+product or division at least ``poly.PACKED_PAIRS`` term pairs large.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import lpsurf
 
 PACKAGE = Path(lpsurf.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+DEFERRED = {
+    "__init__.py": [("quiver", "__getattr__")],
+    "poly.py": [("_packed", "mul"), ("_packed", "_divide_ordinary")],
+}
 
 
 def imports(path: Path) -> list[tuple[str, str, bool]]:
@@ -59,7 +65,7 @@ def test_surface_has_no_function_level_import():
 def test_sibling_imports_sit_at_module_level(name):
     deferred = [(target, function) for target, function, relative in imports(PACKAGE / name)
                 if relative and function]
-    assert deferred == ([("quiver", "__getattr__")] if name == "__init__.py" else [])
+    assert deferred == DEFERRED.get(name, [])
 
 
 

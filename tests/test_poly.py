@@ -1,12 +1,14 @@
 import heapq
 import json
+import math
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsurf import poly
+from lpsurf import _packed, poly
 from lpsurf.build import initial_quasi_triangulation, triangulation_to_json
 from lpsurf.cli import main
 from lpsurf.lp_core import seed_to_json
@@ -418,6 +420,178 @@ def test_divide_exact_by_one_term_matches_sympy(p, m, r):
         assert got is None and want is None
     else:
         _check(got, want)
+
+
+# -- the packed kernels: the tuple path's results, and sympy's ------------------------
+
+
+@contextmanager
+def packed_pairs(threshold):
+    """``poly.PACKED_PAIRS`` set to ``threshold``: 1 packs every operation, inf none."""
+    saved = poly.PACKED_PAIRS
+    poly.PACKED_PAIRS = threshold
+    try:
+        yield
+    finally:
+        poly.PACKED_PAIRS = saved
+
+
+@contextmanager
+def kernel_calls():
+    """Counts the calls of ``_packed.product`` and ``_packed.quotient`` while it is open."""
+    calls = {"product": 0, "quotient": 0}
+    kernels = {name: getattr(_packed, name) for name in calls}
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernels[name](*args)
+        return wrapper
+
+    try:
+        for name in calls:
+            setattr(_packed, name, counted(name))
+        yield calls
+    finally:
+        for name, kernel in kernels.items():
+            setattr(_packed, name, kernel)
+
+
+def both_paths(f, *args):
+    """``f(*args)`` on exponent tuples and on packed keys, which must agree.
+
+    Returns the packed result, after checking that a kernel computed it.
+    """
+    with packed_pairs(math.inf):
+        by_tuples = f(*args)
+    with packed_pairs(1), kernel_calls() as calls:
+        packed = f(*args)
+    assert sum(calls.values()) >= 1
+    assert packed == by_tuples
+    return packed
+
+
+def _laurent(min_terms, max_terms, low=-2, high=3, max_coeff=4):
+    """Polynomials over ``_ctx`` with distinct terms whose exponents lie in low..high."""
+    exponent = st.integers(min_value=low, max_value=high)
+    coeff = st.integers(min_value=-max_coeff, max_value=max_coeff).filter(bool)
+    term = st.tuples(st.tuples(exponent, exponent, exponent), coeff)
+    terms = st.lists(term, min_size=min_terms, max_size=max_terms, unique_by=lambda t: t[0])
+    return terms.map(lambda ts: Polynomial.from_dict(_ctx, dict(ts)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent(2, 8), _laurent(2, 8), _laurent(2, 4, low=-300, high=300))
+def test_packed_products_match(p, q, wide):
+    """Laurent products, wide exponent fields, and products whose cross terms cancel."""
+    _check(both_paths(Polynomial.mul, p, q), laurent_product(p, q))
+    _check(both_paths(Polynomial.mul, p, wide), laurent_product(p, wide))
+    plus, minus = p.add(q), p.sub(q)
+    if len(plus.terms) > 1 and len(minus.terms) > 1:
+        # (p + q)(p - q) = p^2 - q^2: each p*q cross term is made twice and cancels
+        product = both_paths(Polynomial.mul, plus, minus)
+        _check(product, laurent_product(plus, minus))
+        assert product == p.pow(2).sub(q.pow(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent(2, 5, max_coeff=3), st.integers(2, 4))
+def test_packed_squares_and_powers_match(p, k):
+    """``p.mul(p)`` adds each cross product once, doubled; ``pow`` squares that way."""
+    _check(both_paths(Polynomial.mul, p, p), laurent_power(p, 2))
+    _check(both_paths(Polynomial.pow, p, k), laurent_power(p, k))
+
+
+def _check_quotient(got, n, q):
+    """``got`` is the sympy division's verdict on ``n / q``."""
+    want = laurent_quotient(n, q)
+    if want is None:
+        assert got is None
+    else:
+        _check(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent(1, 8), _laurent(2, 6), st.integers(2, 3))
+def test_packed_divisions_match(p, q, k):
+    """Divisions that succeed, and ones by ``k*q`` that fail on a coefficient.
+
+    ``p*q / (k*q)`` fails unless k divides p.  ``k*q*p`` plus its leading
+    monomial fails on the first quotient coefficient, by 1: a division that
+    rounded it and went on would find every later term and return ``p``.
+    """
+    n = p.mul(q)
+    _check_quotient(both_paths(divide_exact, n, q), n, q)
+    kq = q.canonical_sign().mul_int(k)
+    _check_quotient(both_paths(divide_exact, n, kq), n, kq)
+    if any(c % k for _, c in p.terms):
+        assert divide_exact(n, kq) is None
+    near = kq.mul(p)
+    near = near.add(Polynomial.monomial(_ctx, near.terms[0][0]))
+    assert both_paths(divide_exact, near, kq) is None
+    assert laurent_quotient(near, kq) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent(2, 5, low=0), _laurent(2, 6, low=0), st.integers(0, 2))
+def test_packed_division_fails_on_a_negative_exponent(q1, r1, v):
+    """``q1*r1`` by ``x_v*q1``: the Laurent quotient is ``r1/x_v``, no polynomial
+    unless ``x_v`` divides ``r1``.
+
+    The greedy division finds ``r1/x_v``'s terms in order, each coefficient
+    divisible, until the first that has exponent -1 at ``v``.  The Laurent
+    division, which strips monomials first, succeeds.
+    """
+    x_v = [0, 0, 0]
+    x_v[v] = 1
+    q, n = q1.times_monomial(x_v), q1.mul(r1)
+    got = both_paths(poly._divide_ordinary, n, q)
+    if all(e[v] for e, _ in r1.terms):
+        assert got == r1.times_monomial([-k for k in x_v])
+    else:
+        assert got is None
+    _check_quotient(both_paths(divide_exact, n, q), n, q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_laurent(46, 50), _laurent(46, 50), st.integers(20, 40))
+def test_path_follows_the_pair_count(p, q, cut):
+    """With the module's threshold, operations at least ``PACKED_PAIRS`` large are packed.
+
+    ``q`` divides each product exactly, as the sympy division confirms.
+    """
+    binomial = Polynomial.from_dict(_ctx, {(1, 0, 0): 1, (0, -1, 2): -3})
+    small = Polynomial(_ctx, p.terms[:cut])
+    for a, b in ((p, q), (small, q), (p, binomial)):
+        with kernel_calls() as calls:
+            n = a.mul(b)
+        assert calls == {"product": int(len(a.terms) * len(b.terms) >= poly.PACKED_PAIRS),
+                         "quotient": 0}
+        assert laurent_quotient(n, b) == dict(a.terms)
+        with kernel_calls() as calls:
+            back = divide_exact(n, b)
+        assert back == a
+        assert calls == {"product": 0,
+                         "quotient": int(len(n.terms) * (len(b.terms) - 1) >= poly.PACKED_PAIRS)}
+    assert len(p.terms) * len(q.terms) >= poly.PACKED_PAIRS > len(small.terms) * len(q.terms)
+
+
+@pytest.mark.parametrize("boundary, command, kernels", [
+    ([2, 2], ["verify-laurent", "--sequences", "200", "--max-length", "8", "--rng-seed", "0"],
+     {"product": 1, "quotient": 2}),
+    ([6], ["compare-graphs"], {"product": 0, "quotient": 0}),
+], ids=["verify-laurent-annulus22", "compare-graphs-hexagon"])
+def test_which_commands_take_the_packed_path(runner, tmp_path, boundary, command, kernels):
+    """``verify-laurent`` on annulus(2,2) squares an 87-term value and divides a
+    686-term numerator by a 38-term denominator; the hexagon's operations stay
+    far below ``PACKED_PAIRS``."""
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"schema": 1, "genus": 0, "cross_caps": 0,
+                                "boundary": boundary, "boundary_variables": True}))
+    with kernel_calls() as calls:
+        result = runner.invoke(main, [command[0], "--surface", str(path), *command[1:]])
+    assert result.exit_code == 0, result.output
+    assert calls == kernels
 
 
 @settings(max_examples=60, deadline=None)

@@ -80,6 +80,12 @@ def m2_and_torus():
     return QuasiTriangulation(a.surface, regions, boundary, k + b.next_id)
 
 
+def _with_first_side_sign(data, sign):
+    """Saved state ``data`` with the sign of its first region's first side replaced."""
+    (kind, sides), *rest = data["regions"]
+    return {**data, "regions": [[kind, [[sides[0][0], sign], *sides[1:]]], *rest]}
+
+
 def m4_digon_state():
     """M_4 triangulation with the cross-cap inside an arc digon.
 
@@ -234,8 +240,10 @@ class TestInitialTriangulation:
         lambda d: {**d, "boundary": [[str(e), lbl] for e, lbl in d["boundary"]]},
         lambda d: {**d, "regions": [[r[0]] + [str(x) for x in r[1:]] for r in d["regions"]]},
         lambda d: {**d, "next_id": d["next_id"] - 1},
+        lambda d: _with_first_side_sign(d, 5),
+        lambda d: _with_first_side_sign(d, 0),
     ], ids=["list", "schema", "surface-schema", "next-id", "boundary", "region-entries",
-            "next-id-reused"])
+            "next-id-reused", "side-sign-5", "side-sign-0"])
     def test_triangulation_json_rejects_malformed(self, mobius3, edit):
         data = triangulation_to_json(initial_quasi_triangulation(mobius3))
         with pytest.raises(SurfaceError):
