@@ -164,6 +164,9 @@ def _explore(args: argparse.Namespace) -> None:
 def _compare_graphs(args: argparse.Namespace) -> int:
     t, seed = _surface_seed(_seed_surface(args))
     graph = explorer.explore_seeds(seed, depth=args.depth, state=t)
+    if graph.capped:
+        raise _Failure(f"the seed graph passed the node cap of {explorer._node_cap()}; "
+                       f"pass --depth or raise {explorer.NODE_CAP_ENV}")
     iso = graph.mismatch is None
     print(
         f"isomorphic: {'true' if iso else 'false'}, "

@@ -47,21 +47,24 @@ class ExchangeGraph(Record, frozen=False):
     ``payloads`` holds each node's seed or state, or its lockstep tuple (see
     :func:`explore_seeds`).  The BFS releases the cached derived structure of
     every node it expanded, so such a payload rebuilds it on its next use.
-    ``mismatch`` names the first failed lockstep check.  ``repr`` leaves out
-    the last two fields.
+    ``mismatch`` names the first failed lockstep check.  ``capped`` says
+    that the node cap, not a depth bound, cut the graph short.  ``repr``
+    leaves out the last three fields.
     """
 
-    _fields = ("kind", "labels", "edges", "truncated", "payloads", "mismatch")
+    _fields = ("kind", "labels", "edges", "truncated", "payloads", "mismatch", "capped")
     _repr_fields = _fields[:4]
 
     def __init__(self, kind: str, labels: list[str], edges: dict[tuple[int, int], str],
-                 truncated: bool, payloads: Optional[list] = None, mismatch: Optional[str] = None):
+                 truncated: bool, payloads: Optional[list] = None, mismatch: Optional[str] = None,
+                 capped: bool = False):
         self.kind = kind  # "seeds" or "flips"
         self.labels = labels
         self.edges = edges
         self.truncated = truncated
         self.payloads = [] if payloads is None else payloads
         self.mismatch = mismatch
+        self.capped = capped
 
     @property
     def node_count(self) -> int:
@@ -99,7 +102,7 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
     depths = [0]
     edges: dict[tuple[int, int], str] = {}
     skip: dict[int, dict] = {}
-    truncated = False
+    truncated = capped = False
     frontier = [0]
     while frontier:
         if depth is not None and depths[frontier[0]] >= depth:
@@ -112,7 +115,7 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
                 v = index.get(key)
                 if v is None:
                     if len(payloads) >= max_nodes:
-                        truncated = True
+                        truncated = capped = True
                         continue
                     v = len(payloads)
                     index[key] = v
@@ -132,7 +135,7 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
                 release_cached(part)
         frontier = next_frontier
     labels = [label(p) if lbl is None else lbl for p, lbl in zip(payloads, labels)]
-    return ExchangeGraph(kind, labels, edges, truncated, payloads)
+    return ExchangeGraph(kind, labels, edges, truncated, payloads, capped=capped)
 
 
 def _names(s: LPSeed) -> str:
@@ -314,8 +317,9 @@ def verify_laurent(seed: LPSeed, sequences: Iterable[Sequence[int]]) -> LaurentR
 
 
 def export(g: ExchangeGraph, fmt: str) -> str:
+    """``g`` as DOT or JSON text; JSON marks any cut, DOT a cut by the node cap."""
     if fmt == "dot":
-        lines = [f"graph {g.kind} {{"]
+        lines = [f"graph {g.kind} {{"] + (["  // truncated by the node cap"] if g.capped else [])
         for i, lbl in enumerate(g.labels):
             lines.append(f'  n{i} [label="{lbl}"];')
         for (u, v), d in sorted(g.edges.items()):

@@ -16,7 +16,7 @@ Laurent polynomial raises :class:`LaurentViolation`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .poly import (
     ContextMismatch,
@@ -27,12 +27,12 @@ from .poly import (
     _as_univariate,
     _check_name,
     _divide_ordinary,
+    _strip_raw,
     _sympy_factors,
     cached_attribute,
     divide_exact,
     is_irreducible,
     parse_polynomial,
-    strip_laurent_monomial,
 )
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 
@@ -252,66 +252,47 @@ def _fresh_name(name: str) -> str:
 def _new_value(seed: LPSeed, i: int, fhat: Polynomial, name: str) -> Polynomial:
     """``Fhat_i(values) / value_i`` as a Laurent polynomial, by one exact division.
 
-    With ``b_k = max(0, -valuation_k(Fhat_i))`` borrowed powers, the numerator
-    ``N = sum c * frozen^e * prod_k value_k^(e_k + b_k)`` has no negative
-    powers of values, and the value is ``N / (value_i * prod_k value_k^b_k)``.
+    ``Fhat_i`` has no negative frozen exponent, so its ``den`` is a monomial
+    in cluster variables, and the value is ``N / D`` with ``N = num(values)``
+    and ``D = value_i * den(values)``: ``N`` has no negative powers of
+    values.  Both substitutions share one table of powers of the values.
     """
-    n = seed.n
-    borrow = [max(0, -fhat.valuation_in(k)) for k in range(n)]
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(k: int, m: int) -> Polynomial:
-        if (k, m) not in powers:
-            powers[(k, m)] = seed.values[k].pow(m)
-        return powers[(k, m)]
-
-    num: dict[tuple[int, ...], int] = {}
-    for e, c in fhat.terms:
-        term = Polynomial(seed.ctx, (((0,) * n + e[n:], c),))
-        for k in range(n):
-            if e[k] + borrow[k]:
-                term = term.mul(power(k, e[k] + borrow[k]))
-        for te, tc in term.terms:
-            num[te] = num.get(te, 0) + tc
-    numerator = Polynomial.from_dict(seed.ctx, num)
-    den = seed.values[i]
-    for k in range(n):
-        if borrow[k]:
-            den = den.mul(power(k, borrow[k]))
+    values = dict(enumerate(seed.values))
+    powers: dict = {}
+    numerator = fhat.num.substitute(values, powers)
+    den = seed.values[i].mul(fhat.den.substitute(values, powers))
     value = divide_exact(numerator, den)
-    if value is None or any(k < 0 for e, _ in value.terms for k in e[n:]):
+    if value is None or any(k < 0 for e, _ in value.terms for k in e[seed.n:]):
         raise LaurentViolation(name, numerator, den)
     return value
 
 
-def _divide_out_common(h: Polynomial, p: Polynomial) -> Polynomial:
+def _divide_out_common(h: Polynomial, p: Polynomial, strip: Iterable[int] = ()) -> Polynomial:
     """``h`` with every common non-unit factor with ``p`` divided out (step 2).
 
-    The prime factors of a ±1 monomial ``p`` are its variables, which are
-    stripped from ``h``; an irreducible ``p`` is divided out while it
-    divides.  Any other ``p`` is ``c * x^m * q`` with integer content ``c``
-    and a primitive part ``q`` that no variable divides: ``h`` loses its
-    common integer factors with ``c``, the variables of ``x^m``, and each
-    irreducible factor of ``q`` (sympy factors a reducible ``q``).
+    ``p`` is a Laurent polynomial, whose monomials are units.  Write
+    ``p = c * x^m * q`` with integer content ``c``, a Laurent monomial
+    ``x^m`` and a primitive part ``q`` that no variable divides: ``h`` loses
+    its common integer factors with ``c``, the variables that divide ``p``,
+    and each irreducible factor of ``q`` (sympy factors a reducible ``q``).
+    A ±1 monomial ``p`` has a unit ``q``, so it only strips variables; an
+    irreducible ``p`` is its own ``q`` up to sign.  The variables of
+    ``strip`` are stripped from ``h`` in the same shift.  The result's sign
+    is not normalized.
     """
-    if p.is_monomial and abs(p.leading_coefficient()) == 1:
-        return strip_laurent_monomial(h, [k for k, e in enumerate(p.terms[0][0]) if e])[0]
-    if not p.is_monomial and p.is_ordinary and is_irreducible(p):
-        # divide_exact treats monomials as units and never fails on one, so
-        # this loop ends only because p is not a monomial
-        while (q := divide_exact(h, p)) is not None:
-            h = q
-        return h
     c = p.content()
-    q, shift = strip_laurent_monomial(p if c == 1 else divide_exact(p, Polynomial.const(p.ctx, c)))
-    while (d := math.gcd(c, h.content())) != 1:
-        h = divide_exact(h, Polynomial.const(h.ctx, d))
+    primitive = p if c == 1 else divide_exact(p, Polynomial.const(p.ctx, c))
+    q, shift = _strip_raw(primitive, range(p.ctx.nvars))
     # shift[k] < 0 exactly where x_k divides p
-    h, _ = strip_laurent_monomial(h, [k for k, e in enumerate(shift) if e < 0])
+    h, _ = _strip_raw(h, {*strip, *(k for k, e in enumerate(shift) if e < 0)})
+    while c != 1 and (d := math.gcd(c, h.content())) != 1:
+        h = divide_exact(h, Polynomial.const(h.ctx, d))
     if q.is_unit:
         return h
     factors = [q] if is_irreducible(q) else [f for f, _ in _sympy_factors(q)[1]]
     for f in factors:
+        # divide_exact treats monomials as units and never fails on one, so
+        # this loop ends only because f is not a monomial
         while (r := divide_exact(h, f)) is not None:
             h = r
     return h
@@ -441,25 +422,23 @@ def _exchange_step(
     ``numerator`` is ``Fhat_i|_{x_j<-0}``, the only way steps 1-3 depend on
     ``Fhat_i`` and ``j``.
     """
-    cluster_idx = ctx.cluster_indices()
     # Step 1: substitute x_i <- (Fhat_i|_{x_j<-0}) / x_i'
     if numerator.is_zero:
         raise MutationError("Fhat_i|_{x_j<-0} is zero")
     minus_i = tuple(-1 if t == i else 0 for t in range(ctx.nvars))
-    g = fj.subs_poly(i, numerator.times_monomial(minus_i))
-    # Step 2: divide out all common (non-unit, non-monomial) factors with
-    # Fhat_i|_{x_j<-0}; monomials are units of the Laurent ring.
-    h, _ = strip_laurent_monomial(g, cluster_idx)
-    n_stripped, _ = strip_laurent_monomial(numerator, cluster_idx)
-    h = _divide_out_common(h, n_stripped)
+    g = fj.substitute({i: numerator.times_monomial(minus_i)})
+    # Step 2: divide out all common non-unit factors with Fhat_i|_{x_j<-0};
+    # monomials are units of the Laurent ring.  The same shift strips the
+    # cluster variables, which step 3 would divide out.
+    h = _divide_out_common(g, numerator, range(len(ctx.cluster)))
     # Step 3: the unique monic Laurent monomial making the result an
     # ordinary polynomial not divisible by any cluster variable, with the
     # canonical positive leading coefficient.  That monomial is 1 here.
-    # Step 1 leaves h ordinary (F_j and Fhat_i have no negative frozen
-    # exponents) with valuation 0 in every cluster variable.  Step 2 keeps
-    # this: it strips variables to valuation 0, divides by integers, and
-    # divides by polynomials that no variable divides, and valuations add
-    # under products.  So only the sign is left to normalize.
+    # The shift leaves h ordinary (F_j and Fhat_i have no negative frozen
+    # exponents) with valuation 0 in every cluster variable.  The rest of
+    # step 2 keeps this: it divides by integers and by polynomials that no
+    # variable divides, and valuations add under products.  So only the
+    # sign is left to normalize.
     return h.canonical_sign()
 
 

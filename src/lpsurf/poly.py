@@ -158,12 +158,6 @@ class VariableContext(Record):
         except ValueError:
             raise PolyError(f"unknown variable {name!r}") from None
 
-    def is_cluster_index(self, i: int) -> bool:
-        return i < len(self.cluster)
-
-    def cluster_indices(self) -> range:
-        return range(len(self.cluster))
-
 
 Exponents = tuple[int, ...]
 Terms = tuple[tuple[Exponents, int], ...]
@@ -233,9 +227,6 @@ class Polynomial(Record):
 
     # -- basic structure ----------------------------------------------
 
-    def _dict(self) -> dict[Exponents, int]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,16 +235,6 @@ class Polynomial(Record):
     def is_ordinary(self) -> bool:
         """True when no exponent is negative (a true polynomial); computed once."""
         return all(min(exps, default=0) >= 0 for exps, _ in self.terms)
-
-    @cached_attribute
-    def _irreducible(self) -> bool:
-        """:func:`is_irreducible`'s verdict, which checks the input before it asks."""
-        q = self.canonical_sign()
-        key = (self.ctx.names, q.terms)
-        verdict = _IRR_CACHE.get(key)
-        if verdict is None:
-            verdict = _IRR_CACHE[key] = _is_irreducible_impl(q)
-        return verdict
 
     @cached_attribute
     def exchange_defects(self) -> tuple[Optional[str], tuple[str, ...]]:
@@ -273,7 +254,7 @@ class Polynomial(Record):
             return "is a unit", ()
         others = []
         (e, c), *rest = self.terms
-        if not rest and abs(c) == 1 and sum(e) == 1 and self.ctx.is_cluster_index(e.index(1)):
+        if not rest and abs(c) == 1 and sum(e) == 1 and e.index(1) < len(self.ctx.cluster):
             others.append("is a cluster variable")
         if not is_irreducible(self):  # through the public check, which tracing counts
             others.append("is reducible")
@@ -286,9 +267,7 @@ class Polynomial(Record):
     @property
     def is_unit(self) -> bool:
         """Unit of Z[vars]: the constants +1 and -1."""
-        return len(self.terms) == 1 and self.terms[0][1] in (1, -1) and all(
-            e == 0 for e in self.terms[0][0]
-        )
+        return len(self.terms) == 1 and self.terms[0][1] in (1, -1) and not any(self.terms[0][0])
 
     @property
     def is_monomial(self) -> bool:
@@ -321,24 +300,23 @@ class Polynomial(Record):
             raise PolyError("zero polynomial has no valuation")
         return min(e[i] for e, _ in self.terms)
 
-    def den_exponents(self) -> Exponents:
-        """Exponent vector of ``den``: max(0, -valuation) in every variable."""
+    @cached_attribute
+    def den(self) -> "Polynomial":
+        """The monic monomial prod x^max(0, -valuation) that clears the negative exponents.
+
+        Computed once, for ``num`` and ``den`` alike.
+        """
         exps = [0] * self.ctx.nvars
         for e, _ in self.terms:
             for i, k in enumerate(e):
                 if k < -exps[i]:
                     exps[i] = -k
-        return tuple(exps)
-
-    @property
-    def den(self) -> "Polynomial":
-        """Monic monomial clearing the negative exponents: prod x^max(0, -valuation)."""
-        return Polynomial(self.ctx, ((self.den_exponents(), 1),))
+        return Polynomial(self.ctx, ((tuple(exps), 1),))
 
     @property
     def num(self) -> "Polynomial":
         """``self * den``, an ordinary polynomial that keeps its positive monomial content."""
-        return self.times_monomial(self.den_exponents())
+        return self.times_monomial(self.den.terms[0][0])
 
     @cached_attribute
     def _support(self) -> int:
@@ -376,7 +354,7 @@ class Polynomial(Record):
 
     def add(self, other: "Polynomial") -> "Polynomial":
         self._same_ctx(other)
-        d = self._dict()
+        d = dict(self.terms)
         for e, c in other.terms:
             v = d.get(e, 0) + c
             if v:
@@ -409,6 +387,8 @@ class Polynomial(Record):
         many, one = (other, self) if len(self.terms) == 1 else (self, other)
         if len(one.terms) == 1:
             (m, k), = one.terms
+            if k == 1 and not any(m):
+                return many
             terms = tuple((tuple(map(add, e, m)), c * k) for e, c in many.terms)
             return Polynomial(self.ctx, terms)
         if len(self.terms) * len(other.terms) >= PACKED_PAIRS:
@@ -467,25 +447,46 @@ class Polynomial(Record):
 
     # -- substitution ---------------------------------------------------
 
-    def subs_poly(self, i: int, value: "Polynomial") -> "Polynomial":
-        """Substitute variable ``i`` by a (Laurent) polynomial.
+    def substitute(self, values: Mapping[int, "Polynomial"],
+                   powers: Optional[dict] = None) -> "Polynomial":
+        """Substitute every variable ``i`` of ``values`` by ``values[i]`` at once.
 
-        Exponents of variable ``i`` in ``self`` must be nonnegative.  Every
-        power's products go into one sum, sorted once.
+        The substituted variables must have no negative exponent in ``self``.
+        The terms with equal exponents in them form one part, which is
+        multiplied by the product of those powers of the values; each power
+        ``values[i]**k`` is computed once and kept in ``powers`` under
+        ``(i, k)``, a table a caller may share between substitutions of the
+        same values.  Every part's products go into one sum, sorted once.  A
+        polynomial that involves none of the variables is returned as it is.
         """
-        self._same_ctx(value)
-        by_power: dict[int, list[tuple[Exponents, int]]] = {}
+        powers = {} if powers is None else powers
+        variables = tuple(values)
+        parts: dict = {}
         for e, c in self.terms:
-            k = e[i]
-            if k < 0:
-                raise PolyError("substitution into a negative exponent")
             rest = list(e)
-            rest[i] = 0
-            by_power.setdefault(k, []).append((tuple(rest), c))
-        out: dict[Exponents, int] = {}
+            for i in variables:
+                rest[i] = 0
+            parts.setdefault(tuple(map(e.__getitem__, variables)), []).append((tuple(rest), c))
         add = operator.add
-        for k, part in by_power.items():
-            for e2, c2 in value.pow(k).terms:
+        out: dict = {}
+        for ks, part in parts.items():
+            factor = None
+            for i, k in zip(variables, ks):
+                if k:
+                    if k < 0:
+                        raise PolyError("substitution into a negative exponent")
+                    power = powers.get((i, k))
+                    if power is None:
+                        self._same_ctx(values[i])
+                        power = powers[i, k] = values[i].pow(k)
+                    factor = power if factor is None else factor.mul(power)
+            if factor is None:
+                if len(parts) == 1:
+                    return self  # no term involves a substituted variable
+                for e, c in part:
+                    out[e] = out.get(e, 0) + c
+                continue
+            for e2, c2 in factor.terms:
                 for e1, c1 in part:
                     e = tuple(map(add, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
@@ -626,7 +627,7 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
         terms = _packed.quotient(p.terms, q.terms)
         return None if terms is None else Polynomial(p.ctx, terms)
     add, neg, sub = operator.add, operator.neg, operator.sub
-    rem = p._dict()
+    rem = dict(p.terms)
     heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
     heapify(heap)
     out = []
@@ -678,15 +679,21 @@ def is_irreducible(p: Polynomial) -> bool:
     u^2 + k*v^2 (see ``_low_degree_certificate``).  What they leave open
     falls through to an exact factorization in sympy, as does the primality
     of a constant; sympy is imported only then.  Zero, a unit and a
-    polynomial with a negative exponent raise :class:`PolyError`.  The
-    verdict is cached on ``p`` after the checks, and across polynomial
-    objects in ``_IRR_CACHE``.
+    polynomial with a negative exponent raise :class:`PolyError`.  After
+    these checks the verdict is looked up in ``_IRR_CACHE``, by context and
+    the terms of ``p`` up to sign, and kept there; each exchange polynomial
+    asks once, through its cached ``exchange_defects``.
     """
     if p.is_zero or p.is_unit:
         raise PolyError("irreducibility of zero or a unit is undefined")
     if not p.is_ordinary:
         raise PolyError("irreducibility is defined for ordinary polynomials")
-    return p._irreducible
+    q = p.canonical_sign()
+    key = (p.ctx.names, q.terms)
+    verdict = _IRR_CACHE.get(key)
+    if verdict is None:
+        verdict = _IRR_CACHE[key] = _is_irreducible_impl(q)
+    return verdict
 
 
 def _is_irreducible_impl(p: Polynomial) -> bool:
@@ -701,9 +708,7 @@ def _is_irreducible_impl(p: Polynomial) -> bool:
         if p.valuation_in(i) >= 1:
             # x itself is irreducible; anything bigger with a variable factor is not
             return len(p.terms) == 1 and p.total_degree() == 1 and abs(p.leading_coefficient()) == 1
-    if len(p.terms) == 1:
-        # monomial with no single-variable factor is impossible here
-        return False
+    # so p is no monomial: one with content 1 and a variable has variable content
     if len(p.terms) == 2:
         verdict = _binomial_certificate(p)
         if verdict is not None:
@@ -712,16 +717,13 @@ def _is_irreducible_impl(p: Polynomial) -> bool:
 
 
 def _binomial_certificate(p: Polynomial) -> Optional[bool]:
-    """Certificate for m1 + m2 with unit coefficients on disjoint supports."""
+    """Certificate for m1 + m2 with unit coefficients.
+
+    No variable divides ``p``, so the two monomials have disjoint supports,
+    and the binomial is irreducible when the gcd of all exponents is 1.
+    """
     (e1, c1), (e2, c2) = p.terms
-    if abs(c1) != 1 or abs(c2) != 1:
-        return None
-    if any(a != 0 and b != 0 for a, b in zip(e1, e2)):
-        return None  # shared variable; handled by the variable-content check or fallback
-    g = 0
-    for k in e1 + e2:
-        g = math.gcd(g, k)
-    if g == 1:
+    if abs(c1) == abs(c2) == 1 and math.gcd(*e1, *e2) == 1:
         return True
     return None  # gcd > 1 may still be irreducible (e.g. x^2 + y^2)
 

@@ -129,6 +129,18 @@ def polygon_flip_graph(n: int) -> tuple[int, int]:
     return len(tris), len(edges)
 
 
+def catalan(n: int) -> int:
+    """The n-th Catalan number, from C_0 = 1 and C_{m+1} = sum_i C_i * C_{m-i}.
+
+    C_{n-2} counts the triangulations of an n-gon (Stanley, Enumerative
+    Combinatorics 2, exercise 6.19(a)).
+    """
+    c = [1]
+    for m in range(n):
+        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
+    return c[n]
+
+
 # -- independent depth-first enumeration ----------------------------------------
 
 
@@ -352,10 +364,16 @@ def laurent_power(p: Polynomial, k: int) -> dict[tuple[int, ...], int]:
     return _laurent_terms(_laurent_expr(p.terms, gens) ** k, gens)
 
 
-def laurent_substitution(p: Polynomial, i: int, value: Polynomial) -> dict[tuple[int, ...], int]:
-    """Terms of ``p`` with variable ``i`` replaced by ``value``, by sympy's ``subs``."""
+def laurent_substitution(
+        p: Polynomial, values: dict[int, Polynomial]) -> dict[tuple[int, ...], int]:
+    """Terms of ``p`` with each variable ``i`` of ``values`` replaced by ``values[i]``.
+
+    sympy's ``xreplace`` replaces every variable at once, so a value that
+    holds another substituted variable keeps it.
+    """
     gens = sympy.symbols(f"v:{p.ctx.nvars}")
-    expr = _laurent_expr(p.terms, gens).subs(gens[i], _laurent_expr(value.terms, gens))
+    expr = _laurent_expr(p.terms, gens).xreplace(
+        {gens[i]: _laurent_expr(value.terms, gens) for i, value in values.items()})
     return _laurent_terms(expr, gens)
 
 

@@ -157,6 +157,34 @@ class TestSurfaceCommands:
             "isomorphic: false, nodes=10, edges=15\n"
             "witness: node x6',x7,x8 slot 2: forward check failed\n"))
 
+    def test_compare_graphs_cut_by_the_node_cap_gives_no_verdict(self, runner):
+        """On the capped 8-gon: one ``Error:`` line and exit 1, no ``isomorphic:`` line."""
+        octagon, capped = {**HEXAGON, "boundary": [8]}, {"LP_SURFACE_SEED_CAP": "20"}
+        result = _run(runner, octagon, "compare-graphs --surface FILE", capped)
+        assert (result.exit_code, result.output) == (1, (
+            "Error: the seed graph passed the node cap of 20; "
+            "pass --depth or raise LP_SURFACE_SEED_CAP\n"))
+        # a depth bound cuts the graph before the cap does; a cap it fits in cuts nothing
+        for command, env in (("compare-graphs --surface FILE --depth 1", capped),
+                             ("compare-graphs --surface FILE", {"LP_SURFACE_SEED_CAP": "132"})):
+            result = _run(runner, octagon, command, env)
+            assert (result.exit_code, result.output) == (
+                0, _run(runner, octagon, command, {}).output), command
+        assert result.output == "isomorphic: true, nodes=132, edges=330\n"
+
+    @pytest.mark.parametrize("mode", ["seeds", "flips"])
+    def test_explore_dot_marks_a_cut_by_the_node_cap(self, runner, mode):
+        octagon = {**HEXAGON, "boundary": [8]}
+        dot = f"explore --surface FILE --mode {mode} --format dot"
+        result = _run(runner, octagon, dot, {"LP_SURFACE_SEED_CAP": "20"})
+        lines = result.output.splitlines()
+        assert result.exit_code == 0
+        assert lines[:2] == [f"graph {mode} {{", "  // truncated by the node cap"]
+        assert sum(1 for line in lines if line.startswith("  n") and " -- " not in line) == 20
+        # complete graphs and depth-bounded ones carry no mark
+        for command in (dot, dot + " --depth 2"):
+            assert "//" not in _run(runner, octagon, command, {}).output
+
     def test_explore_dot(self, runner, m2_file):
         result = runner.invoke(
             main, ["explore", "--surface", m2_file, "--mode", "flips", "--format", "dot"]

@@ -34,6 +34,7 @@ from lpsurf.surface import (
 
 from conftest import random_frozen_variable_seed, random_valid_seed
 from oracles import (
+    catalan,
     degrees,
     dfs_count,
     edge_depths,
@@ -88,6 +89,36 @@ class TestExploreSeeds:
     def test_depth_one_ball(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=1)
         assert g.node_count == 1 + hexagon_seed.n
+
+
+class TestGraphSizes:
+    """Node and edge counts of complete graphs against closed forms, on both explorers.
+
+    A state of rank r has r quasi-arcs, each flipped to one neighbour, so a
+    complete graph without loops or multiple edges has r * nodes / 2 edges.
+    The rank of a surface of genus g with c cross-caps, b boundary
+    components and m marked points is 6g + 3c + 3b + m - 6.
+    """
+
+    @staticmethod
+    def graphs(genus, cross_caps, boundary):
+        t = initial_quasi_triangulation(MarkedSurface(genus, cross_caps, boundary))
+        return explore_seeds(seed_from_quasi_triangulation(t)), explore_flips(t)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_polygon_has_catalan_many_triangulations(self, n):
+        for g in self.graphs(0, 0, (n,)):
+            assert not g.truncated
+            assert g.node_count == catalan(n - 2)
+            assert 2 * g.edge_count == (n - 3) * g.node_count
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_moebius_strip_has_rank_edges_per_two_nodes(self, n):
+        rank = 3 + 3 + n - 6
+        seeds, flips = self.graphs(0, 1, (n,))
+        assert not seeds.truncated and not flips.truncated
+        assert seeds.node_count == flips.node_count
+        assert 2 * seeds.edge_count == 2 * flips.edge_count == rank * seeds.node_count
 
 
 class TestSkipMatchesUnprunedSearch:

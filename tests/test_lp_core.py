@@ -421,17 +421,20 @@ class TestStepTwo:
         "t1^2 + 2*t1",  # frozen monomial content
         "6*t1^2*t2*(x1^2 - 4)",  # all three
         "2*t1",  # a monomial that is not +-1
-        "t1*t2",  # the +-1 monomial fast path
-        "x1 + t2",  # the irreducible fast path
+        "t1*t2",  # a +-1 monomial: only variables are stripped
+        "x1 + t2",  # irreducible: its own primitive part
+        "(x2 + 1)*(x2^2 + t2)*x1^-1",  # a negative cluster exponent
+        "x1*(x1*x2 + t1)",  # a cluster-monomial factor
     ])
     def test_divide_out_common_matches_sympy_gcd(self, numerator):
+        """Against the oracle on ``p.num``: a Laurent ``p``'s monomials are units."""
         ctx = VariableContext(("x1", "x2"), ("t1", "t2"))
         p = parse_polynomial(numerator, ctx)
         rng = random.Random(numerator)
         for _ in range(40):
             factors = rng.choices(self.POOL, k=rng.randint(1, 6))
             h = parse_polynomial("*".join(f"({f})" for f in factors), ctx)
-            want = divide_out_common(h, p)
+            want = divide_out_common(h, p.num)
             got = dict(_divide_out_common(h, p).terms)
             assert got in (want, {e: -c for e, c in want.items()}), (str(h), numerator)
 

@@ -179,23 +179,23 @@ class TestIrreducible:
         with pytest.raises(PolyError):
             is_irreducible(P("a^-1 + 1", abc_ctx))
 
-    def test_preconditions_come_before_the_cached_verdict(self, abc_ctx):
+    def test_preconditions_come_before_the_cached_verdict(self, monkeypatch, abc_ctx):
+        monkeypatch.setattr(poly, "_IRR_CACHE", {})
         for p in (Polynomial.zero(abc_ctx), Polynomial.const(abc_ctx, 1), P("a^-1 + 1", abc_ctx)):
-            p.__dict__["_irreducible"] = True
+            poly._IRR_CACHE[(abc_ctx.names, p.terms)] = True
             with pytest.raises(PolyError):
                 is_irreducible(p)
 
     def test_fresh_cache_forces_a_fresh_verdict(self, monkeypatch, abc_ctx):
-        """A new ``_IRR_CACHE`` is asked by every new object, never by a decided one."""
+        """A new ``_IRR_CACHE`` is asked by every call, an object decided before included."""
         decided = P("a*b + c", abc_ctx)
         assert is_irreducible(decided)
         monkeypatch.setattr(poly, "_IRR_CACHE", {})
-        assert is_irreducible(decided) and poly._IRR_CACHE == {}
-        fresh = P("a*b + c", abc_ctx)
-        assert is_irreducible(fresh)
-        assert poly._IRR_CACHE == {(abc_ctx.names, fresh.terms): True}
-        # the shared cache decides a new object with the same terms
-        poly._IRR_CACHE[(abc_ctx.names, fresh.terms)] = False
+        assert is_irreducible(decided)
+        assert poly._IRR_CACHE == {(abc_ctx.names, decided.terms): True}
+        # the cache decides every object with the same terms up to sign
+        poly._IRR_CACHE[(abc_ctx.names, decided.terms)] = False
+        assert not is_irreducible(decided)
         assert not is_irreducible(P("-a*b - c", abc_ctx))
 
     def test_agrees_with_brute_force_on_corpus(self):
@@ -398,14 +398,32 @@ def test_pow_matches_sympy(p, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_polys(allow_laurent=True), st.integers(0, 2), _polys(max_terms=3, allow_laurent=True))
-def test_subs_poly_matches_sympy(p, i, value):
-    """Substitution into a Laurent polynomial whose variable ``i`` has no negative exponent."""
+@given(_polys(allow_laurent=True), st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+       st.lists(_polys(max_terms=3, allow_laurent=True), min_size=3, max_size=3))
+def test_substitute_matches_sympy(p, variables, values):
+    """One, two or three variables at once, into a Laurent polynomial with none of them negative.
+
+    The values are drawn over every variable, so most hold a substituted one.
+    """
     if not p.is_zero:
-        shift = [0, 0, 0]
-        shift[i] = max(0, -p.valuation_in(i))
-        p = p.times_monomial(shift)
-    _check(p.subs_poly(i, value), laurent_substitution(p, i, value))
+        p = p.times_monomial([max(0, -p.valuation_in(i)) if i in variables else 0
+                              for i in range(3)])
+    subs = dict(zip(variables, values))
+    _check(p.substitute(subs), laurent_substitution(p, subs))
+
+
+def test_substitute_replaces_every_variable_at_once():
+    """A value holding another substituted variable is not substituted into again."""
+    p, x, y = P("x^2*y + t", _ctx), P("x", _ctx), P("y", _ctx)
+    subs = {0: y, 1: P("x + t", _ctx)}
+    want = P("y^2*x + y^2*t + t", _ctx)
+    assert p.substitute(subs) == want
+    assert dict(want.terms) == laurent_substitution(p, subs)
+    # one variable after the other gives (x + t)^3 + t instead
+    assert p.substitute({0: y}).substitute({1: subs[1]}) != want
+    assert p.substitute({0: x, 1: y}) == p
+    with pytest.raises(PolyError):
+        P("x^-1 + y", _ctx).substitute({0: y})
 
 
 @settings(max_examples=100, deadline=None)
@@ -709,7 +727,7 @@ class TestCachedPredicates:
         p, fresh = P("a*b + c", abc_ctx), P("a*b + c", abc_ctx)
         assert p.is_ordinary and is_irreducible(p)
         assert p.involved_indices() == (0, 1, 2) and p.involves(2)
-        assert {"is_ordinary", "_irreducible", "_support"} <= set(vars(p))
+        assert {"is_ordinary", "_support"} <= set(vars(p))
         assert p == fresh and hash(p) == hash(fresh)
         assert {p: 1}[fresh] == 1
 

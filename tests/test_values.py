@@ -36,7 +36,7 @@ VALUES = {
     "LiftedTriangulation": (lambda: double_cover(initial_quasi_triangulation(SQUARE)),
                             ("base", "triangles", "mutable_edges", "frozen_edges")),
     "ExchangeGraph": (lambda: explore_seeds(_seed()),
-                      ("kind", "labels", "edges", "truncated", "payloads", "mismatch")),
+                      ("kind", "labels", "edges", "truncated", "payloads", "mismatch", "capped")),
     "LaurentReport": (lambda: verify_laurent(_seed(), [(0, 1, 0)]),
                       ("sequences_checked", "variables_checked", "violations")),
     "Quiver": (lambda: Quiver(1, ((0, 1), (-1, 0))), ("pairs", "b", "frozen")),
