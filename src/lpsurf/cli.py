@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -162,11 +163,16 @@ def _explore(args: argparse.Namespace) -> None:
 
 
 def _compare_graphs(args: argparse.Namespace) -> int:
-    t, seed = _surface_seed(_seed_surface(args))
+    s = _seed_surface(args)
+    if args.depth is None and s.genus == s.cross_caps == 0 and len(s.boundary) == 1:
+        # the n-gon has C_{n-2} triangulations: a graph above the cap is refused before any work
+        m = s.boundary[0] - 2
+        if math.comb(2 * m, m) // (m + 1) > explorer._node_cap():
+            raise _cap_failure()
+    t, seed = _surface_seed(s)
     graph = explorer.explore_seeds(seed, depth=args.depth, state=t)
     if graph.capped:
-        raise _Failure(f"the seed graph passed the node cap of {explorer._node_cap()}; "
-                       f"pass --depth or raise {explorer.NODE_CAP_ENV}")
+        raise _cap_failure()
     iso = graph.mismatch is None
     print(
         f"isomorphic: {'true' if iso else 'false'}, "
@@ -175,6 +181,11 @@ def _compare_graphs(args: argparse.Namespace) -> int:
     if not iso:
         print(f"witness: {graph.mismatch}", file=sys.stderr)
     return 0 if iso else 1
+
+
+def _cap_failure() -> _Failure:
+    return _Failure(f"the seed graph passed the node cap of {explorer._node_cap()}; "
+                    f"pass --depth or raise {explorer.NODE_CAP_ENV}")
 
 
 def _verify_laurent(args: argparse.Namespace) -> None:

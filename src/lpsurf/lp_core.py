@@ -51,6 +51,14 @@ __all__ = [
 ]
 
 
+# seed_from_json refuses a seed with more cluster variables, and
+# surface_from_json a surface of higher rank: every exponent vector has one
+# entry per variable, so the work of building a seed grows faster than the
+# square of the rank.  A surface of rank MAX_RANK has at most MAX_RANK + 3
+# marked points, the most frozen variables a seed may have.
+MAX_RANK = 200
+
+
 class InvalidSeed(PolyError):
     """Raised when an operation requires a valid seed and gets violations."""
 
@@ -497,4 +505,7 @@ def seed_from_json(data: object) -> LPSeed:
     cluster, frozen, polys = fields(data, "seed", {
         "cluster": ([str], REQUIRED), "frozen": ([str], ()), "polys": ([str], REQUIRED),
     })
+    for kind, names, limit in (("cluster", cluster, MAX_RANK), ("frozen", frozen, MAX_RANK + 3)):
+        if len(names) > limit:
+            raise PolyError(f"seed has {len(names)} {kind} variables, above the limit of {limit}")
     return LPSeed.initial(cluster, frozen, polys)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .lp_core import LPSeed
+from .lp_core import MAX_RANK, LPSeed
 from .poly import Polynomial, PolyError, Record, VariableContext, cached_attribute
 from .schema import REQUIRED, SCHEMA_VERSION, fields
 
@@ -47,10 +47,6 @@ __all__ = [
 TRI = "tri"
 POCKET = "pocket"
 MOB1 = "mob1"
-
-# surface_from_json refuses a surface of higher rank: the work of building even
-# its initial seed grows faster than the square of the rank.
-MAX_RANK = 200
 
 
 class SurfaceError(PolyError):
@@ -365,7 +361,7 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
 
 
 def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
-    """The least BFS code over all starting flags, and its walk's numbering.
+    """The least BFS code from a least-labelled boundary segment, and its walk's numbering.
 
     A flag is a region, an entry side and a direction; the code from a flag
     has one row per region in BFS order.  Boundary tokens carry the traversal
@@ -376,83 +372,43 @@ def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
     A pocket's curve and crossing arc map to ``("curve", k)`` and
     ``("crossing", k)``, k the index of the pocket's portal, and a mob1
     curve to ``("mob1", 0)``: its region's one side is a boundary segment,
-    so no edge leads into it, and a walk that reaches it starts there.  Two
-    states with one code get the same keys on arcs that an isomorphism
-    matches, where equal codes mean isomorphic states (see
-    :func:`lpsurf.explorer.explore_flips`).
+    so the walk starts there.  Two states with one code get the same keys on
+    arcs that an isomorphism matches, where equal codes mean isomorphic
+    states (see :func:`lpsurf.explorer.explore_flips`).
 
-    The first row depends on the flag alone (its arcs are numbered fresh), and
-    codes compare row by row, so the least code starts with the least first
-    row, and that row opens with the least region kind (``mob1`` < ``pocket``
-    < ``tri``).  On a pure triangulation it also opens with the least boundary
-    token ``("b", L, -1)``, L the least boundary label in string order, so
-    the candidate flags are the slots of every boundary segment labelled L
-    (labels may repeat, see ``least_boundary``), each entered against its
-    sign.  On a pocket state every pocket flag has the first row
-    ``("pocket", ("e", 0))`` and then enters its pocket's mouth triangle, so
-    the candidates are the flags whose mouth row is least
-    (:func:`_pocket_flags`).  Otherwise, or if no boundary segment labelled
-    L has a slot, every flag of the least kind is a candidate.
-    :func:`_walk_code` walks the first candidate, then each other one against
-    the least code so far, and drops it at its first row above that code.
-    The result equals the minimum over all flags.  Its tokens are objects
-    shared by every code.
+    The flags are the slots of every boundary segment labelled L, L the least
+    boundary label in string order (labels may repeat, see
+    ``least_boundary``), each entered against its sign, so every code opens
+    with ``("b", L, -1)`` after its region kind.  A pocket has no boundary
+    side: the walk reaches it through its portal from its mouth triangle.
+    :func:`_walk_code` walks the first flag, then each other one against the
+    least code so far, and drops it at its first row above that code.  Its
+    tokens are objects shared by every code.
     """
-    regions, slots = t.regions, t.slots
-    kind = min(r[0] for r in regions)
-    links = slots
-    if kind == TRI:  # no pocket: read no pocket index
-        sides = [r[1] for r in regions]
-        flags = [(ri, p, -sides[ri][p][1]) for e in t.least_boundary for ri, p in slots.get(e, ())]
+    slots, links = t.slots, t.slots
+    pure = t.is_pure_triangulation()
+    if pure:  # read no pocket index
+        sides = [r[1] for r in t.regions]
     else:
-        sides = [t.region_sides(ri) for ri in range(len(regions))]
-        flags = _pocket_flags(t, sides) if kind == POCKET else ()
+        sides = [t.region_sides(ri) for ri in range(len(t.regions))]
         if t.pockets:  # a portal also leads from its mouth triangle into its pocket
             links = dict(slots)
             for pi, portal, _, _ in t.pockets:
                 links[portal] = slots[portal] + [(pi, 0)]
-    if not flags:
-        flags = [(ri, p, d) for ri, rs in enumerate(sides) if regions[ri][0] == kind
-                 for p in range(len(rs)) for d in (1, -1)]
     code = num = None
-    for flag in flags:
-        walk = _walk_code(t, sides, links, *flag, code)
-        if walk is not None:
-            code, num = walk
-    if kind == POCKET:
+    for e in t.least_boundary:
+        for ri, p in slots.get(e, ()):
+            walk = _walk_code(t, sides, links, ri, p, -sides[ri][p][1], code)
+            if walk is not None:
+                code, num = walk
+    if code is None:
+        raise SurfaceError("no boundary segment with the least label lies on a region")
+    if not pure:
         for _, portal, curve, crossing in t.pockets:
             num[curve], num[crossing] = ("curve", num[portal]), ("crossing", num[portal])
-    elif kind == MOB1:
         for curve in t.mob1_of:
             num[curve] = ("mob1", 0)
     return code, num
-
-
-def _pocket_flags(t: QuasiTriangulation, sides: list) -> list[tuple[int, int, int]]:
-    """The pocket flags whose second row, their mouth triangle's, is least.
-
-    A pocket's one side is its portal, whose only other slot is in the mouth
-    triangle, so the walk from a pocket flag (pocket, 0, d) numbers the
-    portal 0 and enters the mouth at the portal, in the direction that makes
-    the crossing coherent.  The row built here is the one
-    :func:`_walk_code` builds there.
-    """
-    bnd_tokens, edge_tokens = t.boundary_tokens, _edge_tokens(3)
-    least, flags = None, []
-    for pi, portal, _, _ in t.pockets:
-        mi, pos = t.slots[portal][0]
-        rs = sides[mi]
-        for d in (1, -1):
-            dm = -d * rs[pos][1]
-            num: dict[int, int] = {}
-            row = (TRI, *(bnd_tokens[e][dm * s] if e in bnd_tokens
-                          else edge_tokens[num.setdefault(e, len(num))]
-                          for e, s in (rs[p] for p in _WALK[3, pos, dm])))
-            if least is None or row < least:
-                least, flags = row, [(pi, 0, d)]
-            elif row == least:
-                flags.append((pi, 0, d))
-    return flags
 
 
 # (arity, entry side p, direction d) -> the positions of a region's sides in

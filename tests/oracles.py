@@ -10,8 +10,8 @@ cluster values are followed as exact rationals at a point, and
 normalization exponents, irreducibility, step 2 of mutation, products,
 powers, substitution and exact division come from sympy; the last eight
 read only ``.terms``.  The canonical code of a quasi-triangulation is the
-least code over every flag, walked from its definition on the state's
-regions and boundary alone.
+least code over every flag that enters through a boundary segment, walked
+from its definition on the state's regions and boundary alone.
 """
 
 from __future__ import annotations
@@ -447,13 +447,14 @@ def divide_out_common(h: Polynomial, p: Polynomial) -> dict[tuple[int, ...], int
 
 
 def canonical_code_oracle(t) -> tuple:
-    """The least BFS code of ``t`` over every flag, computed from the definition.
+    """The least BFS code of ``t`` over every boundary flag, computed from the definition.
 
     Reads only ``t.regions`` and ``t.boundary``.  A region's sides are a
     triangle's three signed sides, a pocket's portal (sign +1) or a mob1
     region's one side; two regions are glued along every edge they share,
     a pocket to its mouth triangle along the portal.  A flag is a region, an
-    entry side and a direction.  The code from a flag has one row per region
+    entry side and a direction, and a boundary flag one whose entry side is
+    a boundary segment.  The code from a flag has one row per region
     in breadth-first order: the region kind, then its sides walked from the
     entry in the flag's direction, a boundary side as ("b", label, sign
     relative to the walk) and any other edge as ("e", n) with n its rank in
@@ -500,4 +501,4 @@ def canonical_code_oracle(t) -> tuple:
         return tuple(rows) + (("#regions", len(seen)),)
 
     return min(code_from((ri, pos, d)) for ri, walk in enumerate(sides)
-               for pos in range(len(walk)) for d in (1, -1))
+               for pos in range(len(walk)) if walk[pos][0] in labels for d in (1, -1))

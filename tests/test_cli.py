@@ -172,6 +172,59 @@ class TestSurfaceCommands:
                 0, _run(runner, octagon, command, {}).output), command
         assert result.output == "isomorphic: true, nodes=132, edges=330\n"
 
+    def test_compare_graphs_refuses_a_polygon_above_the_cap_before_any_work(
+            self, runner, monkeypatch):
+        """The n-gon has C_{n-2} seeds: the 14-gon's 208,012 pass the default cap."""
+        mutations, mutate = [], lpsurf.explorer.mutate
+        monkeypatch.setattr(lpsurf.explorer, "mutate",
+                            lambda *a, **k: mutations.append(a) or mutate(*a, **k))
+        refused = ("Error: the seed graph passed the node cap of {}; "
+                   "pass --depth or raise LP_SURFACE_SEED_CAP\n")
+        start = time.perf_counter()
+        result = _run(runner, {**HEXAGON, "boundary": [14]}, "compare-graphs --surface FILE", {})
+        assert time.perf_counter() - start < 1.0
+        assert (result.exit_code, result.output) == (1, refused.format(100000))
+        nonagon = {**HEXAGON, "boundary": [9]}
+        result = _run(runner, nonagon, "compare-graphs --surface FILE",
+                      {"LP_SURFACE_SEED_CAP": "429"})
+        assert (result.exit_code, result.output) == (
+            0, "isomorphic: true, nodes=429, edges=1287\n")
+        assert mutations
+        mutations.clear()
+        result = _run(runner, nonagon, "compare-graphs --surface FILE",
+                      {"LP_SURFACE_SEED_CAP": "428"})
+        assert (result.exit_code, result.output, len(mutations)) == (1, refused.format(428), 0)
+        # M_n's size is measured, not derived: its cap is met at run time
+        result = _run(runner, {**M2, "boundary": [4]}, "compare-graphs --surface FILE",
+                      {"LP_SURFACE_SEED_CAP": "20"})
+        assert (result.exit_code, result.output) == (1, refused.format(20)) and mutations
+
+    @pytest.mark.parametrize("surface, depth, verdict", [
+        ((0, 0, (5,)), None, "true, nodes=5, edges=5"),
+        ((0, 0, (6,)), None, "false, nodes=10, edges=15"),
+        ((0, 0, (7,)), None, "true, nodes=42, edges=84"),
+        ((0, 1, (2,)), None, "true, nodes=4, edges=4"),
+        ((0, 1, (3,)), None, "true, nodes=16, edges=24"),
+        ((0, 1, (4,)), None, "false, nodes=32, edges=64"),
+        ((0, 0, (2, 2)), 2, "false, nodes=13, edges=14"),
+        ((0, 0, (1, 2)), 2, "true, nodes=10, edges=9"),
+        ((0, 0, (1, 1)), 3, "true, nodes=7, edges=6"),
+        ((1, 0, (1,)), 2, "true, nodes=17, edges=16"),
+        ((0, 2, (2,)), 3, "false, nodes=45, edges=63"),
+    ], ids=str)
+    def test_compare_graphs_without_boundary_variables(self, runner, surface, depth, verdict):
+        """The measured scope of the check with every boundary segment weighted 1.
+
+        These verdicts pin what the engine gives; none is asserted as correct.
+        """
+        genus, cross_caps, boundary = surface
+        doc = {**HEXAGON, "genus": genus, "cross_caps": cross_caps, "boundary": list(boundary),
+               "boundary_variables": False}
+        depth_option = "" if depth is None else f" --depth {depth}"
+        result = _run(runner, doc, "compare-graphs --surface FILE" + depth_option, {})
+        assert result.exit_code == (0 if verdict.startswith("true") else 1)
+        assert result.output.splitlines()[0] == f"isomorphic: {verdict}"
+
     @pytest.mark.parametrize("mode", ["seeds", "flips"])
     def test_explore_dot_marks_a_cut_by_the_node_cap(self, runner, mode):
         octagon = {**HEXAGON, "boundary": [8]}
@@ -584,6 +637,13 @@ OVERSIZED = [
                  "surface rank 99997 is above the limit of 200", id="100000-gon"),
     pytest.param(_edit(HEXAGON, genus=10**9), "compare-graphs --surface FILE",
                  "is above the limit of 200", id="genus"),
+    pytest.param({"schema": 1, "cluster": [f"x{i}" for i in range(5000)],
+                  "polys": [f"x{(i + 1) % 5000} + 1" for i in range(5000)]},
+                 "validate --seed FILE",
+                 "seed has 5000 cluster variables, above the limit of 200", id="5000-cluster"),
+    pytest.param(_edit(EXAMPLE_SEED, frozen=[f"f{i}" for i in range(5000)]),
+                 "normalize --seed FILE",
+                 "seed has 5000 frozen variables, above the limit of 203", id="5000-frozen"),
     pytest.param(_with_poly("(b+1)^1000"), "validate --seed FILE",
                  "degree above the limit of 100", id="degree"),
     pytest.param(_with_poly("(a+b+c+1)^60"), "normalize --seed FILE",
@@ -611,6 +671,19 @@ def test_oversized_input_is_refused_at_once(runner, content, command, message):
 def test_surface_at_the_rank_limit_is_accepted(runner):
     result = _run(runner, _edit(HEXAGON, boundary=[203]), "validate --surface FILE", {})
     assert (result.exit_code, result.output) == (0, "surface ok (rank 200)\n")
+
+
+def test_seed_of_a_surface_at_the_rank_limit_loads(runner, tmp_path):
+    """The 203-gon's seed has 200 cluster and 203 frozen variables, both at the limit."""
+    surface, seed = tmp_path / "surface.json", tmp_path / "seed.json"
+    surface.write_text(json.dumps(_edit(HEXAGON, boundary=[203])))
+    result = runner.invoke(main, ["seed-from-surface", "--surface", str(surface),
+                                  "--out", str(seed)])
+    assert (result.exit_code, result.output) == (0, "")
+    data = json.loads(seed.read_text())
+    assert (len(data["cluster"]), len(data["frozen"])) == (200, 203)
+    result = runner.invoke(main, ["validate", "--seed", str(seed)])
+    assert (result.exit_code, result.output) == (0, "seed ok\n")
 
 
 # Integers stay small: a large genus or boundary is a valid surface whose

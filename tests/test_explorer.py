@@ -105,7 +105,7 @@ class TestGraphSizes:
         t = initial_quasi_triangulation(MarkedSurface(genus, cross_caps, boundary))
         return explore_seeds(seed_from_quasi_triangulation(t)), explore_flips(t)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
     def test_polygon_has_catalan_many_triangulations(self, n):
         for g in self.graphs(0, 0, (n,)):
             assert not g.truncated
@@ -119,6 +119,11 @@ class TestGraphSizes:
         assert not seeds.truncated and not flips.truncated
         assert seeds.node_count == flips.node_count
         assert 2 * seeds.edge_count == 2 * flips.edge_count == rank * seeds.node_count
+
+    def test_m7_flip_graph(self):
+        """One rung above M6, on the flip BFS alone: 4^6 nodes and 7 * 4^6 / 2 edges."""
+        g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (7,))))
+        assert (g.truncated, g.node_count, g.edge_count) == (False, 4096, 14336)
 
 
 class TestSkipMatchesUnprunedSearch:

@@ -113,11 +113,13 @@ def golden(surface, depth, digest, seed_digest, labels=None):
 
 
 # sha256 of the sorted code reprs over every state of each flip graph, with
-# and without boundary variables, computed with the full scan over all
-# flags; and sha256 of each state's seed JSON in BFS order, or of the error
-# its extraction raises, computed while flips and seed extraction each ran
-# their own case analysis of a quasi-arc.  The last four cases order labels
-# as strings (b10 before b2) or put the least label on several segments.
+# and without boundary variables, computed as the least walk from a
+# least-labelled boundary segment (on orientable surfaces and M1 this equals
+# the minimum over all flags); and sha256 of each state's seed JSON in BFS
+# order, or of the error its extraction raises, computed while flips and seed
+# extraction each ran their own case analysis of a quasi-arc.  The last four
+# cases order labels as strings (b10 before b2) or put the least label on
+# several segments.
 CODE_GOLDENS = [
     golden(MarkedSurface(0, 0, (6,)), None,
            "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
@@ -129,13 +131,13 @@ CODE_GOLDENS = [
            "45d07d306e4d0eb3c8c488f104e1d5f8f15cd55f48d24901415ddda91498b1f0",
            "1bf057b283b6af3c563ccfca2d43eeff56dda2ad5fd5069a18f2a03ec85ea9fb"),
     golden(MarkedSurface(0, 1, (2,)), None,
-           "18bf0d81e9faf150d16d670efae871e9ac8b582ef2156c19e46d6777153c56b3",
+           "9e2a6c0b543cfd1f3bf48ee046135b30b314147c146f3c3d9ae46e8c1e08d2b6",
            "90ef62317641c274686382295e9bbcddf9c4289ccda5566a744c3688d1addf56"),
     golden(MarkedSurface(0, 1, (3,)), None,
-           "09930acbc409812b2bdd9532fd511ca5c44ff4f54d7daced0085c2a4671a4b51",
+           "6e1dd64600a9139ac5ad7ad5d0bd073b2a0bd9012cc30b86f5a5f7968374c91a",
            "df706320ce884ed7ce8c2ddcce33f3bb77c461ec1193ad68d19c8c966754b199"),
     golden(MarkedSurface(0, 1, (4,)), None,
-           "062cb17e37b6c1ec7ed58f88aad1d387e722087cadecb5c6a51ce5e27a5b6275",
+           "d5b78e97c0a48173cafeeda7d7ff805cc13f7f1f6dec536ba259a2f32e57f519",
            "f6a4fd8a9bdcc4f08546fef704e7514b2082420cf609eb90ba13b54070fdad96"),
     golden(MarkedSurface(0, 0, (2, 2)), 4,
            "a869a3508fab4b0ae32055ea19966c5da8b9fb280a3840718c25c45e76386fce",
@@ -144,10 +146,10 @@ CODE_GOLDENS = [
            "13ec035e6dca48e66720f8a96203e302cefc46a6d0272141b9e2acf3df97186a",
            "c08dec7e111658496aba893a690c7d9eb5fa573cf8a06cf5bec0d9cfd3762868"),
     golden(MarkedSurface(0, 1, (2, 2)), 3,
-           "6632263665e41bd470b623290121a7a80c3848440dbe02a3a8d339b8f521a672",
+           "bd0535c419ac1f60d1e24fcc38405e453f8b103a5e072fd8ad9d5a984f608438",
            "244edad2a065bf090a244f35b7b704b0f5d2dafba360f03e1bcd89a089e83529"),
     golden(MarkedSurface(0, 2, (2,)), 3,
-           "a0674c98b30bdf3d6a498e8aa5dc97a3467dd0750c040f0e084cadbd9462288c",
+           "b2fd0ab074b2a770611c0cdbe603010204698f163b583fc27416fec499eea5f7",
            "7fc1a6681c9fe1a8f631be574c94c8a137b7b367247592411df8e7b63e692c23"),
     # b10 and b11 sort between b1 and b2
     golden(MarkedSurface(0, 0, (11,)), 3,
@@ -158,7 +160,7 @@ CODE_GOLDENS = [
            "50ed46c819335da3f4641a93a3ea2bde8c69331801a1962db6312f34cdf15056",
            labels=[("a", "a", "a", "b", "a", "c", "a")]),
     golden(MarkedSurface(0, 1, (4,)), None,
-           "c8682e9c0521f74e08562e3e8812dfa53f36673f680191c7738d717b9e10efdb",
+           "61d1bde2b4e694b6d603d7d795a5e16916f0de3c8b5cffb629675dbaf9278b77",
            "2af23d9f030250178953284ddd201cdbbb3497196d046ebb1669289f95ff84c2",
            labels=[("z", "z", "y", "y")]),
     golden(MarkedSurface(0, 0, (2, 3)), 3,
@@ -482,7 +484,7 @@ class TestCanonicalCode:
 
     @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
     def test_oracle_on_golden_states(self, surface, depth, digest, seed_digest, labels):
-        """The definition's minimum over every flag is the code of every golden state."""
+        """The definition's minimum over every boundary flag is the code of every golden state."""
         g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
         for t in g.payloads:
             assert canonical_code_oracle(t) == canonical_code(t)
@@ -579,12 +581,24 @@ class TestCanonicalCode:
         assert [r[0] for r in t2.regions] == [MOB1]
         assert canonical_form(t2)[1] == {t.next_id: ("mob1", 0)}
 
+    @pytest.mark.parametrize("surface", [
+        MarkedSurface(0, 0, (6,)), MarkedSurface(0, 1, (1,)), MarkedSurface(0, 1, (3,)),
+    ], ids=str)
+    def test_least_segment_on_no_region_is_a_surface_error(self, surface):
+        """Codes start at a least-labelled segment, so one on no region is refused."""
+        t = initial_quasi_triangulation(surface)
+        for state in (t, flip(t, t.quasi_arcs[0])):
+            stray = QuasiTriangulation(state.surface, state.regions,
+                                       state.boundary + ((99, "a"),), 100)
+            with pytest.raises(SurfaceError, match="^no boundary segment with the least label"):
+                canonical_form(stray)
+
     def test_equal_codes_need_not_mean_equal_flips(self):
         """A code does not record the twist of a cycle-closing edge.
 
         On the Klein bottle minus a disk, (0,2,(2,)), these two states share
-        a code, the minimum over all flags as the oracle computes it, yet
-        their flips reach different codes: they are not isomorphic.  So
+        a code, the minimum over every boundary flag as the oracle computes
+        it, yet their flips reach different codes: they are not isomorphic.  So
         ``explore_flips`` sends no back token there.
         """
         t0 = initial_quasi_triangulation(MarkedSurface(0, 2, (2,)))
@@ -618,7 +632,7 @@ class TestCanonicalCode:
         assert (g.node_count, len(codes), len(walks)) == (42, 1 + 84, 1 + 84)
 
     def test_first_rows_only_for_candidate_flags(self, monkeypatch):
-        """First rows are built only for the flags that can start the least code."""
+        """Rows are built only for the flags that can start the least code."""
         rows, per_code = [], []
         real_form, real_walk = canonical_form, surface_module._walk_code
 
@@ -647,18 +661,16 @@ class TestCanonicalCode:
         # one walk from one flag (b1 entered against its sign); the full scan
         # over all 30 flags built 30 * 5 per code
         assert len(per_code) == 85 and len(rows) == 85 * 5
-        rows.clear()
-        per_code.clear()
-        explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (4,))))
-        # a triangulation of M4 (4 triangles) builds 4 rows; a pocket state (a
-        # pocket and 3 triangles) walks only the pocket flags whose mouth
-        # triangle row is least: one flag (4 rows) when the two directions'
-        # mouth rows differ; when they tie, the second walk is cut at its
-        # third row (7 rows) or walked to the end (8 rows).
-        tris, pocket = (TRI,) * 4, (POCKET,) + (TRI,) * 3
-        assert sorted(Counter(per_code).items()) == [
-            ((4, pocket), 30), ((4, tris), 91), ((7, pocket), 6), ((8, pocket), 2)]
-        assert len(rows) == 542 <= 7 * len(per_code)
+        # with distinct labels every code is one walk from b1, of one row per
+        # region, on pocket states too: M4's states have 4 regions, M6's 6
+        for surface, codes in ((MarkedSurface(0, 1, (4,)), 129),
+                               (MarkedSurface(0, 1, (6,)), 3073)):
+            rows.clear()
+            per_code.clear()
+            explore_flips(initial_quasi_triangulation(surface))
+            assert {kinds for _, kinds in per_code} > {(TRI,) * surface.rank}
+            assert all(n == len(kinds) for n, kinds in per_code)
+            assert (len(per_code), len(rows)) == (codes, codes * surface.rank)
 
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
@@ -667,7 +679,7 @@ class TestCanonicalCode:
         (MarkedSurface(0, 2, (2,)), [("a", "a")]),
     ], ids=str)
     def test_candidate_flags_give_the_full_scan_minimum(self, surface, labels):
-        """With repeated labels, the code still equals the minimum over all flags."""
+        """With repeated labels, the code still equals the minimum over every boundary flag."""
         rng = random.Random(str(labels))
         t = initial_quasi_triangulation(surface, labels=labels)
         for _ in range(60):
