@@ -293,8 +293,10 @@ def verify_laurent(seed: LPSeed, sequences: Iterable[Sequence[int]]) -> LaurentR
     A sequence stops at its first violation, recorded as (sequence prefix,
     variable name, "(N) / (D)" with the division that failed).  Every step
     calls :func:`mutate` and counts its ``n`` variables, but mutation is an
-    involution, so chains revisit seeds: one memo per call computes each
-    distinct exchange once, a failing one included.
+    involution, so chains revisit seeds: one memo per call computes and
+    validates each distinct exchange once, a failing one included.  A
+    revisit is one dict lookup, which returns the stored exchange under the
+    step's names with its stored verdict, or raises the stored violation.
     """
     checked = 0
     vars_checked = 0

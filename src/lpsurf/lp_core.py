@@ -16,6 +16,7 @@ Laurent polynomial raises :class:`LaurentViolation`.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from .poly import (
@@ -126,16 +127,22 @@ class LPSeed(Record):
         return tuple(validate_seed(self))
 
     @cached_attribute
-    def _ranked_polys(self) -> tuple[Polynomial, ...]:
-        """The exchange polynomials with cluster exponents in value-rank order; computed once.
+    def _ranked(self) -> tuple[list[int], tuple[frozenset, ...]]:
+        """The slots in value-rank order, and each slot's terms in rank order; computed once.
 
         A slot's rank is the place of its value when the values are sorted
-        by terms.  :func:`seed_key` and :func:`_exchange_token` read these.
+        by terms.  One ``itemgetter`` moves the cluster exponents of every
+        term into rank order, and each exchange polynomial's moved terms are
+        kept as a frozenset, so no term list is sorted again.
+        :func:`seed_key` and :func:`_exchange_token` read these.
         """
-        ranks = [0] * self.n
-        for rank, slot in enumerate(sorted(range(self.n), key=lambda i: self.values[i].terms)):
-            ranks[slot] = rank
-        return tuple(p.permute_cluster(ranks) for p in self.polys)
+        n = self.n
+        order = sorted(range(n), key=lambda i: self.values[i].terms)
+        # itemgetter of one index gives no tuple, but one variable has one order
+        if order == list(range(n)):
+            return order, tuple(frozenset(p.terms) for p in self.polys)
+        rank = operator.itemgetter(*order, *range(n, self.ctx.nvars))
+        return order, tuple(frozenset([(rank(e), c) for e, c in p.terms]) for p in self.polys)
 
     def require_valid(self) -> "LPSeed":
         """This seed, or :class:`InvalidSeed` listing its violations."""
@@ -319,11 +326,18 @@ def mutate(
     :class:`InvalidSeed` on an invalid seed; the result is checked to be valid.
 
     With ``memo``, a dict the caller keeps, each distinct exchange is
-    computed once.  Its whole input is looked up first: the context, the
-    *signed* exchange polynomials, the values and ``i``.  Mutation chains
-    revisit seeds and hit it; a :class:`LaurentViolation` is remembered as
-    its ``num`` and ``den`` and raised again under this call's name.  On a
-    miss the exchange is computed in parts, and since the relation
+    computed and checked once.  Its whole input is looked up first: the
+    *signed* exchange polynomials and the values, the very objects the seed
+    holds (a polynomial carries its context and keeps its hash), and ``i``.  Mutation chains revisit
+    seeds and hit it.  An entry is stored only once its result has passed
+    :func:`validate_seed`, and a hit builds a seed with this call's names
+    that takes that verdict, no violations, without a second check.  That
+    is exact: the verdict depends only on the counts, the polynomials (their
+    ``exchange_defects`` are cached on them), which slot involves which
+    variable, and the names being distinct, which the name checks above
+    make sure of on every call.  A :class:`LaurentViolation` is remembered
+    as its ``num`` and ``den`` and raised again under this call's name.  On
+    a miss the exchange is computed in parts, and since the relation
     ``x_i * x_i' = Fhat_i`` is local, each part is looked up under only the
     data it depends on: the new value under the context, ``value_i``
     and, per term of ``Fhat_i``, the signed coefficient, the frozen
@@ -335,8 +349,10 @@ def mutate(
     seeds of one BFS never share a whole input, but they share these parts,
     and a memo made as :class:`_PartMemo` (the seed BFS's) keeps no whole
     inputs.
-    A part that fails is not kept.  The checks above and the result's
-    validity check run on every call.  Without ``memo`` no key is built.
+    A part that fails is not kept, and neither is a whole exchange that
+    raises anything but a :class:`LaurentViolation`.  The input checks run
+    on every call, and the result's validity check on every call that is
+    no whole-input hit.  Without ``memo`` no part key is built.
     """
     seed.require_valid()
     if not 0 <= i < seed.n:
@@ -345,28 +361,31 @@ def mutate(
     _check_name(name)
     if name in seed.names[:i] + seed.names[i + 1:] + seed.ctx.frozen:
         raise PolyError(f"new variable name {name!r} is already in use")
-    if memo is None or type(memo) is _PartMemo:
-        polys, value = _exchange(seed, i, name, memo)
+    whole = memo is not None and type(memo) is not _PartMemo
+    key = ("seed", seed.polys, seed.values, i)
+    hit = memo.get(key) if whole else None
+    if hit is None:
+        try:
+            polys, value = _exchange(seed, i, name, memo)
+        except LaurentViolation as exc:
+            if whole:
+                memo[key] = (None, (exc.num, exc.den))
+            raise
+    elif hit[0] is None:
+        raise LaurentViolation(name, *hit[1])
     else:
-        key = ("seed", seed.ctx.names, tuple(p.terms for p in seed.polys),
-               tuple(v.terms for v in seed.values), i)
-        hit = memo.get(key)
-        if hit is None:
-            try:
-                hit = _exchange(seed, i, name, memo)
-            except LaurentViolation as exc:
-                hit = (None, (exc.num, exc.den))
-            memo[key] = hit
         polys, value = hit
-        if polys is None:
-            raise LaurentViolation(name, *value)
     names = list(seed.names)
     names[i] = name
     values = list(seed.values)
     values[i] = value
     result = LPSeed(seed.ctx, polys, tuple(names), tuple(values))
-    if result.violations:
+    if hit is not None:
+        vars(result)["violations"] = ()
+    elif result.violations:
         raise MutationError("mutation produced an invalid seed: " + "; ".join(result.violations))
+    elif whole:
+        memo[key] = polys, value
     return result
 
 
@@ -457,18 +476,26 @@ def seed_key(seed: LPSeed) -> tuple:
     """Canonical key: values as a set, polynomials up to unit and slot relabeling.
 
     Slots are ranked by their values' terms, which are canonical for Laurent
-    polynomials; exponent vectors of the exchange polynomials are permuted
-    into rank order so that two seeds whose clusters coincide as sets of
-    values compare equal exactly when the attached polynomials match up to
-    sign.
+    polynomials; exponent vectors of the exchange polynomials are moved
+    into rank order (``LPSeed._ranked``) so that two seeds whose clusters
+    coincide as sets of values compare equal exactly when the attached
+    polynomials match up to sign.  The key lists the slots in rank order.
     """
-    keys = [v.terms for v in seed.values]
-    if len(set(keys)) != len(keys):
+    if len(set(seed.values)) != seed.n:
         raise PolyError("cluster values are not distinct; not a transcendence basis")
-    ranked = seed._ranked_polys
-    return (seed.ctx.names, tuple(sorted(
-        (keys[i], ranked[i].canonical_sign().terms) for i in range(seed.n)
-    )))
+    order, ranked = seed._ranked
+    return (seed.ctx.names, tuple((seed.values[s], _up_to_sign(ranked[s])) for s in order))
+
+
+def _up_to_sign(terms: frozenset) -> frozenset:
+    """``terms`` or their negatives, whichever is positive at the greatest exponent.
+
+    Any fixed order of the exponents picks one sign; the zero polynomial,
+    with no terms, is its own negative.
+    """
+    if max(terms, default=((), 1))[1] > 0:
+        return terms
+    return frozenset([(e, -c) for e, c in terms])
 
 
 def _exchange_token(seed: LPSeed, i: int) -> tuple:
@@ -479,7 +506,7 @@ def _exchange_token(seed: LPSeed, i: int) -> tuple:
     seeds with one key.  The sign must match too: ``seed_key`` ignores it,
     but the new value ``Fhat_i(values) / value_i`` does not.
     """
-    return seed.values[i].terms, seed._ranked_polys[i].terms
+    return seed.values[i], seed._ranked[1][i]
 
 
 def seeds_equal(s1: LPSeed, s2: LPSeed) -> bool:

@@ -86,11 +86,13 @@ class cached_attribute:
     equality, hashing and JSON.  Unlike it on Python 3.11, it takes no lock:
     two threads racing on a first access may both compute the value, which
     is harmless for these pure functions.
-    ``Polynomial`` caches its predicates and its variable support with it,
-    ``LPSeed`` its violations and ``QuasiTriangulation`` its derived structure.
-    A value dropped by :func:`release_cached`, or stored by a caller that
-    already holds it (a flipped state takes its parent's boundary data), is
-    read the same way; a dropped one is rebuilt on its next use.
+    ``Polynomial`` caches its predicates, its variable support and its hash
+    with it, ``LPSeed`` its violations and slot ranking and
+    ``QuasiTriangulation`` its derived structure.  A value dropped by
+    :func:`release_cached`, or stored by a caller that already holds it (a
+    flipped state takes its parent's boundary data, a memo hit of
+    :func:`lpsurf.lp_core.mutate` its stored verdict), is read the same way;
+    a dropped one is rebuilt on its next use.
     """
 
     def __init__(self, func):
@@ -123,7 +125,7 @@ _NAME_CONT = _NAME_START | set("0123456789'")
 
 
 def _check_name(name: str) -> None:
-    if not name or name[0] not in _NAME_START or any(ch not in _NAME_CONT for ch in name):
+    if not name or name[0] not in _NAME_START or not _NAME_CONT.issuperset(name):
         raise PolyError(f"bad variable name {name!r}")
 
 
@@ -189,6 +191,18 @@ class Polynomial(Record):
         d = self.__dict__
         d["ctx"] = ctx
         d["terms"] = terms
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_attribute
+    def _hash(self) -> int:
+        """``hash((ctx, terms))``, the hash :class:`Record` gives; computed once.
+
+        Memo keys and seed keys hold polynomials, and a tuple of terms is
+        hashed anew each time it is hashed.
+        """
+        return Record.__hash__(self)
 
     # -- constructors -------------------------------------------------
 
@@ -498,17 +512,6 @@ class Polynomial(Record):
             raise PolyError("substituting 0 into a negative exponent")
         # the terms it keeps are a subsequence of sorted terms, so they stay sorted
         return Polynomial(self.ctx, tuple(t for t in self.terms if t[0][i] == 0))
-
-    def permute_cluster(self, perm: Sequence[int]) -> "Polynomial":
-        """Relabel cluster coordinates: new exponent at slot ``perm[i]`` is old slot ``i``."""
-        nc = len(self.ctx.cluster)
-        d: dict[Exponents, int] = {}
-        for e, c in self.terms:
-            out = list(e)
-            for i in range(nc):
-                out[perm[i]] = e[i]
-            d[tuple(out)] = c
-        return Polynomial(self.ctx, _sorted_terms(d))
 
     # -- printing --------------------------------------------------------
 

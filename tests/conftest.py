@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import signal
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -165,3 +166,15 @@ def random_frozen_variable_seed(rng, n=3, n_frozen=1, max_degree=2):
     for k in bare:
         polys[k] = Polynomial.variable(seed.ctx, rng.choice(seed.ctx.frozen))
     return LPSeed.initial(seed.ctx.cluster, seed.ctx.frozen, polys).require_valid()
+
+
+def mixed_sign_seeds(count=100):
+    """Random valid seeds of 2 to 4 slots from ``random.Random(5)``, every third
+    with a bare frozen variable for some exchange polynomial."""
+    rng = random.Random(5)
+    for k in range(count):
+        n = rng.randint(2, 4)
+        if k % 3 == 0:
+            yield random_frozen_variable_seed(rng, n=n, n_frozen=rng.randint(1, 2))
+        else:
+            yield random_valid_seed(rng, n=n, n_frozen=rng.randint(0, 2))

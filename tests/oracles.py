@@ -11,7 +11,10 @@ normalization exponents, irreducibility, step 2 of mutation, products,
 powers, substitution and exact division come from sympy; the last eight
 read only ``.terms``.  The canonical code of a quasi-triangulation is the
 least code over every flag that enters through a boundary segment, walked
-from its definition on the state's regions and boundary alone.
+from its definition on the state's regions and boundary alone.  A seed's
+key up to units and slot relabelling is built as it was first written:
+exponents moved one by one, terms sorted, the sign taken at the leading
+term.
 """
 
 from __future__ import annotations
@@ -295,6 +298,59 @@ def mutated_values_at(
     out = list(values)
     out[i] = value_at(fhat, list(values) + list(point[len(values):])) / values[i]
     return out
+
+
+# -- seed identity up to units and slot relabelling ------------------------------------
+
+
+def _move_cluster_exponents(terms, perm: Sequence[int]) -> list:
+    """``terms`` with the exponent of cluster variable ``k`` moved to place ``perm[k]``."""
+    out = []
+    for e, c in terms:
+        moved = list(e)
+        for k, place in enumerate(perm):
+            moved[place] = e[k]
+        out.append((tuple(moved), c))
+    return out
+
+
+def relabel_slots(seed: LPSeed, perm: Sequence[int]) -> LPSeed:
+    """The same seed with slot ``k`` moved to slot ``perm[k]``.
+
+    Names, values and exchange polynomials move together, and each
+    polynomial's cluster exponents move with the slots they name; the values
+    are written in the initial variables, which do not move.
+    """
+    n = seed.n
+    polys, names, values = [None] * n, [None] * n, [None] * n
+    for k in range(n):
+        polys[perm[k]] = Polynomial.from_dict(
+            seed.ctx, dict(_move_cluster_exponents(seed.polys[k].terms, perm)))
+        names[perm[k]] = seed.names[k]
+        values[perm[k]] = seed.values[k]
+    return LPSeed(seed.ctx, tuple(polys), tuple(names), tuple(values))
+
+
+def seed_key_oracle(seed: LPSeed) -> tuple:
+    """The seed key as first written, from ``.terms`` alone.
+
+    Each slot's rank is the place of its value's terms in sorted order.  Each
+    polynomial's cluster exponents are moved into rank order term by term,
+    its terms sorted by descending graded lex, and all negated when the
+    leading coefficient is negative.  The key is the context's names and the
+    sorted (value terms, polynomial terms) pairs.
+    """
+    ranks = [0] * seed.n
+    for rank, slot in enumerate(sorted(range(seed.n), key=lambda k: seed.values[k].terms)):
+        ranks[slot] = rank
+    pairs = []
+    for value, poly in zip(seed.values, seed.polys):
+        terms = sorted(_move_cluster_exponents(poly.terms, ranks),
+                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        if terms and terms[0][1] < 0:
+            terms = [(e, -c) for e, c in terms]
+        pairs.append((value.terms, tuple(terms)))
+    return seed.ctx.names, tuple(sorted(pairs))
 
 
 # -- normalization exponents from the definition ------------------------------------

@@ -313,6 +313,39 @@ def test_verify_laurent_computes_each_distinct_exchange_once(
     assert len(lpsurf.poly._IRR_CACHE) == irreducible
 
 
+def test_verify_laurent_validates_once_per_computed_exchange(runner, tmp_path, monkeypatch):
+    """A whole-seed memo hit takes its stored verdict: only the initial seed and the
+    result of each computed exchange are validated, not every ``mutate`` call's."""
+    calls = {"mutate": 0, "_exchange": 0, "validate_seed": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lpsurf.explorer, "mutate")
+    counted(lpsurf.lp_core, "_exchange")
+    counted(lpsurf.lp_core, "validate_seed")
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(M2))
+    result = runner.invoke(main, ["verify-laurent", "--surface", str(path), "--sequences", "200",
+                                  "--rng-seed", "0"])
+    assert result.output.endswith("violations: 0\n") and result.exit_code == 0
+    assert calls["validate_seed"] == calls["_exchange"] + 1
+    assert calls == {"mutate": 897, "_exchange": 8, "validate_seed": 9}
+
+
+@pytest.mark.parametrize("command", ["explore --seed FILE", "verify-laurent --seed FILE"])
+def test_zero_exchange_polynomial_is_an_invalid_seed(runner, command):
+    """The seed key is total: a zero polynomial reaches the validity check, not a traceback."""
+    seed = _edit(EXAMPLE_SEED, cluster=["a", "b"], polys=["0", "a + 1"])
+    result = _run(runner, seed, command, {})
+    assert (result.exit_code, result.output) == (1, "Error: invalid LP seed: F_a is zero\n")
+
+
 @pytest.mark.parametrize("boundary, cross_caps, depth, powers, positive", [
     ([6], 0, None, 0, 0), ([7], 0, None, 0, 0), ([8], 0, None, 0, 0),
     ([3], 1, None, 6, 3), ([4], 1, None, 20, 10), ([2, 2], 0, 3, 0, 0),

@@ -32,7 +32,7 @@ from lpsurf.surface import (
     seed_from_quasi_triangulation,
 )
 
-from conftest import random_frozen_variable_seed, random_valid_seed
+from conftest import mixed_sign_seeds, random_valid_seed
 from oracles import (
     catalan,
     degrees,
@@ -161,13 +161,7 @@ class TestSkipMatchesUnprunedSearch:
 
     def test_random_mixed_sign_seeds(self):
         """Three of these graphs change if the token leaves out the polynomial's sign."""
-        rng = random.Random(5)
-        for k in range(100):
-            n = rng.randint(2, 4)
-            if k % 3 == 0:
-                seed = random_frozen_variable_seed(rng, n=n, n_frozen=rng.randint(1, 2))
-            else:
-                seed = random_valid_seed(rng, n=n, n_frozen=rng.randint(0, 2))
+        for seed in mixed_sign_seeds():
             assert export(explore_seeds(seed, depth=3), "json") == seed_graph_json(seed, 3), seed
 
     def test_stored_seed_of_opposite_sign_is_mutated(self):

@@ -9,8 +9,10 @@ from lpsurf.lp_core import (
     InvalidSeed,
     _divide_out_common,
     _exchange_step,
+    _exchange_token,
     LaurentViolation,
     LPSeed,
+    MutationError,
     mutate,
     normalize,
     seed_from_json,
@@ -20,11 +22,18 @@ from lpsurf.lp_core import (
     validate_seed,
 )
 from lpsurf.explorer import explore_seeds
-from lpsurf.poly import VariableContext, parse_polynomial, strip_laurent_monomial
+from lpsurf.poly import PolyError, VariableContext, parse_polynomial, strip_laurent_monomial
 from lpsurf.surface import MarkedSurface, seed_from_quasi_triangulation
 
-from conftest import random_frozen_variable_seed, random_valid_seed
-from oracles import divide_out_common, mutated_values_at, normalization_exponents, value_at
+from conftest import mixed_sign_seeds, random_frozen_variable_seed, random_valid_seed
+from oracles import (
+    divide_out_common,
+    mutated_values_at,
+    normalization_exponents,
+    relabel_slots,
+    seed_key_oracle,
+    value_at,
+)
 
 
 def surface_seed(*surface):
@@ -292,6 +301,62 @@ class TestMutationMemo:
         memo: dict = {}
         for s in (s1, s2):
             assert mutate(s, 0, memo=memo) == mutate(s, 0)
+
+    def test_chains_with_a_memo_match_chains_without(self):
+        """At every step of 50 annulus(2,2) chains, a memo hit gives a fresh call's seed and verdict."""
+        seed = surface_seed(0, 0, (2, 2))
+        rng = random.Random(3)
+        memo: dict = {}
+        steps = 0
+        for _ in range(50):
+            a = b = seed
+            for _ in range(rng.randint(1, 6)):
+                i = rng.randrange(seed.n)
+                a, b = mutate(a, i, memo=memo), mutate(b, i)
+                assert a == b and a.violations == tuple(validate_seed(a)) == ()
+                steps += 1
+        assert whole_seed_entries(memo) < steps / 2
+
+    def test_hit_takes_this_calls_name(self, mutation_example_seed):
+        s = mutation_example_seed
+        memo: dict = {}
+        mutate(s, 0, new_name="u", memo=memo)
+        hit = mutate(s, 0, new_name="w", memo=memo)
+        assert hit == mutate(s, 0, new_name="w") and hit.names[0] == "w" and hit.violations == ()
+        with pytest.raises(PolyError, match="already in use"):
+            mutate(s, 0, new_name="b", memo=memo)
+        assert whole_seed_entries(memo) == 1
+
+    def test_failure_of_an_equal_seed_is_a_hit(self, monkeypatch):
+        """The key compares polynomials by value, so a seed built anew hits a stored failure."""
+        def build():
+            s = LPSeed.initial(("x",), ("t",), ("t+1",))
+            return s.with_values([parse_polynomial("t*x", s.ctx)])
+
+        memo: dict = {}
+        with pytest.raises(LaurentViolation) as first:
+            mutate(build(), 0, new_name="u", memo=memo)
+        monkeypatch.setattr("lpsurf.lp_core._exchange", None)  # a hit computes nothing
+        with pytest.raises(LaurentViolation) as again:
+            mutate(build(), 0, new_name="w", memo=memo)
+        assert again.value.name == "w"
+        assert (again.value.num, again.value.den) == (first.value.num, first.value.den)
+
+    def test_a_call_that_raises_keeps_no_whole_seed(self, monkeypatch, mutation_example_seed):
+        s = mutation_example_seed
+        memo: dict = {}
+        with pytest.raises(PolyError, match="already in use"):
+            mutate(s, 0, new_name="c", memo=memo)
+        with pytest.raises(InvalidSeed):
+            mutate(LPSeed(s.ctx, (s.polys[1],) * 3, s.names, s.values), 0, memo=memo)
+        own = parse_polynomial("a + 1", s.ctx)  # slot 0's polynomial may not involve x_a
+        with monkeypatch.context() as m:
+            m.setattr("lpsurf.lp_core._exchange",
+                      lambda seed, i, name, memo: ((own,) + seed.polys[1:], seed.values[0]))
+            with pytest.raises(MutationError, match="depends on"):
+                mutate(s, 0, memo=memo)
+        assert whole_seed_entries(memo) == 0
+        assert mutate(s, 0, memo=memo) == mutate(s, 0) and whole_seed_entries(memo) == 1
 
     def test_key_holds_the_context(self):
         s1 = LPSeed.initial(("a", "b"), ("t",), ("b + t", "a + 1"))
@@ -576,6 +641,55 @@ class TestSeedsEqual:
         k1 = seed_key(example_norm_seed)
         k2 = seed_key(example_norm_seed)
         assert k1 == k2 and hash(k1) == hash(k2)
+
+
+def mutation_balls(seeds, depth):
+    """Each seed and every seed reached from it by at most ``depth`` mutations."""
+    out = []
+    for seed in seeds:
+        memo: dict = {}
+        layer = [seed]
+        for _ in range(depth + 1):
+            out.extend(layer)
+            layer = [mutate(s, i, memo=memo) for s in layer for i in range(s.n)]
+    return out
+
+
+class TestSeedKeyOracle:
+    """``seed_key`` groups seeds as the key first written does (``oracles.seed_key_oracle``)."""
+
+    @staticmethod
+    def assert_same_grouping(seeds):
+        pairs = [(seed_key(s), seed_key_oracle(s)) for s in seeds]
+        assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(set(pairs))
+        return len(set(pairs))
+
+    def test_mixed_sign_seeds(self):
+        seeds = mutation_balls(mixed_sign_seeds(), 2)
+        assert self.assert_same_grouping(seeds) < len(seeds)
+
+    @pytest.mark.parametrize("surface, nodes", [((0, 0, (6,)), 14), ((0, 1, (4,)), 64)],
+                             ids=["hexagon", "M4"])
+    def test_every_seed_of_a_surface(self, surface, nodes):
+        """Every node's seed and every seed its mutations reach, revisits included."""
+        g = explore_seeds(surface_seed(*surface))
+        assert self.assert_same_grouping(mutation_balls(g.payloads, 1)) == nodes
+
+    def test_key_ignores_slot_order_and_sign(self):
+        rng = random.Random(2)
+        seeds = mutation_balls(mixed_sign_seeds(30), 1) + mutation_balls([surface_seed(0, 1, (4,))], 2)
+        for s in seeds:
+            perm = rng.sample(range(s.n), s.n)
+            moved = relabel_slots(s, perm)
+            assert seed_key(moved) == seed_key(s)
+            assert [_exchange_token(moved, perm[i]) for i in range(s.n)] == [
+                _exchange_token(s, i) for i in range(s.n)]
+            signs = [rng.choice((1, -1)) for _ in range(s.n)]
+            negated = LPSeed(s.ctx, tuple(p if k == 1 else p.neg() for k, p in zip(signs, s.polys)),
+                             s.names, s.values)
+            assert seed_key(negated) == seed_key(s)
+            assert [_exchange_token(negated, i) == _exchange_token(s, i) for i in range(s.n)] == [
+                k == 1 for k in signs]
 
 
 class TestJson:
