@@ -339,13 +339,14 @@ def mutate(
     as its ``num`` and ``den`` and raised again under this call's name.  On
     a miss the exchange is computed in parts, and since the relation
     ``x_i * x_i' = Fhat_i`` is local, each part is looked up under only the
-    data it depends on: the new value under the context, ``value_i``
-    and, per term of ``Fhat_i``, the signed coefficient, the frozen
-    exponents and the values raised to a nonzero power with those powers;
-    steps 1-3 for slot ``j`` under the context, ``Fhat_i|_{x_j<-0}``,
-    ``F_j`` and ``i``, so exchanges whose ``Fhat_i`` differ only in terms
-    divisible by ``x_j`` share them.  :func:`normalize` keeps nothing: the
-    variable supports decide most of its powers with no division.  The
+    data it depends on, the context coming with its polynomials: the new
+    value under ``value_i`` and, per term of ``Fhat_i``, the signed
+    coefficient, the frozen exponents and the values raised to a nonzero
+    power with those powers; steps 1-3 for slot ``j`` under
+    ``Fhat_i|_{x_j<-0}``, ``F_j`` and ``i``, so exchanges whose ``Fhat_i``
+    differ only in terms divisible by ``x_j`` share them.  :func:`normalize`
+    keeps nothing: the variable supports decide most of its powers with no
+    division.  The
     seeds of one BFS never share a whole input, but they share these parts,
     and a memo made as :class:`_PartMemo` (the seed BFS's) keeps no whole
     inputs.
@@ -422,7 +423,7 @@ def _exchange(
                 raise MutationError(
                     "Fhat_i|_{x_j<-0} undefined; well-definedness guard violated"
                 ) from exc
-            new_polys.append(_once(memo, lambda: ("step", ctx.names, restricted.terms, fj.terms, i),
+            new_polys.append(_once(memo, lambda: ("step", restricted, fj, i),
                                    _exchange_step, ctx, restricted, fj, i))
     return tuple(new_polys), value
 
@@ -430,12 +431,12 @@ def _exchange(
 def _value_key(seed: LPSeed, i: int, fhat: Polynomial) -> tuple:
     """What ``Fhat_i(values) / value_i`` depends on, with no slot numbers.
 
-    The context, ``value_i``, and per term of ``Fhat_i`` its signed
-    coefficient, its frozen exponents and the values it raises to a nonzero
-    power with those powers.
+    ``value_i``, which carries the context, and per term of ``Fhat_i`` its
+    signed coefficient, its frozen exponents and the values it raises to a
+    nonzero power with those powers.
     """
     n, values = seed.n, seed.values
-    return ("value", seed.ctx.names, values[i].terms, tuple(sorted(
+    return ("value", values[i], tuple(sorted(
         (c, e[n:], tuple(sorted((values[k].terms, e[k]) for k in range(n) if e[k])))
         for e, c in fhat.terms
     )))

@@ -142,10 +142,11 @@ def _edge_tokens(n: int) -> tuple:
 class QuasiTriangulation(Record):
     """Immutable region complex; flips return fresh states.
 
-    The derived structure below is built on first use and cached on the
-    instance; it takes no part in equality, hashing or serialization.  A
+    Each boundary segment has its own label, as it has its own frozen
+    variable.  The derived structure below is built on first use and cached
+    on the instance; it takes no part in equality, hashing or serialization.  A
     flipped state starts out holding its parent's boundary data (the
-    boundary dicts and the least-label segments), which a flip never
+    boundary dicts and the least-labelled segment), which a flip never
     changes; the BFS drops an expanded state's structure, and a later read
     rebuilds it.
     """
@@ -164,7 +165,11 @@ class QuasiTriangulation(Record):
 
     @cached_attribute
     def boundary_labels(self) -> dict[int, str]:
-        return dict(self.boundary)
+        """The label of each boundary segment; SurfaceError if ids or labels repeat."""
+        labels = dict(self.boundary)
+        if len(set(labels.values())) != len(self.boundary):
+            raise SurfaceError("boundary segments must have distinct ids and labels")
+        return labels
 
     @cached_attribute
     def boundary_tokens(self) -> dict[int, tuple]:
@@ -177,10 +182,10 @@ class QuasiTriangulation(Record):
                 for e, label in self.boundary}
 
     @cached_attribute
-    def least_boundary(self) -> tuple[int, ...]:
-        """The boundary segments with the least label in string order."""
-        least = min((label for _, label in self.boundary), default=None)
-        return tuple(e for e, label in self.boundary if label == least)
+    def least_boundary(self) -> Optional[int]:
+        """The boundary segment with the least label in string order, if any."""
+        labels = self.boundary_labels
+        return min(labels, key=labels.get, default=None)
 
     @cached_attribute
     def slots(self) -> dict[int, list[tuple[int, int]]]:
@@ -311,8 +316,8 @@ def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
     The new quasi-arc takes the id ``t.next_id``; a new pocket's portal takes
     the id after it.  The regions the flip replaces are dropped and its new
     regions appended.  The new state shares ``t``'s surface, boundary and the
-    structure derived from the boundary alone (``boundary_labels``,
-    ``boundary_tokens``, ``least_boundary``), and builds the rest on first use.
+    structure derived from the boundary alone (``boundary_labels``, checked
+    once, ``boundary_tokens``, ``least_boundary``), and builds the rest on first use.
     """
     kind, drop, sides = _classify(t, q)
     n = t.next_id
@@ -361,7 +366,7 @@ def canonical_code(t: QuasiTriangulation) -> tuple:
 
 
 def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
-    """The least BFS code from a least-labelled boundary segment, and its walk's numbering.
+    """The BFS code from the least-labelled boundary segment, and its walk's numbering.
 
     A flag is a region, an entry side and a direction; the code from a flag
     has one row per region in BFS order.  Boundary tokens carry the traversal
@@ -376,14 +381,14 @@ def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
     arcs that an isomorphism matches, where equal codes mean isomorphic
     states (see :func:`lpsurf.explorer.explore_flips`).
 
-    The flags are the slots of every boundary segment labelled L, L the least
-    boundary label in string order (labels may repeat, see
-    ``least_boundary``), each entered against its sign, so every code opens
-    with ``("b", L, -1)`` after its region kind.  A pocket has no boundary
-    side: the walk reaches it through its portal from its mouth triangle.
-    :func:`_walk_code` walks the first flag, then each other one against the
-    least code so far, and drops it at its first row above that code.  Its
-    tokens are objects shared by every code.
+    The code is the walk from one flag: the one slot of the boundary segment
+    labelled L, L the least boundary label in string order, entered against
+    its sign, so every code opens with ``("b", L, -1)`` after its region
+    kind.  Labels are distinct, so that flag, and with it the numbering, is
+    unique.  A pocket has no boundary side: the walk reaches it through its
+    portal from its mouth triangle.  The code's tokens are objects shared by
+    every code.  A state built directly whose least-labelled segment is
+    missing or has other than one slot is refused with a SurfaceError.
     """
     slots, links = t.slots, t.slots
     pure = t.is_pure_triangulation()
@@ -395,14 +400,11 @@ def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
             links = dict(slots)
             for pi, portal, _, _ in t.pockets:
                 links[portal] = slots[portal] + [(pi, 0)]
-    code = num = None
-    for e in t.least_boundary:
-        for ri, p in slots.get(e, ()):
-            walk = _walk_code(t, sides, links, ri, p, -sides[ri][p][1], code)
-            if walk is not None:
-                code, num = walk
-    if code is None:
-        raise SurfaceError("no boundary segment with the least label lies on a region")
+    flags = slots.get(t.least_boundary, ())
+    if len(flags) != 1:
+        raise SurfaceError(f"least-labelled boundary segment has {len(flags)} slots, expected 1")
+    (ri, p), = flags
+    code, num = _walk_code(t, sides, links, ri, p, -sides[ri][p][1])
     if not pure:
         for _, portal, curve, crossing in t.pockets:
             num[curve], num[crossing] = ("curve", num[portal]), ("crossing", num[portal])
@@ -417,16 +419,14 @@ _WALK = {(n, p, d): tuple((p + d * k) % n for k in range(n))
          for n in (1, 3) for p in range(n) for d in (1, -1)}
 
 
-def _walk_code(t, sides, links, r0, p0, d0, bound=None):
+def _walk_code(t, sides, links, r0, p0, d0):
     """The code from one flag: its rows in BFS order, then the region count.
 
     Each row is built in one pass over the region's sides, which also queues
     each unseen neighbour across ``links`` (the slots of each edge), entered
     so that the crossing is coherent.  A region is marked seen when it is
     queued, so it keeps the entry of its first queueing, as in a walk that
-    marks it when its row is built.  With ``bound``, a code, the walk gives
-    None at its first row above ``bound``'s row at the same index, and
-    compares no more after a row below it.  A code comes with the walk's
+    marks it when its row is built.  The code comes with the walk's
     numbering of arc and portal ids.
     """
     regions, bnd_tokens, edge_tokens = t.regions, t.boundary_tokens, _edge_tokens(len(links))
@@ -450,12 +450,7 @@ def _walk_code(t, sides, links, r0, p0, d0, bound=None):
                         seen.add(oi)
                         queue.append((oi, opos, -d * s * sides[oi][opos][1]))
             row.append(edge_tokens[k])
-        row = tuple(row)
-        if bound is not None and row != bound[len(code)]:
-            if row > bound[len(code)]:
-                return None
-            bound = None
-        code.append(row)
+        code.append(tuple(row))
     code.append(("#regions", len(seen)))
     return tuple(code), num
 
@@ -519,7 +514,7 @@ def detect_m2(t: QuasiTriangulation) -> list[int]:
 
 def check_state(t: QuasiTriangulation) -> None:
     """Structural invariants of a state; raises SurfaceError on violation."""
-    bnd, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of
+    bnd, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of  # refuses repeated labels
     for _, portal, curve, crossing in t.pockets:
         if portal not in slots:
             raise SurfaceError(f"portal {portal} has no mouth triangle")

@@ -302,6 +302,18 @@ class TestMutationMemo:
         for s in (s1, s2):
             assert mutate(s, 0, memo=memo) == mutate(s, 0)
 
+    def test_part_keys_hold_the_context(self):
+        """Seeds over one variable list split differently into cluster and frozen share no part."""
+        s1 = LPSeed.initial(("a", "b", "c"), ("t",), ("t", "a + c", "1 + b"))
+        s2 = LPSeed.initial(("a", "b"), ("c", "t"), ("t", "a + c"))
+        assert s1.ctx.names == s2.ctx.names
+        memo: dict = {}
+        mutate(s1, 0, memo=memo)
+        result = mutate(s2, 0, memo=memo)
+        assert result == mutate(s2, 0)
+        assert all(p.ctx == s2.ctx for p in result.polys + result.values)
+        assert mutate(result, 1, memo=memo) == mutate(mutate(s2, 0), 1)
+
     def test_chains_with_a_memo_match_chains_without(self):
         """At every step of 50 annulus(2,2) chains, a memo hit gives a fresh call's seed and verdict."""
         seed = surface_seed(0, 0, (2, 2))

@@ -107,19 +107,17 @@ M4_NAMES = {4: "a", 5: "b", 6: "c", 7: "d"}
 
 
 def golden(surface, depth, digest, seed_digest, labels=None):
-    """One golden case, with its test id named by the surface, depth and code digest."""
+    """One golden case, with its test id named by the surface, depth and labels."""
     return pytest.param(surface, depth, digest, seed_digest, labels,
-                        id=f"{surface}-{depth}-{digest}")
+                        id=f"{surface}-{depth}-{labels}")
 
 
 # sha256 of the sorted code reprs over every state of each flip graph, with
-# and without boundary variables, computed as the least walk from a
-# least-labelled boundary segment (on orientable surfaces and M1 this equals
-# the minimum over all flags); and sha256 of each state's seed JSON in BFS
-# order, or of the error its extraction raises, computed while flips and seed
-# extraction each ran their own case analysis of a quasi-arc.  The last four
-# cases order labels as strings (b10 before b2) or put the least label on
-# several segments.
+# and without boundary variables, computed as the walk from the
+# least-labelled boundary segment; and sha256 of each state's seed JSON in
+# BFS order, or of the error its extraction raises, computed while flips and
+# seed extraction each ran their own case analysis of a quasi-arc.  The last
+# case orders labels as strings (b10 before b2).
 CODE_GOLDENS = [
     golden(MarkedSurface(0, 0, (6,)), None,
            "c4ffdda14acb6d9d277a270c85a0843ef5b5bdc8d1a9d4c5787de82e49d2e51f",
@@ -155,18 +153,6 @@ CODE_GOLDENS = [
     golden(MarkedSurface(0, 0, (11,)), 3,
            "c1097d4e1f61739220eb767757b6ebd298b8dc3d6169c0b32e9557ade0f26c28",
            "7adbfc9e828ce804162ff2f8ebaa7a515e6ec1cac1ed87ededff32ac924d4125"),
-    golden(MarkedSurface(0, 0, (7,)), None,
-           "944485fa5fad986f49764c35f2b4c0b2718dbe2afa7cef92898e98d3c6079937",
-           "50ed46c819335da3f4641a93a3ea2bde8c69331801a1962db6312f34cdf15056",
-           labels=[("a", "a", "a", "b", "a", "c", "a")]),
-    golden(MarkedSurface(0, 1, (4,)), None,
-           "61d1bde2b4e694b6d603d7d795a5e16916f0de3c8b5cffb629675dbaf9278b77",
-           "2af23d9f030250178953284ddd201cdbbb3497196d046ebb1669289f95ff84c2",
-           labels=[("z", "z", "y", "y")]),
-    golden(MarkedSurface(0, 0, (2, 3)), 3,
-           "e2826a31b506d78eee1a883dea4a6173140327ffdb73f2296d8134e65d351377",
-           "bf0756ff88034bb55d67256450c758dad02427053d6785b6ce8074ab3cc33752",
-           labels=[("x", "x"), ("x", "y", "x")]),
 ]
 
 
@@ -540,7 +526,7 @@ class TestCanonicalCode:
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 1, (1,)), None), (MarkedSurface(0, 1, (4,)), None),
         (MarkedSurface(0, 2, (2,)), None), (MarkedSurface(0, 0, (2, 2)), None),
-        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
+        (MarkedSurface(0, 0, (7,)), [("g", "f", "e", "d", "c", "b", "a")]),
     ], ids=str)
     def test_oracle_on_scrambled_states(self, surface, labels):
         """Random states with fresh ids, shuffled regions and random gauges."""
@@ -585,13 +571,18 @@ class TestCanonicalCode:
         MarkedSurface(0, 0, (6,)), MarkedSurface(0, 1, (1,)), MarkedSurface(0, 1, (3,)),
     ], ids=str)
     def test_least_segment_on_no_region_is_a_surface_error(self, surface):
-        """Codes start at a least-labelled segment, so one on no region is refused."""
+        """Codes start at the least-labelled segment's one slot, so a state built
+        directly with that segment missing, on no region or on two slots is refused."""
         t = initial_quasi_triangulation(surface)
         for state in (t, flip(t, t.quasi_arcs[0])):
-            stray = QuasiTriangulation(state.surface, state.regions,
-                                       state.boundary + ((99, "a"),), 100)
-            with pytest.raises(SurfaceError, match="^no boundary segment with the least label"):
-                canonical_form(stray)
+            cases = [((), 0), (state.boundary + ((99, "a"),), 0)]
+            cases += [(state.boundary + ((q, "a"),), 2)  # M1's mob1 state has no such arc
+                      for q in state.quasi_arcs[:1] if len(state.slots.get(q, ())) == 2]
+            for boundary, slots in cases:
+                stray = QuasiTriangulation(state.surface, state.regions, boundary, 100)
+                with pytest.raises(SurfaceError, match=f"^least-labelled boundary segment has "
+                                                       f"{slots} slots, expected 1$"):
+                    canonical_form(stray)
 
     def test_equal_codes_need_not_mean_equal_flips(self):
         """A code does not record the twist of a cycle-closing edge.
@@ -613,7 +604,7 @@ class TestCanonicalCode:
         assert neighbourhood(a) != neighbourhood(b)
 
     def test_one_bfs_per_code_on_the_heptagon(self, monkeypatch):
-        """Only the flag with the least first row is walked on a triangulation."""
+        """Each code of the heptagon's flip BFS is one walk."""
         codes, walks = [], []
         real_form, real_walk = canonical_form, surface_module._walk_code
 
@@ -631,60 +622,37 @@ class TestCanonicalCode:
         # the initial state once, then one flip per edge of the 84
         assert (g.node_count, len(codes), len(walks)) == (42, 1 + 84, 1 + 84)
 
-    def test_first_rows_only_for_candidate_flags(self, monkeypatch):
-        """Rows are built only for the flags that can start the least code."""
-        rows, per_code = [], []
-        real_form, real_walk = canonical_form, surface_module._walk_code
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
+    def test_one_walk_per_code_on_golden_states(self, surface, depth, digest, seed_digest,
+                                                labels, monkeypatch):
+        """Every code of a golden state walks one flag once, on pocket and mob1 states too."""
+        states = explore_flips(initial_quasi_triangulation(surface, labels=labels),
+                               depth=depth).payloads
+        walks, real_walk = [], surface_module._walk_code
+        monkeypatch.setattr(surface_module, "_walk_code",
+                            lambda *args: walks.append(args) or real_walk(*args))
+        for t in states:
+            walks.clear()
+            canonical_form(t)
+            assert len(walks) == 1
 
-        def counting_form(t):
-            before = len(rows)
-            form = real_form(t)
-            per_code.append((len(rows) - before, tuple(sorted(r[0] for r in t.regions))))
-            return form
-
-        # a walk that gives a code builds every row of it; a walk cut by its
-        # bound builds the rows up to the first one above the bound's row
-        def counting_walk(t, sides, links, r0, p0, d0, bound=None):
-            walk = real_walk(t, sides, links, r0, p0, d0, bound)
-            if walk is None:
-                full, _ = real_walk(t, sides, links, r0, p0, d0)
-                built = next(i for i, (row, least) in enumerate(zip(full, bound)) if row != least)
-                rows.extend(full[:built + 1])
-            else:
-                rows.extend(walk[0][:-1])
-            return walk
-
-        monkeypatch.setattr("lpsurf.explorer.canonical_form", counting_form)
-        monkeypatch.setattr(surface_module, "_walk_code", counting_walk)
-        explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
-        # 85 codes (one per edge and the initial state's), each the 5 rows of
-        # one walk from one flag (b1 entered against its sign); the full scan
-        # over all 30 flags built 30 * 5 per code
-        assert len(per_code) == 85 and len(rows) == 85 * 5
-        # with distinct labels every code is one walk from b1, of one row per
-        # region, on pocket states too: M4's states have 4 regions, M6's 6
-        for surface, codes in ((MarkedSurface(0, 1, (4,)), 129),
-                               (MarkedSurface(0, 1, (6,)), 3073)):
-            rows.clear()
-            per_code.clear()
-            explore_flips(initial_quasi_triangulation(surface))
-            assert {kinds for _, kinds in per_code} > {(TRI,) * surface.rank}
-            assert all(n == len(kinds) for n, kinds in per_code)
-            assert (len(per_code), len(rows)) == (codes, codes * surface.rank)
-
-    @pytest.mark.parametrize("surface,labels", [
-        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
-        (MarkedSurface(0, 1, (4,)), [("z", "z", "y", "y")]),
-        (MarkedSurface(0, 0, (2, 3)), [("x", "x"), ("x", "y", "x")]),
-        (MarkedSurface(0, 2, (2,)), [("a", "a")]),
-    ], ids=str)
-    def test_candidate_flags_give_the_full_scan_minimum(self, surface, labels):
-        """With repeated labels, the code still equals the minimum over every boundary flag."""
-        rng = random.Random(str(labels))
-        t = initial_quasi_triangulation(surface, labels=labels)
-        for _ in range(60):
-            t = flip(t, rng.choice(t.quasi_arcs))
-            assert canonical_code(t) == canonical_code_oracle(t)
+    @pytest.mark.parametrize("entry", ["initial", "json", "direct"])
+    def test_repeated_labels_are_a_one_line_surface_error(self, entry):
+        """Each boundary segment has its own label at every entry point."""
+        surface = MarkedSurface(0, 1, (4,))
+        labels = [("z", "z", "y", "x")]
+        t = initial_quasi_triangulation(surface)
+        repeated = tuple((e, label) for (e, _), label in zip(t.boundary, labels[0]))
+        data = {**triangulation_to_json(t), "boundary": [list(b) for b in repeated]}
+        call = {
+            "initial": lambda: initial_quasi_triangulation(surface, labels=labels),
+            "json": lambda: triangulation_from_json(data),
+            "direct": lambda: canonical_form(
+                QuasiTriangulation(surface, t.regions, repeated, t.next_id)),
+        }[entry]
+        with pytest.raises(SurfaceError) as exc:
+            call()
+        assert str(exc.value) == "boundary segments must have distinct ids and labels"
 
 
 class TestSharedStructure:
@@ -708,7 +676,7 @@ class TestSharedStructure:
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 1, (1,)), None), (MarkedSurface(0, 1, (4,)), None),
         (MarkedSurface(0, 2, (2,)), None), (MarkedSurface(0, 0, (2, 2)), None),
-        (MarkedSurface(0, 0, (7,)), [("a", "a", "a", "b", "a", "c", "a")]),
+        (MarkedSurface(0, 0, (7,)), [("g", "f", "e", "d", "c", "b", "a")]),
     ], ids=str)
     def test_flips_of_scrambled_states(self, surface, labels):
         rng = random.Random(f"shared {surface} {labels}")
