@@ -237,32 +237,36 @@ def surface_stats(t: QuasiTriangulation) -> dict:
     """Euler characteristic, vertices, boundary component sizes and connected pieces.
 
     Vertices are classes of region corners, corner i sitting between sides
-    i-1 and i.  ``boundary_components`` lists the sizes, in segments, of the
-    classes of boundary segments joined at their end vertices, in increasing
-    order.  ``pieces`` counts the classes of regions joined across every
-    edge on two region sides, a pocket's portal joining it to its mouth.
+    i-1 and i, joined across each pair of slots the gluing table
+    (``QuasiTriangulation.gluing``) glues.  ``boundary_components`` lists
+    the sizes, in segments, of the classes of boundary segments joined at
+    their end vertices, in increasing order.  ``pieces`` counts the classes
+    of regions joined across glued slots, a pocket's portal joining it to
+    its mouth.
     """
-    ends: dict[int, list] = {}  # edge -> (start, end) corner per side, in the edge's direction
-    for ri in range(len(t.regions)):
-        sides = t.region_sides(ri)
-        for pos, (e, s) in enumerate(sides):
-            side = ((ri, pos), (ri, (pos + 1) % len(sides)))
-            ends.setdefault(e, []).append(side if s > 0 else side[::-1])
-    glued = [sides for sides in ends.values() if len(sides) == 2]
-    vertex = _components((c for sides in ends.values() for side in sides for c in side),
-                         (pair for a, b in glued for pair in zip(a, b)))
+    partner, slot_of = t.gluing
+    sides = [t.region_sides(ri) for ri in range(len(t.regions))]
+
+    def ends(x):  # slot x's (start, end) corners, in its edge's direction
+        ri, pos = divmod(x, 3)
+        side = ((ri, pos), (ri, (pos + 1) % len(sides[ri])))
+        return side if sides[ri][pos][1] > 0 else side[::-1]
+
+    slots = [3 * ri + pos for ri, rs in enumerate(sides) for pos in range(len(rs))]
+    glued = [(x, partner[x]) for x in slots if x < partner[x]]
+    vertex = _components((c for x in slots for c in ends(x)),
+                         (pair for x, y in glued for pair in zip(ends(x), ends(y))))
     nverts = len(set(vertex.values()))
-    edges = set(t.slots).union(t.boundary_labels, (p for _, p, _, _ in t.pockets))
+    edges = set(slot_of).union(t.boundary_labels)  # a portal lies on its pocket
     ntris = sum(1 for r in t.regions if r[0] == TRI)
     # boundary segments and their end vertices; every vertex must lie on one
-    bnd = {e: [vertex[c] for c in ends[e][0]] for e in t.boundary_labels}
+    bnd = {e: [vertex[c] for c in ends(slot_of[e])] for e in t.boundary_labels}
     first: dict = {}  # vertex -> the first segment ending there
     loops = _components(bnd, ((e, first.setdefault(v, e)) for e, vs in bnd.items() for v in vs))
     sizes: dict = {}
     for e in bnd:
         sizes[loops[e]] = sizes.get(loops[e], 0) + 1
-    # a corner is (region, position)
-    pieces = _components(range(len(t.regions)), ((a[0][0], b[0][0]) for a, b in glued))
+    pieces = _components(range(len(t.regions)), ((x // 3, y // 3) for x, y in glued))
     return {
         "vertices": nverts,
         "edges": len(edges),
@@ -330,18 +334,11 @@ def double_cover(t: QuasiTriangulation) -> LiftedTriangulation:
     """Lift to the orientable double cover (two mirror sheets per triangle)."""
     if not t.is_pure_triangulation():
         raise SurfaceError("states containing one-sided curves have no global lift")
-    slots = t.slots
-    bnd = t.boundary_labels
-    # sheet holding lift 0 for each slot
-    lift0_sheet: dict[tuple[int, int], int] = {}
-    for e, slot_list in slots.items():
-        (r1, p1) = slot_list[0]
-        s1 = t.regions[r1][1][p1][1]
-        lift0_sheet[(r1, p1)] = 0 if s1 == 1 else 1
-        if len(slot_list) == 2:
-            (r2, p2) = slot_list[1]
-            s2 = t.regions[r2][1][p2][1]
-            lift0_sheet[(r2, p2)] = 0 if s2 == -1 else 1
+    slot_of, bnd = t.gluing[1], t.boundary_labels
+    # the sheet holding lift 0 at each slot: sheet 0 at an edge's least slot
+    # when its sign is +1, and at its other slot when its sign is -1
+    lift0_sheet = {x: 0 if (s == 1) == (slot_of[e] == x) else 1
+                   for ri, r in enumerate(t.regions) for x, (e, s) in enumerate(r[1], 3 * ri)}
     triangles = []
     for ri, r in enumerate(t.regions):
         tri = r[1]
@@ -350,11 +347,11 @@ def double_cover(t: QuasiTriangulation) -> LiftedTriangulation:
             walk = []
             for pos in order:
                 e, s = tri[pos]
-                lift = 0 if lift0_sheet[(ri, pos)] == sheet else 1
+                lift = 0 if lift0_sheet[3 * ri + pos] == sheet else 1
                 sign = s if sheet == 0 else -s
                 walk.append((e, lift, sign))
             triangles.append(((ri, sheet), tuple(walk)))
-    mutable = tuple(sorted(e for e in slots if e not in bnd))
+    mutable = tuple(sorted(e for e in slot_of if e not in bnd))
     frozen = tuple(sorted(bnd))
     return LiftedTriangulation(t, tuple(triangles), mutable, frozen)
 

@@ -112,23 +112,13 @@ def rank(surface: MarkedSurface) -> int:
 
 Slot = tuple[int, int]  # (edge id, +1/-1 traversal sign)
 
-# Objects that every state shares, so that a slot index or a code allocates
-# none of its own.  A table grows only by rebinding a longer copy (or by one
-# atomic ``setdefault``), so a thread never reads a half-built one.  No lock:
-# a thread that loses a race keeps entries equal to the winner's, and a table
-# a race left shorter is grown again on its next use.
-_SLOT_PAIRS: tuple = ()  # ((ri, 0), (ri, 1), (ri, 2)) at index ri
+# Objects that every state shares, so that a code allocates none of its own.
+# A table grows only by rebinding a longer copy (or by one atomic
+# ``setdefault``), so a thread never reads a half-built one.  No lock: a
+# thread that loses a race keeps entries equal to the winner's, and a table a
+# race left shorter is grown again on its next use.
 _EDGE_TOKENS: tuple = ()  # ("e", k) at index k
 _BOUNDARY_TOKENS: dict = {}  # label L -> (None, ("b", L, 1), ("b", L, -1))
-
-
-def _slot_pairs(n: int) -> tuple:
-    global _SLOT_PAIRS
-    pairs = _SLOT_PAIRS
-    if len(pairs) < n:
-        pairs = _SLOT_PAIRS = pairs + tuple(
-            ((ri, 0), (ri, 1), (ri, 2)) for ri in range(len(pairs), n))
-    return pairs
 
 
 def _edge_tokens(n: int) -> tuple:
@@ -139,6 +129,15 @@ def _edge_tokens(n: int) -> tuple:
     return tokens
 
 
+def _sides(r) -> tuple[Slot, ...]:
+    """A region's sides: a triangle's three, a pocket's portal, a mob1 region's one."""
+    if r[0] == TRI:
+        return r[1]
+    if r[0] == POCKET:
+        return ((r[1], 1),)
+    return (r[1],)
+
+
 class QuasiTriangulation(Record):
     """Immutable region complex; flips return fresh states.
 
@@ -147,8 +146,8 @@ class QuasiTriangulation(Record):
     on the instance; it takes no part in equality, hashing or serialization.  A
     flipped state starts out holding its parent's boundary data (the
     boundary dicts and the least-labelled segment), which a flip never
-    changes; the BFS drops an expanded state's structure, and a later read
-    rebuilds it.
+    changes, and a gluing table derived from its parent's; the BFS drops an
+    expanded state's structure, and a later read rebuilds it.
     """
 
     _fields = ("surface", "regions", "boundary", "next_id")
@@ -188,20 +187,34 @@ class QuasiTriangulation(Record):
         return min(labels, key=labels.get, default=None)
 
     @cached_attribute
-    def slots(self) -> dict[int, list[tuple[int, int]]]:
-        """Triangle and mob1 side slots per edge id: (region index, position).
+    def gluing(self) -> tuple[list[int], dict[int, int]]:
+        """The gluing table ``(partner, slot_of)``, built in one pass over the regions.
 
-        A portal's only slot is its side in the pocket's mouth triangle.
-        The pairs are shared by every state.
+        Slot ``x = 3 * ri + pos`` is side ``pos`` of region ``ri``.
+        ``partner[x]`` is the slot glued to x, or -1 for a boundary side and
+        for the unused slots 1 and 2 of a pocket or mob1 region; a portal's
+        side in its mouth triangle is glued to its pocket's one side.
+        ``slot_of`` maps each edge on a region side to its least slot.
+        :func:`flip` derives its child's table from its parent's, equal to
+        this build entry for entry.  SurfaceError if an edge lies on more
+        than two sides.
         """
-        out: dict[int, list[tuple[int, int]]] = {}
-        for r, pairs in zip(self.regions, _slot_pairs(len(self.regions))):
-            if r[0] == TRI:
-                for (e, _), pair in zip(r[1], pairs):
-                    out.setdefault(e, []).append(pair)
-            elif r[0] == MOB1:
-                out.setdefault(r[1][0], []).append(pairs[0])
-        return out
+        partner = [-1] * (3 * len(self.regions))
+        slot_of: dict[int, int] = {}
+        for ri, r in enumerate(self.regions):
+            for x, (e, _) in enumerate(_sides(r), 3 * ri):
+                y = slot_of.setdefault(e, x)
+                if y != x:
+                    if partner[y] >= 0:
+                        raise SurfaceError(f"edge {e} lies on more than two region sides")
+                    partner[x], partner[y] = y, x
+        return partner, slot_of
+
+    def slot_count(self, e: int) -> int:
+        """How many region sides edge ``e`` lies on, a portal's pocket included."""
+        partner, slot_of = self.gluing
+        x = slot_of.get(e)
+        return 0 if x is None else 1 if partner[x] < 0 else 2
 
     @cached_attribute
     def pockets(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -221,7 +234,7 @@ class QuasiTriangulation(Record):
     @cached_attribute
     def quasi_arcs(self) -> tuple[int, ...]:
         """Arcs, crossing arcs and one-sided curves, in id order."""
-        ids = set(self.slots).difference(self.boundary_labels)
+        ids = set(self.gluing[1]).difference(self.boundary_labels)
         for _, portal, curve, crossing in self.pockets:
             ids.discard(portal)
             ids.update((curve, crossing))
@@ -241,25 +254,28 @@ class QuasiTriangulation(Record):
         return all(r[0] == TRI for r in self.regions)
 
     def region_sides(self, ri: int) -> tuple[Slot, ...]:
-        r = self.regions[ri]
-        if r[0] == TRI:
-            return r[1]
-        if r[0] == POCKET:
-            return ((r[1], 1),)
-        return (r[1],)
+        return _sides(self.regions[ri])
 
 
 # -- flips --------------------------------------------------------------------
 
 
-def _rooted(tri: tuple[Slot, Slot, Slot], pos: int) -> tuple[Slot, Slot, Slot]:
-    return (tri[pos], tri[(pos + 1) % 3], tri[(pos + 2) % 3])
+_AFTER = ((1, 2), (2, 0), (0, 1))  # the next two positions of a triangle after each
 
 
-def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tuple[Slot, ...]]:
-    """The local picture of quasi-arc ``q``: (kind, regions its flip replaces, sides).
+def _mouth(t: QuasiTriangulation, pocket: tuple[int, int, int, int]) -> int:
+    """The slot of ``pocket``'s portal in its mouth triangle; SurfaceError if it has none."""
+    x = t.gluing[0][3 * pocket[0]]
+    if x < 0 or t.regions[x // 3][0] != TRI:
+        raise SurfaceError(f"portal {pocket[1]} has no mouth triangle")
+    return x
 
-    The sides are what the flip and the exchange polynomial read:
+
+def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tuple, tuple]:
+    """The local picture of quasi-arc ``q``: (kind, regions its flip replaces, sides, slots).
+
+    The sides are what the flip and the exchange polynomial read, and the
+    slots are where ``t`` holds them:
 
     * ``plain``: the boundary walk w0 w1 w2 w3 of q's two triangles glued
       along q, the second one reversed when that gluing reverses orientation;
@@ -273,21 +289,23 @@ def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tupl
     """
     pocket = t.pockets and t.pocket_of.get(q)  # a triangulation builds no pocket_of
     if pocket and q != pocket[1]:
-        portal = pocket[1]
-        if portal not in t.slots:
-            raise SurfaceError(f"portal {portal} has no mouth triangle")
-        mi, pos = t.slots[portal][0]
+        x = _mouth(t, pocket)
+        (mi, pos), (i, j) = divmod(x, 3), _AFTER[x % 3]
+        tri = t.regions[mi][1]
         kind = "curve" if q == pocket[2] else "crossing"
-        return kind, (pocket[0], mi), _rooted(t.regions[mi][1], pos)
+        return kind, (pocket[0], mi), (tri[pos], tri[i], tri[j]), (x, x - pos + i, x - pos + j)
     if q in t.mob1_of:
         ri, side = t.mob1_of[q]
-        return "mob1", (ri,), (side,)
-    if pocket or q in t.boundary_labels or q not in t.slots:
+        return "mob1", (ri,), (side,), (3 * ri,)
+    partner, slot_of = t.gluing
+    x = slot_of.get(q)
+    if pocket or q in t.boundary_labels or x is None:
         # a portal, a boundary segment or no edge of this state
         raise SurfaceError(f"{q} is not a quasi-arc of this state")
-    if len(t.slots[q]) != 2:
-        raise SurfaceError(f"edge {q} has {len(t.slots[q])} slots, expected 2")
-    (r1, p1), (r2, p2) = t.slots[q]
+    y = partner[x]
+    if y < 0:
+        raise SurfaceError(f"edge {q} has 1 slots, expected 2")
+    (r1, p1), (r2, p2) = divmod(x, 3), divmod(y, 3)
     if r1 == r2:
         tri = t.regions[r1][1]
         if tri[p1][1] != tri[p2][1]:
@@ -295,58 +313,115 @@ def _classify(t: QuasiTriangulation, q: int) -> tuple[str, tuple[int, ...], tupl
         side = tri[3 - p1 - p2]
         if side[0] not in t.boundary_labels:
             raise SurfaceError("arc doubled against a non-boundary side is illegal")
-        return "doubled", (r1,), (side,)
-    t1 = _rooted(t.regions[r1][1], p1)
-    t2 = _rooted(t.regions[r2][1], p2)
-    if t1[0][1] == t2[0][1]:
-        w = (t1[1], t1[2], (t2[2][0], -t2[2][1]), (t2[1][0], -t2[1][1]))
+        return "doubled", (r1,), (side,), (3 * r1 + 3 - p1 - p2,)
+    tri1, tri2 = t.regions[r1][1], t.regions[r2][1]
+    (i1, j1), (i2, j2) = _AFTER[p1], _AFTER[p2]
+    if tri1[p1][1] == tri2[p2][1]:
+        w = (tri1[i1], tri1[j1], (tri2[j2][0], -tri2[j2][1]), (tri2[i2][0], -tri2[i2][1]))
+        o = (x - p1 + i1, x - p1 + j1, y - p2 + j2, y - p2 + i2)
     else:
-        w = (t1[1], t1[2], t2[1], t2[2])
+        w = (tri1[i1], tri1[j1], tri2[i2], tri2[j2])
+        o = (x - p1 + i1, x - p1 + j1, y - p2 + i2, y - p2 + j2)
     for a, b in ((1, 2), (3, 0)):
         if w[a][0] == w[b][0]:
             if w[a][1] != w[b][1]:
                 raise SurfaceError("adjacent coherent self-gluing: puncture pattern")
-            return "to_curve", (r1, r2), (w[a], w[a - 2], w[a - 1])
-    return "plain", (r1, r2), w
+            return "to_curve", (r1, r2), (w[a], w[a - 2], w[a - 1]), (o[a], o[a - 2], o[a - 1])
+    return "plain", (r1, r2), w, o
 
 
 def flip(t: QuasiTriangulation, q: int) -> QuasiTriangulation:
     """The unique quasi-triangulation differing from ``t`` exactly at ``q``.
 
     The new quasi-arc takes the id ``t.next_id``; a new pocket's portal takes
-    the id after it.  The regions the flip replaces are dropped and its new
-    regions appended.  The new state shares ``t``'s surface, boundary and the
-    structure derived from the boundary alone (``boundary_labels``, checked
-    once, ``boundary_tokens``, ``least_boundary``), and builds the rest on first use.
+    the id after it.  A flip replaces one or two regions by as many new ones,
+    written at the indices of the regions they replace, so every other
+    region and slot keeps its index.  The new state shares ``t``'s surface,
+    boundary and the structure derived from the boundary alone
+    (``boundary_labels``, checked once, ``boundary_tokens``,
+    ``least_boundary``), holds a gluing table derived from ``t``'s by
+    :func:`_flipped_gluing`, and builds the rest on first use.
+
+    Each kind also says where its sides go: ``moves`` takes each side that
+    a new region keeps from its old slot to its new one, ``pairs`` glues
+    the two new slots of each edge whose both slots are new (the new arc or
+    portal, and a portal or crossing arc that changes place), and ``gone``
+    lists the edges that leave every region side.
     """
-    kind, drop, sides = _classify(t, q)
+    kind, drop, sides, where = _classify(t, q)
     n = t.next_id
+    a, b = 3 * drop[0], 3 * drop[-1]  # the first slot of each replaced region
     if kind == "plain":
         w0, w1, w2, w3 = sides
         add = ((TRI, ((n, 1), w1, w2)), (TRI, ((n, -1), w3, w0)))
+        moves = ((w0, where[0], b + 2), (w1, where[1], a + 1), (w2, where[2], a + 2),
+                 (w3, where[3], b + 1))
+        pairs, gone = ((n, a, b),), (q,)
     elif kind == "to_curve":
-        crossing, a, b = sides
-        add = ((TRI, ((n + 1, -1), a, b)), (POCKET, n + 1, n, crossing[0]))
+        crossing, w1, w2 = sides
+        add = ((TRI, ((n + 1, -1), w1, w2)), (POCKET, n + 1, n, crossing[0]))
+        moves = ((w1, where[1], a + 1), (w2, where[2], a + 2))
+        pairs, gone = ((n + 1, a, b),), (q, crossing[0])
     elif kind == "doubled":
         add = ((MOB1, sides[0], n),)
+        moves, pairs, gone = ((sides[0], where[0], a),), (), (q,)
     elif kind == "mob1":
         add = ((TRI, ((n, 1), (n, 1), sides[0])),)
+        moves, pairs, gone = ((sides[0], where[0], a + 2),), ((n, a, a + 1),), ()
     else:
         _, portal, curve, crossing = t.pocket_of[q]
-        mouth, a, b = sides
+        mouth, w1, w2 = sides
         if kind == "curve":
-            add = ((TRI, ((n, 1), b, (crossing, 1))), (TRI, ((n, -1), (crossing, 1), a)))
+            add = ((TRI, ((n, 1), w2, (crossing, 1))), (TRI, ((n, -1), (crossing, 1), w1)))
+            moves = ((w2, where[2], a + 1), (w1, where[1], b + 2))
+            pairs, gone = ((n, a, b), (crossing, a + 2, b + 1)), (portal,)
         else:  # reattach the mouth the other way around
-            add = ((TRI, (mouth, b, a)), (POCKET, portal, curve, n))
-    regions = t.regions
-    for ri in sorted(drop, reverse=True):
-        regions = regions[:ri] + regions[ri + 1:]
-    regions += add
+            add = ((POCKET, portal, curve, n), (TRI, (mouth, w2, w1)))
+            moves = ((w2, where[2], b + 1), (w1, where[1], b + 2))
+            pairs, gone = ((portal, a, b),), ()
+    regions = list(t.regions)
+    for ri, r in zip(drop, add):
+        regions[ri] = r
     next_id = n + 2 if kind == "to_curve" else n + 1
-    child = QuasiTriangulation(t.surface, regions, t.boundary, next_id)
+    child = QuasiTriangulation(t.surface, tuple(regions), t.boundary, next_id)
     vars(child).update(boundary_labels=t.boundary_labels, boundary_tokens=t.boundary_tokens,
-                       least_boundary=t.least_boundary)
+                       least_boundary=t.least_boundary,
+                       gluing=_flipped_gluing(t, drop, moves, pairs, gone))
     return child
+
+
+_UNGLUED = (-1, -1, -1)
+
+
+def _flipped_gluing(t: QuasiTriangulation, drop: tuple[int, ...], moves, pairs, gone) -> tuple:
+    """``t``'s gluing table after a flip replaced the regions at ``drop``.
+
+    Copies the table and rewrites only the replaced regions' slots and their
+    partners, at most 6 of each, from the flip's ``moves``, ``pairs`` and
+    ``gone`` (see :func:`flip`).  A kept side's old partner lies outside
+    the replaced regions, or is the old slot of another kept side of the
+    same edge, or is -1 on a boundary side.
+    """
+    old, slot_of = t.gluing
+    partner, slot_of = old[:], slot_of.copy()
+    for ri in drop:  # slots a pocket or mob1 region leaves unused stay unglued
+        partner[3 * ri:3 * ri + 3] = _UNGLUED
+    for e in gone:
+        del slot_of[e]
+    for e, x, y in pairs:
+        partner[x], partner[y] = y, x
+        slot_of[e] = x if x < y else y
+    for (e, _), o, x in moves:
+        y = old[o]
+        if y // 3 in drop:  # the kept side's partner is kept too, and moved
+            y = next(new for _, old_slot, new in moves if old_slot == y)
+        partner[x] = y
+        if y < 0:
+            slot_of[e] = x
+        else:
+            partner[y] = x
+            slot_of[e] = x if x < y else y
+    return partner, slot_of
 
 
 def new_quasi_arc(before: QuasiTriangulation, after: QuasiTriangulation) -> int:
@@ -385,32 +460,18 @@ def canonical_form(t: QuasiTriangulation) -> tuple[tuple, dict]:
     labelled L, L the least boundary label in string order, entered against
     its sign, so every code opens with ``("b", L, -1)`` after its region
     kind.  Labels are distinct, so that flag, and with it the numbering, is
-    unique.  A pocket has no boundary side: the walk reaches it through its
-    portal from its mouth triangle.  The code's tokens are objects shared by
+    unique.  The walk crosses each edge through the gluing table
+    (``QuasiTriangulation.gluing``).  A pocket has no boundary side: the walk
+    reaches it through its portal from its mouth triangle, whose portal slot
+    the table glues to the pocket.  The code's tokens are objects shared by
     every code.  A state built directly whose least-labelled segment is
     missing or has other than one slot is refused with a SurfaceError.
     """
-    slots, links = t.slots, t.slots
-    pure = t.is_pure_triangulation()
-    if pure:  # read no pocket index
-        sides = [r[1] for r in t.regions]
-    else:
-        sides = [t.region_sides(ri) for ri in range(len(t.regions))]
-        if t.pockets:  # a portal also leads from its mouth triangle into its pocket
-            links = dict(slots)
-            for pi, portal, _, _ in t.pockets:
-                links[portal] = slots[portal] + [(pi, 0)]
-    flags = slots.get(t.least_boundary, ())
-    if len(flags) != 1:
-        raise SurfaceError(f"least-labelled boundary segment has {len(flags)} slots, expected 1")
-    (ri, p), = flags
-    code, num = _walk_code(t, sides, links, ri, p, -sides[ri][p][1])
-    if not pure:
-        for _, portal, curve, crossing in t.pockets:
-            num[curve], num[crossing] = ("curve", num[portal]), ("crossing", num[portal])
-        for curve in t.mob1_of:
-            num[curve] = ("mob1", 0)
-    return code, num
+    flags = t.slot_count(t.least_boundary)
+    if flags != 1:
+        raise SurfaceError(f"least-labelled boundary segment has {flags} slots, expected 1")
+    partner, slot_of = t.gluing
+    return _walk_code(t, partner, slot_of[t.least_boundary])
 
 
 # (arity, entry side p, direction d) -> the positions of a region's sides in
@@ -419,39 +480,58 @@ _WALK = {(n, p, d): tuple((p + d * k) % n for k in range(n))
          for n in (1, 3) for p in range(n) for d in (1, -1)}
 
 
-def _walk_code(t, sides, links, r0, p0, d0):
-    """The code from one flag: its rows in BFS order, then the region count.
+def _walk_code(t, partner, x0):
+    """The code from the flag at slot ``x0``, entered against its sign, and its numbering.
 
-    Each row is built in one pass over the region's sides, which also queues
-    each unseen neighbour across ``links`` (the slots of each edge), entered
-    so that the crossing is coherent.  A region is marked seen when it is
-    queued, so it keeps the entry of its first queueing, as in a walk that
-    marks it when its row is built.  The code comes with the walk's
-    numbering of arc and portal ids.
+    The code is the walk's rows in BFS order, then the region count.  Each
+    row is built in one pass over the region's sides, which also queues
+    each unseen neighbour, read as ``partner[x]`` for the side's slot x,
+    entered so that the crossing is coherent: a queued direction is
+    multiplied by the entered side's sign when the region's row is built.
+    A region is marked seen when it is queued, so it keeps the entry of its
+    first queueing, as in a walk that marks it when its row is built.  The
+    numbering keys the walk's arc and portal ids in discovery order, then
+    the curve and crossing arc of each pocket and the curve of each mob1
+    region it reached (see :func:`canonical_form`).
     """
-    regions, bnd_tokens, edge_tokens = t.regions, t.boundary_tokens, _edge_tokens(len(links))
+    regions, bnd_tokens, edge_tokens = t.regions, t.boundary_tokens, _edge_tokens(len(partner))
+    r0 = x0 // 3
     seen = {r0}
-    num: dict[int, int] = {}  # arc and portal ids in discovery order
-    queue = [(r0, p0, d0)]
+    num: dict = {}  # arc and portal ids in discovery order
+    queue = [(r0, x0 - 3 * r0, -1)]
     code = []
+    inner = []  # the pocket and mob1 regions reached
     for ri, entry, d in queue:
-        rs = sides[ri]
-        row = [regions[ri][0]]
+        r = regions[ri]
+        if r[0] == TRI:
+            rs = r[1]
+        else:
+            rs = _sides(r)
+            inner.append(r)
+        d *= rs[entry][1]
+        row = [r[0]]
+        x = 3 * ri
         for pos in _WALK[len(rs), entry, d]:
             e, s = rs[pos]
             if e in bnd_tokens:
                 row.append(bnd_tokens[e][d * s])
                 continue
             k = num.get(e)
-            if k is None:  # the first crossing of e queues every region it links
+            if k is None:  # the first crossing of e queues the region across it
                 k = num[e] = len(num)
-                for oi, opos in links[e]:
-                    if oi not in seen:
-                        seen.add(oi)
-                        queue.append((oi, opos, -d * s * sides[oi][opos][1]))
+                y = partner[x + pos]
+                oi = y // 3
+                if oi not in seen and y >= 0:
+                    seen.add(oi)
+                    queue.append((oi, y - 3 * oi, -d * s))
             row.append(edge_tokens[k])
         code.append(tuple(row))
     code.append(("#regions", len(seen)))
+    for r in inner:
+        if r[0] == POCKET:
+            num[r[2]], num[r[3]] = ("curve", num[r[1]]), ("crossing", num[r[1]])
+        else:
+            num[r[2]] = ("mob1", 0)
     return tuple(code), num
 
 
@@ -488,7 +568,7 @@ def seed_from_quasi_triangulation(
 
     polys = []
     for q in arcs:
-        kind, _, sides = _classify(t, q)
+        kind, _, sides, _ = _classify(t, q)
         if kind == "plain":
             w0, w1, w2, w3 = map(lam, sides)
             polys.append(w0.mul(w2).add(w1.mul(w3)))
@@ -514,22 +594,19 @@ def detect_m2(t: QuasiTriangulation) -> list[int]:
 
 def check_state(t: QuasiTriangulation) -> None:
     """Structural invariants of a state; raises SurfaceError on violation."""
-    bnd, slots, pocket_of = t.boundary_labels, t.slots, t.pocket_of  # refuses repeated labels
-    for _, portal, curve, crossing in t.pockets:
-        if portal not in slots:
-            raise SurfaceError(f"portal {portal} has no mouth triangle")
-        if crossing in slots or curve in slots:
+    bnd, slot_of = t.boundary_labels, t.gluing[1]  # refuses repeated labels
+    for pocket in t.pockets:
+        _mouth(t, pocket)
+        if pocket[2] in slot_of or pocket[3] in slot_of:
             raise SurfaceError("pocket contents must not appear as region sides")
-    # the loop above keeps curves and crossing arcs off region sides, so a
-    # side in ``pocket_of`` is a portal
-    for e, slot_list in slots.items():
-        expected = 1 if (e in bnd or e in pocket_of) else 2
-        if len(slot_list) != expected:
-            raise SurfaceError(f"edge {e} has {len(slot_list)} slots, expected {expected}")
+    for e in slot_of:  # a portal lies on its mouth triangle and its pocket
+        expected = 1 if e in bnd else 2
+        if t.slot_count(e) != expected:
+            raise SurfaceError(f"edge {e} has {t.slot_count(e)} slots, expected {expected}")
     for e in bnd:
-        if e not in slots:
+        if e not in slot_of:
             raise SurfaceError(f"boundary edge {e} lies on no region")
-    if t.next_id <= max(set(slots).union(bnd, t.quasi_arcs), default=-1):
+    if t.next_id <= max(set(slot_of).union(bnd, t.quasi_arcs), default=-1):
         raise SurfaceError(f"next_id {t.next_id} is not above every id of the state")
     for ri, r in enumerate(t.regions):
         if any(s not in (1, -1) for _, s in t.region_sides(ri)):

@@ -125,6 +125,11 @@ class TestGraphSizes:
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 1, (7,))))
         assert (g.truncated, g.node_count, g.edge_count) == (False, 4096, 14336)
 
+    def test_11gon_flip_graph(self):
+        """Two rungs above the 9-gon, on the flip BFS alone: C_9 nodes and 8 * C_9 / 2 edges."""
+        g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (11,))))
+        assert (g.truncated, g.node_count, g.edge_count) == (False, catalan(9), 19448)
+
 
 class TestSkipMatchesUnprunedSearch:
     """Skipping the mutation back changes no node, order, edge label or truncation."""

@@ -748,7 +748,7 @@ class TestCachedPredicates:
         seed.require_valid()
         assert all(p.is_ordinary and is_irreducible(p) for p in seed.polys)
         assert all(p.involved_indices() for p in seed.polys)
-        assert t.quasi_arcs and t.slots
+        assert t.quasi_arcs and t.gluing
         fresh_t, fresh_seed = build()
         assert seed == fresh_seed and t == fresh_t
         assert json.dumps(seed_to_json(seed)) == json.dumps(seed_to_json(fresh_seed))

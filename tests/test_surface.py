@@ -18,10 +18,10 @@ from lpsurf.build import (
     triangulation_to_json,
     verify_topology,
 )
-from lpsurf.explorer import explore_flips
+from lpsurf.explorer import explore_flips, export
 
 from lpsurf.lp_core import mutate, seed_to_json
-from lpsurf.poly import PolyError, VariableContext, parse_polynomial
+from lpsurf.poly import PolyError, VariableContext, parse_polynomial, release_cached
 from lpsurf.quiver import adjacency_quiver, double_mutate, exchange_polys, has_bad_path
 from lpsurf.surface import (
     MOB1,
@@ -398,26 +398,23 @@ class TestDerivedStructure:
         t = flip(t0, detect_m2(t0)[0])
         fresh = QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id)
         check_state(t)
-        assert t.slots is t.slots and t.quasi_arcs is t.quasi_arcs
+        assert t.gluing is t.gluing and t.quasi_arcs is t.quasi_arcs
         assert t == fresh and hash(t) == hash(fresh)
-        assert "slots" in vars(t) and "slots" not in vars(fresh)
+        assert "gluing" in vars(t) and "gluing" not in vars(fresh)
         assert triangulation_to_json(t) == triangulation_to_json(fresh)
 
     def test_one_index_per_state_on_the_heptagon(self, monkeypatch):
-        """Each state the flip BFS makes builds its slot index once."""
-        builds = []
-        cached = vars(QuasiTriangulation)["slots"]
-        real = cached.func
-
-        def counting(t):
-            builds.append(t)
-            return real(t)
-
-        monkeypatch.setattr(cached, "func", counting)
+        """Only the initial state builds its gluing table; every flip derives its child's."""
+        builds, derived = [], []
+        cached = vars(QuasiTriangulation)["gluing"]
+        real_build, real_derive = cached.func, surface_module._flipped_gluing
+        monkeypatch.setattr(cached, "func", lambda t: builds.append(t) or real_build(t))
+        monkeypatch.setattr(surface_module, "_flipped_gluing",
+                            lambda *args: derived.append(args) or real_derive(*args))
         g = explore_flips(initial_quasi_triangulation(MarkedSurface(0, 0, (7,))))
         # the initial state, then one flip per edge: the graph has 42 nodes
         # and 84 edges
-        assert (g.node_count, len(builds)) == (42, 1 + 84)
+        assert (g.node_count, len(builds), len(derived)) == (42, 1, 84)
 
 
 class TestCanonicalCode:
@@ -577,7 +574,7 @@ class TestCanonicalCode:
         for state in (t, flip(t, t.quasi_arcs[0])):
             cases = [((), 0), (state.boundary + ((99, "a"),), 0)]
             cases += [(state.boundary + ((q, "a"),), 2)  # M1's mob1 state has no such arc
-                      for q in state.quasi_arcs[:1] if len(state.slots.get(q, ())) == 2]
+                      for q in state.quasi_arcs[:1] if state.slot_count(q) == 2]
             for boundary, slots in cases:
                 stray = QuasiTriangulation(state.surface, state.regions, boundary, 100)
                 with pytest.raises(SurfaceError, match=f"^least-labelled boundary segment has "
@@ -660,18 +657,39 @@ class TestSharedStructure:
 
     @staticmethod
     def assert_built_as_fresh(t, q):
+        """``flip(t, q)``'s inherited and derived structure equals a fresh build.
+
+        The gluing table is compared entry for entry: ``partner`` in slot
+        order, ``slot_of`` edge by edge.
+        """
         t2 = flip(t, q)
         fresh = QuasiTriangulation(t2.surface, t2.regions, t2.boundary, t2.next_id)
         assert t2.boundary_labels is t.boundary_labels
-        for name in ("boundary_labels", "boundary_tokens", "least_boundary", "slots"):
+        for name in ("boundary_labels", "boundary_tokens", "least_boundary", "gluing"):
             assert getattr(t2, name) == getattr(fresh, name), name
+        return t2
 
     @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
     def test_flips_of_golden_states(self, surface, depth, digest, seed_digest, labels):
+        """Each golden state, its table released and so built from scratch, is
+        flipped at every arc, and each child, which holds a derived table, again."""
         g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
         for t in g.payloads:
+            release_cached(t)
             for q in t.quasi_arcs:
-                self.assert_built_as_fresh(t, q)
+                t2 = self.assert_built_as_fresh(t, q)
+                assert "gluing" in vars(t) and "gluing" in vars(t2)
+                for q2 in t2.quasi_arcs:
+                    self.assert_built_as_fresh(t2, q2)
+
+    def test_golden_states_reach_every_flip_kind(self):
+        kinds = set()
+        for param in CODE_GOLDENS:
+            surface, depth, _, _, labels = param.values
+            g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
+            kinds.update(surface_module._classify(t, q)[0] for t in g.payloads
+                         for q in t.quasi_arcs)
+        assert kinds == {"plain", "to_curve", "doubled", "mob1", "curve", "crossing"}
 
     @pytest.mark.parametrize("surface,labels", [
         (MarkedSurface(0, 1, (1,)), None), (MarkedSurface(0, 1, (4,)), None),
@@ -704,7 +722,7 @@ class TestSharedStructure:
         """Threads that start from empty shared tables get the serial codes."""
         states = explore_flips(initial_quasi_triangulation(surface)).payloads
         serial = [canonical_code(t) for t in states]
-        for name, empty in (("_SLOT_PAIRS", ()), ("_EDGE_TOKENS", ()), ("_BOUNDARY_TOKENS", {})):
+        for name, empty in (("_EDGE_TOKENS", ()), ("_BOUNDARY_TOKENS", {})):
             monkeypatch.setattr(surface_module, name, empty)
         fresh = [QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id) for t in states]
         start = threading.Barrier(4)
@@ -726,6 +744,44 @@ class TestSharedStructure:
             assert [result[i] for i in range(len(fresh))] == serial
 
 
+class TestFlipLayout:
+    """A flip writes its new regions at the indices of those it replaces."""
+
+    @pytest.mark.parametrize("surface,depth,digest,seed_digest,labels", CODE_GOLDENS)
+    def test_each_kind_keeps_the_region_count_and_untouched_indices(
+            self, surface, depth, digest, seed_digest, labels):
+        g = explore_flips(initial_quasi_triangulation(surface, labels=labels), depth=depth)
+        for t in g.payloads:
+            for q in t.quasi_arcs:
+                kind, drop, _, _ = surface_module._classify(t, q)
+                t2 = flip(t, q)
+                assert len(t2.regions) == len(t.regions), kind
+                assert all(t2.regions[ri] == r for ri, r in enumerate(t.regions)
+                           if ri not in drop), kind
+                assert all(t2.regions[ri] != t.regions[ri] for ri in drop), kind
+
+    @pytest.mark.parametrize("surface", [MarkedSurface(0, 1, (4,)), MarkedSurface(0, 2, (2,))],
+                             ids=str)
+    def test_rebuilt_and_derived_tables_steer_flips_alike(self, surface, monkeypatch):
+        """The flip BFS exports the same DOT and JSON whether every flip reads
+        a derived table (no state released) or a table its parent rebuilt
+        (every parent released just before each flip)."""
+        def exports():
+            g = explore_flips(initial_quasi_triangulation(surface))
+            return export(g, "dot"), export(g, "json")
+
+        def flip_from_rebuilt(t, q):
+            release_cached(t)  # so flip reads a table t builds from scratch
+            return flip(t, q)
+
+        expected = exports()
+        monkeypatch.setattr("lpsurf.explorer.release_cached", lambda obj: None)
+        assert exports() == expected
+        monkeypatch.undo()
+        monkeypatch.setattr("lpsurf.explorer.flip", flip_from_rebuilt)
+        assert exports() == expected
+
+
 class TestDoubleCover:
     @pytest.mark.parametrize(
         "surface,expected_components",
@@ -741,7 +797,7 @@ class TestDoubleCover:
     def test_edge_count_doubles(self, mobius3):
         t = initial_quasi_triangulation(mobius3)
         lt = double_cover(t)
-        n_edges = len(t.slots)
+        n_edges = len(t.gluing[1])
         assert len(lt.edge_lifts()) == 2 * n_edges
 
     def test_pocket_state_rejected(self, mobius2):

@@ -169,7 +169,7 @@ def test_with_values_builds_a_new_seed():
 @pytest.mark.parametrize("make, attribute", [
     (lambda: parse_polynomial("a*t + 1", CTX), "is_ordinary"),
     (_seed, "violations"),
-    (lambda: initial_quasi_triangulation(SQUARE), "slots"),
+    (lambda: initial_quasi_triangulation(SQUARE), "gluing"),
 ])
 def test_cached_attributes_stay_out_of_equality_and_hash(make, attribute):
     x, fresh = make(), make()
