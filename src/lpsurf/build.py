@@ -1,12 +1,12 @@
 """Initial triangulations of marked surfaces, their topology, the double cover and JSON.
 
 :func:`initial_quasi_triangulation` builds a deterministic triangulation of
-every surface shape it supports, and :func:`triangulation_from_json` loads a
-state; both run :func:`check_state` and :func:`verify_topology` on it.  The
-topology checks (connectedness, Euler characteristic, boundary components,
-no interior vertex, and orientability: a one-sided curve or a connected
-double cover only on a non-orientable surface) rest on one union-find,
-:func:`_components`.
+every surface shape it supports and runs :func:`check_state` and
+:func:`verify_topology` on it; :func:`triangulation_to_json` writes a state
+(``seed-from-surface --triangulation-out``).  The topology checks
+(connectedness, Euler characteristic, boundary components, no interior
+vertex, and orientability: a one-sided curve or a connected double cover
+only on a non-orientable surface) rest on one union-find, :func:`_components`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from typing import Optional, Sequence
 
 from .poly import Record
-from .schema import REQUIRED, SCHEMA_VERSION, fields, matches
+from .schema import SCHEMA_VERSION
 from .surface import (
     MOB1,
     POCKET,
@@ -25,7 +25,6 @@ from .surface import (
     Slot,
     SurfaceError,
     check_state,
-    surface_from_json,
     surface_to_json,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "surface_stats",
     "verify_topology",
     "triangulation_to_json",
-    "triangulation_from_json",
 ]
 
 
@@ -386,24 +384,3 @@ def _region_json(r) -> tuple:
         return (POCKET, r[1], r[2], r[3])
     return (MOB1, list(r[1]), r[2])
 
-
-_REGION_SHAPES = {TRI: (str, ((int, int),) * 3), POCKET: (str, int, int, int),
-                  MOB1: (str, (int, int), int)}
-
-
-def _tuples(x):
-    return tuple(map(_tuples, x)) if isinstance(x, list) else x
-
-
-def triangulation_from_json(data: object) -> QuasiTriangulation:
-    surface, regions, boundary, next_id = fields(data, "triangulation", {
-        "surface": (dict, REQUIRED), "regions": ([list], REQUIRED),
-        "boundary": ([(int, str)], REQUIRED), "next_id": (int, REQUIRED),
-    }, SurfaceError)
-    for r in regions:
-        if not (r and isinstance(r[0], str) and matches(r, _REGION_SHAPES.get(r[0], ()))):
-            raise SurfaceError(f"malformed region {r!r}")
-    t = QuasiTriangulation(surface_from_json(surface), _tuples(regions), _tuples(boundary), next_id)
-    check_state(t)
-    verify_topology(t)
-    return t

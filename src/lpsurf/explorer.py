@@ -14,8 +14,8 @@ import os
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lp_core import LaurentViolation, LPSeed, _exchange_token, _PartMemo, mutate, seed_key
-from .poly import _NAME_CONT, PolyError, Record, release_cached
-from .schema import REQUIRED, SCHEMA_VERSION, fields
+from .poly import PolyError, Record, release_cached
+from .schema import SCHEMA_VERSION
 from .surface import QuasiTriangulation, canonical_code, canonical_form, flip
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "verify_laurent",
     "LaurentReport",
     "export",
-    "graph_from_json",
 ]
 
 DEFAULT_NODE_CAP = 100_000
@@ -339,36 +338,3 @@ def export(g: ExchangeGraph, fmt: str) -> str:
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
     raise PolyError(f"unknown export format {fmt!r}")
 
-
-# what a label written by ``export`` holds: names or ids joined by commas
-_LABEL_CHARS = _NAME_CONT | {","}
-
-
-def graph_from_json(text: str) -> ExchangeGraph:
-    """The graph of an ``export(g, "json")`` text; raises :class:`PolyError` on anything else."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise PolyError(f"graph JSON does not parse: {exc}") from None
-    kind, truncated, nodes, edges = fields(data, "graph", {
-        "kind": (str, REQUIRED), "truncated": (bool, REQUIRED),
-        "nodes": ([{"id": int, "label": str}], REQUIRED), "edges": ([(int, int, str)], REQUIRED),
-    })
-    if kind not in ("seeds", "flips"):
-        raise PolyError(f"graph kind {kind!r} is neither 'seeds' nor 'flips'")
-    nodes = sorted(nodes, key=lambda n: n["id"])
-    if [n["id"] for n in nodes] != list(range(len(nodes))):
-        raise PolyError(f"graph node ids must be 0..{len(nodes) - 1}, each once")
-    for u, v, _ in edges:
-        if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
-            raise PolyError(f"graph edge [{u}, {v}] names a node that does not exist")
-        if u > v:
-            raise PolyError(f"graph edge [{u}, {v}] must list its smaller end first")
-    graph = {(u, v): d for u, v, d in edges}
-    if len(graph) < len(edges):
-        raise PolyError("graph edges must join each pair of nodes once")
-    labels = [n["label"] for n in nodes]
-    for label in labels + list(graph.values()):
-        if not _LABEL_CHARS.issuperset(label):
-            raise PolyError(f"graph label {label!r} holds a character other than a name's or ','")
-    return ExchangeGraph(kind, labels, graph, truncated)

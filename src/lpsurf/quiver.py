@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Sequence
 from .build import LiftedTriangulation
 from .lp_core import LPSeed
 from .poly import Polynomial, PolyError, Record, VariableContext
-from .schema import REQUIRED, SCHEMA_VERSION, fields
 from .surface import SurfaceError
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "has_bad_path",
     "cancel_two_cycles",
     "adjacency_quiver",
-    "quiver_to_json",
-    "quiver_from_json",
 ]
 
 
@@ -200,21 +197,3 @@ def lp_seed_from_quiver(q: Quiver, ctx: VariableContext) -> LPSeed:
     polys = exchange_polys(q, ctx)
     return LPSeed.initial(ctx.cluster, ctx.frozen, polys).require_valid()
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def quiver_to_json(q: Quiver) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": q.pairs,
-        "b": [list(row) for row in q.b],
-        "frozen": sorted(q.frozen),
-    }
-
-
-def quiver_from_json(data: object) -> Quiver:
-    n, b, frozen = fields(data, "quiver", {
-        "n": (int, REQUIRED), "b": ([[int]], REQUIRED), "frozen": ([int], ()),
-    })
-    return Quiver(n, b, frozenset(frozen))

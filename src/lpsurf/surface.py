@@ -32,7 +32,6 @@ __all__ = [
     "MarkedSurface",
     "QuasiTriangulation",
     "SurfaceError",
-    "rank",
     "flip",
     "new_quasi_arc",
     "canonical_code",
@@ -100,12 +99,6 @@ class MarkedSurface(Record):
         return tuple(
             tuple(f"b{i + 1}_{j + 1}" for j in range(m)) for i, m in enumerate(self.boundary)
         )
-
-
-def rank(surface: MarkedSurface) -> int:
-    """Number of quasi-arcs in any quasi-triangulation of the surface."""
-    surface.check()
-    return surface.rank
 
 
 # -- states -------------------------------------------------------------------

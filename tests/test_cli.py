@@ -432,10 +432,7 @@ def test_cli_import_loads_only_what_commands_reach():
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
-def test_quiver_names_resolve_lazily():
-    from lpsurf import quiver
-
-    assert lpsurf.Quiver is quiver.Quiver and lpsurf.mutate_vertex is quiver.mutate_vertex
+def test_package_names_resolve():
     assert all(getattr(lpsurf, name) for name in lpsurf.__all__)
     with pytest.raises(AttributeError):
         lpsurf.no_such_name

@@ -18,7 +18,6 @@ from lpsurf.explorer import (
     explore_flips,
     explore_seeds,
     export,
-    graph_from_json,
     LaurentReport,
     verify_laurent,
 )
@@ -609,50 +608,10 @@ class TestExport:
 
     def test_json_round_trip(self, hexagon_state):
         g = explore_flips(hexagon_state)
-        back = graph_from_json(export(g, "json"))
-        assert back.node_count == g.node_count
-        assert back.edges == g.edges
-        assert back.kind == g.kind and back.truncated == g.truncated
-
-    @pytest.mark.parametrize("edit", [
-        lambda d: [d],
-        lambda d: {**d, "schema": 2},
-        lambda d: {k: v for k, v in d.items() if k != "edges"},
-        lambda d: {**d, "truncated": "no"},
-        lambda d: {**d, "edges": [[str(u), str(v), e] for u, v, e in d["edges"]]},
-        lambda d: {**d, "nodes": [{"id": n["id"]} for n in d["nodes"]]},
-        # export writes these into DOT unquoted or between quotes
-        lambda d: {**d, "kind": "x } digraph y {"},
-        lambda d: {**d, "nodes": [{**n, "label": n["label"] + '"'} for n in d["nodes"]]},
-        lambda d: {**d, "edges": [[u, v, e + '"'] for u, v, e in d["edges"]]},
-    ], ids=["list", "schema", "no-edges", "truncated-string", "edge-strings", "no-labels",
-            "dot-kind", "quoted-node-label", "quoted-edge-label"])
-    def test_json_rejects_malformed(self, hexagon_seed, edit):
-        data = json.loads(export(explore_seeds(hexagon_seed, depth=1), "json"))
-        with pytest.raises(PolyError):
-            graph_from_json(json.dumps(edit(data)))
-
-    @pytest.mark.parametrize("nodes, edges", [
-        ([0, 2], [[0, 1, "0"]]),
-        ([0, 0], [[0, 1, "0"]]),
-        ([1, 2], [[0, 1, "0"]]),
-        ([-1, 0], [[0, 1, "0"]]),
-        ([0], [[0, 5, "0"]]),
-        ([0, 1], [[-1, 1, "0"]]),
-        ([0, 1], [[0, 1, "0"], [1, 0, "0"]]),
-        ([0, 1], [[0, 1, "0"], [0, 1, "1"]]),
-    ], ids=["id-gap", "duplicate-id", "not-from-zero", "negative-id", "dangling-edge",
-            "negative-endpoint", "reversed-edge", "repeated-edge"])
-    def test_json_rejects_bad_node_ids(self, nodes, edges):
-        data = {"schema": 1, "kind": "seeds", "truncated": False,
-                "nodes": [{"id": i, "label": "a"} for i in nodes], "edges": edges}
-        with pytest.raises(PolyError) as info:
-            graph_from_json(json.dumps(data))
-        assert "\n" not in str(info.value)
-
-    def test_json_rejects_unparsable_text(self, hexagon_seed):
-        with pytest.raises(PolyError):
-            graph_from_json(export(explore_seeds(hexagon_seed, depth=1), "json")[:-3])
+        back = json.loads(export(g, "json"))
+        assert len(back["nodes"]) == g.node_count
+        assert {(u, v): d for u, v, d in back["edges"]} == g.edges
+        assert back["kind"] == g.kind and back["truncated"] == g.truncated
 
     def test_unknown_format(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=0)

@@ -3,10 +3,9 @@
 ``surface`` holds states, flips, codes and seed extraction; ``build`` the
 initial triangulations, their topology checks and the double cover; and
 ``quiver`` the twin-vertex layout, adjacency quivers included.  Every import
-of a sibling module sits at module level, except the hook in
-``lpsurf/__init__.py`` that loads ``quiver`` on first use, and ``poly``'s
-imports of its packed kernels, which a command compiles only when it makes a
-product or division at least ``poly.PACKED_PAIRS`` term pairs large.
+of a sibling module sits at module level, except ``poly``'s imports of its
+packed kernels, which a command compiles only when it makes a product or
+division at least ``poly.PACKED_PAIRS`` term pairs large.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import lpsurf
 PACKAGE = Path(lpsurf.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
 DEFERRED = {
-    "__init__.py": [("quiver", "__getattr__")],
     "poly.py": [("_packed", "mul"), ("_packed", "_divide_ordinary")],
 }
 

@@ -14,7 +14,6 @@ from lpsurf.build import (
     double_cover,
     initial_quasi_triangulation,
     surface_stats,
-    triangulation_from_json,
     triangulation_to_json,
     verify_topology,
 )
@@ -36,7 +35,6 @@ from lpsurf.surface import (
     detect_m2,
     flip,
     new_quasi_arc,
-    rank,
     seed_from_quasi_triangulation,
     surface_from_json,
     surface_to_json,
@@ -80,10 +78,11 @@ def m2_and_torus():
     return QuasiTriangulation(a.surface, regions, boundary, k + b.next_id)
 
 
-def _with_first_side_sign(data, sign):
-    """Saved state ``data`` with the sign of its first region's first side replaced."""
-    (kind, sides), *rest = data["regions"]
-    return {**data, "regions": [[kind, [[sides[0][0], sign], *sides[1:]]], *rest]}
+def _with_first_side_sign(t, sign):
+    """State ``t`` with the sign of its first region's first side replaced."""
+    (kind, sides), *rest = t.regions
+    regions = ((kind, ((sides[0][0], sign), *sides[1:])), *rest)
+    return QuasiTriangulation(t.surface, regions, t.boundary, t.next_id)
 
 
 def m4_digon_state():
@@ -166,9 +165,9 @@ def seed_text(t):
 
 class TestSurfaceValidity:
     def test_rank_values(self):
-        assert rank(MarkedSurface(0, 0, (6,))) == 3
-        assert rank(MarkedSurface(0, 0, (2, 2))) == 4
-        assert rank(MarkedSurface(0, 1, (2,))) == 2
+        assert MarkedSurface(0, 0, (6,)).rank == 3
+        assert MarkedSurface(0, 0, (2, 2)).rank == 4
+        assert MarkedSurface(0, 1, (2,)).rank == 2
 
     def test_invalid_surfaces_rejected(self):
         for bad in [
@@ -215,27 +214,30 @@ class TestInitialTriangulation:
         t = initial_quasi_triangulation(MarkedSurface(0, 0, (4,)))
         assert len(t.quasi_arcs) == 1 and len(t.regions) == 2
 
-    def test_triangulation_json_round_trip(self, mobius3):
-        t = initial_quasi_triangulation(mobius3)
-        back = triangulation_from_json(triangulation_to_json(t))
-        assert back == t and canonical_code(back) == canonical_code(t)
+    @pytest.mark.parametrize("state", [
+        lambda: initial_quasi_triangulation(MarkedSurface(0, 1, (3,))), pocket_state_02,
+    ], ids=["m3", "pocket"])
+    def test_triangulation_json_holds_the_state(self, state):
+        """The export ``seed-from-surface --triangulation-out`` writes gives back the state."""
+        t = state()
+        data = json.loads(json.dumps(triangulation_to_json(t)))
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: [d],
-        lambda d: {**d, "schema": 2},
-        lambda d: {**d, "surface": {**d["surface"], "schema": None}},
-        lambda d: {**d, "next_id": str(d["next_id"])},
-        lambda d: {**d, "boundary": [[str(e), lbl] for e, lbl in d["boundary"]]},
-        lambda d: {**d, "regions": [[r[0]] + [str(x) for x in r[1:]] for r in d["regions"]]},
-        lambda d: {**d, "next_id": d["next_id"] - 1},
-        lambda d: _with_first_side_sign(d, 5),
-        lambda d: _with_first_side_sign(d, 0),
-    ], ids=["list", "schema", "surface-schema", "next-id", "boundary", "region-entries",
-            "next-id-reused", "side-sign-5", "side-sign-0"])
-    def test_triangulation_json_rejects_malformed(self, mobius3, edit):
-        data = triangulation_to_json(initial_quasi_triangulation(mobius3))
-        with pytest.raises(SurfaceError):
-            triangulation_from_json(edit(data))
+        def tuples(x):
+            return tuple(map(tuples, x)) if isinstance(x, list) else x
+
+        back = QuasiTriangulation(surface_from_json(data["surface"]), tuples(data["regions"]),
+                                  tuples(data["boundary"]), data["next_id"])
+        assert back == t and data["quasi_arcs"] == list(t.quasi_arcs)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: QuasiTriangulation(t.surface, t.regions, t.boundary, t.next_id - 1),
+         "^next_id 5 is not above every id of the state$"),
+        (lambda t: _with_first_side_sign(t, 5), "^region 0 has a side sign other than 1 or -1$"),
+        (lambda t: _with_first_side_sign(t, 0), "^region 0 has a side sign other than 1 or -1$"),
+    ], ids=["next-id-reused", "side-sign-5", "side-sign-0"])
+    def test_check_state_rejects_malformed(self, mobius3, edit, message):
+        with pytest.raises(SurfaceError, match=message):
+            check_state(edit(initial_quasi_triangulation(mobius3)))
 
     @pytest.mark.parametrize("saved,named,message", [
         (MarkedSurface(0, 1, (4,)), MarkedSurface(0, 0, (2, 2)),
@@ -243,53 +245,51 @@ class TestInitialTriangulation:
         (MarkedSurface(1, 0, (2,)), MarkedSurface(0, 2, (2,)),
          "^double cover does not match orientability$"),
     ], ids=str)
-    def test_triangulation_json_rejects_another_surface(self, saved, named, message):
-        """A state of one surface saved under another of the same rank passes
-        check_state; the loader's topology check rejects it."""
+    def test_verify_topology_rejects_another_surface(self, saved, named, message):
+        """A state of one surface named as another of the same rank passes
+        check_state; the topology check rejects it."""
         t = initial_quasi_triangulation(saved)
-        check_state(QuasiTriangulation(named, t.regions, t.boundary, t.next_id))
-        data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
+        renamed = QuasiTriangulation(named, t.regions, t.boundary, t.next_id)
+        check_state(renamed)
         with pytest.raises(SurfaceError, match=message):
-            triangulation_from_json(data)
+            verify_topology(renamed)
 
     @pytest.mark.parametrize("state,named,message", [
         (pocket_state_02, MarkedSurface(1, 0, (2,)), "^one-sided curve on an orientable surface$"),
         (m2_and_torus, MarkedSurface(0, 1, (2, 2)), "^state has 2 connected pieces, expected 1$"),
     ], ids=["pocket-as-torus", "m2-and-torus"])
-    def test_triangulation_json_rejects_a_state_of_another_shape(self, state, named, message):
+    def test_verify_topology_rejects_a_state_of_another_shape(self, state, named, message):
         """Each state has the named surface's rank, Euler characteristic and
         boundary, and passes check_state, yet is not a state of that surface."""
         t = state()
-        check_state(QuasiTriangulation(named, t.regions, t.boundary, t.next_id))
-        data = {**triangulation_to_json(t), "surface": surface_to_json(named)}
+        renamed = QuasiTriangulation(named, t.regions, t.boundary, t.next_id)
+        check_state(renamed)
         with pytest.raises(SurfaceError, match=message):
-            triangulation_from_json(data)
+            verify_topology(renamed)
 
     @pytest.mark.parametrize("surface,depth", [
         (MarkedSurface(0, 1, (3,)), None), (MarkedSurface(0, 1, (4,)), None),
         (MarkedSurface(0, 2, (2,)), 3), (MarkedSurface(0, 0, (2, 2)), 3),
         (MarkedSurface(1, 0, (2,)), 3),
     ], ids=str)
-    def test_every_flip_state_loads_back(self, surface, depth):
+    def test_every_flip_state_passes_the_state_and_topology_checks(self, surface, depth):
         states = explore_flips(initial_quasi_triangulation(surface), depth).payloads
         for t in states:
-            assert triangulation_from_json(triangulation_to_json(t)) == t
+            check_state(t)
+            verify_topology(t)
         if not surface.orientable:
             assert any(not t.is_pure_triangulation() for t in states)
 
-    def test_mob1_state_loads_back(self):
+    def test_mob1_state_passes_the_state_and_topology_checks(self):
         t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
         t2 = flip(t, t.quasi_arcs[0])
         assert [r[0] for r in t2.regions] == [MOB1]
-        assert triangulation_from_json(triangulation_to_json(t2)) == t2
+        check_state(t2)
+        verify_topology(t2)
 
     def test_stray_boundary_edge_is_rejected(self, hexagon):
         """A boundary edge on no region would give the hexagon a seventh frozen b7."""
         t = initial_quasi_triangulation(hexagon)
-        data = json.loads(json.dumps(triangulation_to_json(t)))
-        data["boundary"].append([99, "b7"])
-        with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
-            triangulation_from_json(data)
         with pytest.raises(SurfaceError, match="^boundary edge 99 lies on no region$"):
             check_state(QuasiTriangulation(t.surface, t.regions, t.boundary + ((99, "b7"),),
                                            t.next_id))
@@ -633,17 +633,15 @@ class TestCanonicalCode:
             canonical_form(t)
             assert len(walks) == 1
 
-    @pytest.mark.parametrize("entry", ["initial", "json", "direct"])
+    @pytest.mark.parametrize("entry", ["initial", "direct"])
     def test_repeated_labels_are_a_one_line_surface_error(self, entry):
         """Each boundary segment has its own label at every entry point."""
         surface = MarkedSurface(0, 1, (4,))
         labels = [("z", "z", "y", "x")]
         t = initial_quasi_triangulation(surface)
         repeated = tuple((e, label) for (e, _), label in zip(t.boundary, labels[0]))
-        data = {**triangulation_to_json(t), "boundary": [list(b) for b in repeated]}
         call = {
             "initial": lambda: initial_quasi_triangulation(surface, labels=labels),
-            "json": lambda: triangulation_from_json(data),
             "direct": lambda: canonical_form(
                 QuasiTriangulation(surface, t.regions, repeated, t.next_id)),
         }[entry]
