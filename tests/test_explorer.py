@@ -592,6 +592,24 @@ class TestWholeSeedMemoLevel:
         assert {key[0] for key in memos[-1]} >= {"seed"}
 
 
+def _surface_state(*surface):
+    return initial_quasi_triangulation(MarkedSurface(*surface))
+
+
+# Graphs of each kind, whole and cut by depth, including a single node.
+EXPORTED_GRAPHS = [
+    lambda: explore_flips(_surface_state(0, 0, (6,))),
+    lambda: explore_seeds(seed_from_quasi_triangulation(_surface_state(0, 0, (6,)))),
+    lambda: explore_seeds(seed_from_quasi_triangulation(_surface_state(0, 0, (6,))), depth=1),
+    lambda: explore_seeds(seed_from_quasi_triangulation(_surface_state(0, 0, (6,))), depth=0),
+    lambda: explore_flips(_surface_state(0, 1, (3,))),
+    lambda: explore_seeds(seed_from_quasi_triangulation(_surface_state(0, 1, (2,)))),
+    lambda: explore_flips(_surface_state(0, 0, (2, 2)), 2),
+]
+EXPORTED_IDS = ["hexagon-flips", "hexagon-seeds", "hexagon-seeds-depth1",
+                "hexagon-seeds-depth0", "m3-flips", "m2-seeds", "annulus22-flips-depth2"]
+
+
 class TestExport:
     def test_single_node_dot(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=0)
@@ -612,6 +630,31 @@ class TestExport:
         assert len(back["nodes"]) == g.node_count
         assert {(u, v): d for u, v, d in back["edges"]} == g.edges
         assert back["kind"] == g.kind and back["truncated"] == g.truncated
+
+    @pytest.mark.parametrize("graph", EXPORTED_GRAPHS, ids=EXPORTED_IDS)
+    def test_json_holds_the_graph_in_one_shape(self, graph):
+        """Nodes are numbered 0..n-1 in order, each edge joins two of them once,
+        smaller end first, and no label holds a quote DOT would end on."""
+        g = graph()
+        data = json.loads(export(g, "json"))
+        assert sorted(data) == ["edges", "kind", "nodes", "schema", "truncated"]
+        assert (data["schema"], data["kind"], data["truncated"]) == (1, g.kind, g.truncated)
+        assert data["nodes"] == [{"id": i, "label": lbl} for i, lbl in enumerate(g.labels)]
+        pairs = [(u, v) for u, v, _ in data["edges"]]
+        assert all(0 <= u < v < g.node_count for u, v in pairs)
+        assert pairs == sorted(set(pairs)) and {(u, v): d for u, v, d in data["edges"]} == g.edges
+        labels = g.labels + [e for _, _, e in data["edges"]]
+        assert all(isinstance(lbl, str) and '"' not in lbl for lbl in labels)
+
+    @pytest.mark.parametrize("graph", EXPORTED_GRAPHS, ids=EXPORTED_IDS)
+    def test_dot_has_a_line_per_node_and_edge(self, graph):
+        g = graph()
+        lines = export(g, "dot").splitlines()
+        assert lines[0] == f"graph {g.kind} {{" and lines[-1] == "}"
+        assert [l for l in lines if "[label=" in l and " -- " not in l] == [
+            f'  n{i} [label="{lbl}"];' for i, lbl in enumerate(g.labels)]
+        assert sum(1 for l in lines if " -- " in l) == g.edge_count
+        assert ("  // truncated by the node cap" in lines) == g.capped
 
     def test_unknown_format(self, hexagon_seed):
         g = explore_seeds(hexagon_seed, depth=0)

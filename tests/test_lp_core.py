@@ -726,3 +726,20 @@ class TestJson:
         assert [p.terms for p in back.polys] == [p.terms for p in orig.polys]
         assert back.ctx.frozen == orig.ctx.frozen
         assert [v.terms for v in back.values] == [v.terms for v in orig.values]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: [d], "seed JSON must be an object"),
+        (lambda d: {**d, "schema": 2}, 'seed JSON needs "schema": 1'),
+        (lambda d: {**d, "schema": True}, 'seed JSON needs "schema": 1'),
+        (lambda d: {**d, "schema": "1"}, 'seed JSON needs "schema": 1'),
+        (lambda d: {k: v for k, v in d.items() if k != "polys"}, "seed JSON needs field 'polys'"),
+        (lambda d: {**d, "cluster": [1, 2, 3]},
+         "seed field 'cluster' must be a JSON list of strings"),
+        (lambda d: {**d, "polys": "b + 1"}, "seed field 'polys' must be a JSON list of strings"),
+        (lambda d: {**d, "frozen": [["t"]]}, "seed field 'frozen' must be a JSON list of strings"),
+    ], ids=["list", "schema-2", "schema-true", "schema-string", "no-polys", "cluster-ints",
+            "polys-string", "frozen-nested"])
+    def test_rejects_malformed(self, mutation_example_seed, edit, message):
+        """Each field check of the loader ``--seed`` reads through gives one line."""
+        with pytest.raises(PolyError, match=f"^{message}$"):
+            seed_from_json(edit(seed_to_json(mutation_example_seed)))

@@ -85,6 +85,12 @@ def _with_first_side_sign(t, sign):
     return QuasiTriangulation(t.surface, regions, t.boundary, t.next_id)
 
 
+def mob1_state():
+    """The state of (0,1,(1,)) after its one flip: a single MOB1 region."""
+    t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
+    return flip(t, t.quasi_arcs[0])
+
+
 def m4_digon_state():
     """M_4 triangulation with the cross-cap inside an arc digon.
 
@@ -189,6 +195,27 @@ class TestSurfaceValidity:
         s = MarkedSurface(1, 2, (2, 3), boundary_variables=False)
         assert surface_from_json(surface_to_json(s)) == s
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: [d], "surface JSON must be an object"),
+        (lambda d: {k: v for k, v in d.items() if k != "schema"},
+         'surface JSON needs "schema": 1'),
+        (lambda d: {**d, "schema": None}, 'surface JSON needs "schema": 1'),
+        (lambda d: {**d, "schema": True}, 'surface JSON needs "schema": 1'),
+        (lambda d: {**d, "genus": 1.0}, "surface field 'genus' must be a JSON integer"),
+        (lambda d: {**d, "boundary": [[3]]},
+         "surface field 'boundary' must be a JSON list of integers"),
+        (lambda d: {**d, "boundary": [True, 3]},
+         "surface field 'boundary' must be a JSON list of integers"),
+        (lambda d: {**d, "boundary_variables": 1},
+         "surface field 'boundary_variables' must be a JSON boolean"),
+        (lambda d: {**d, "punctures": "1"}, "surface field 'punctures' must be a JSON integer"),
+    ], ids=["list", "no-schema", "schema-null", "schema-true", "genus-float", "boundary-nested",
+            "boundary-bool", "boundary-variables-int", "punctures-string"])
+    def test_json_rejects_malformed(self, mobius3, edit, message):
+        """Each field check of the loader ``--surface`` reads through gives one line."""
+        with pytest.raises(SurfaceError, match=f"^{message}$"):
+            surface_from_json(edit(surface_to_json(mobius3)))
+
 
 class TestInitialTriangulation:
     @pytest.mark.parametrize("surface", SURFACE_GRID, ids=str)
@@ -216,7 +243,13 @@ class TestInitialTriangulation:
 
     @pytest.mark.parametrize("state", [
         lambda: initial_quasi_triangulation(MarkedSurface(0, 1, (3,))), pocket_state_02,
-    ], ids=["m3", "pocket"])
+        lambda: initial_quasi_triangulation(MarkedSurface(0, 0, (6,))),
+        lambda: initial_quasi_triangulation(MarkedSurface(0, 0, (2, 2), False)),
+        lambda: initial_quasi_triangulation(MarkedSurface(1, 0, (2,))),
+        m2_and_torus, m4_digon_state,
+        mob1_state,
+    ], ids=["m3", "pocket", "hexagon", "annulus-unlabelled", "torus", "m2-and-torus",
+            "m4-digon", "mob1"])
     def test_triangulation_json_holds_the_state(self, state):
         """The export ``seed-from-surface --triangulation-out`` writes gives back the state."""
         t = state()
@@ -281,8 +314,7 @@ class TestInitialTriangulation:
             assert any(not t.is_pure_triangulation() for t in states)
 
     def test_mob1_state_passes_the_state_and_topology_checks(self):
-        t = initial_quasi_triangulation(MarkedSurface(0, 1, (1,)))
-        t2 = flip(t, t.quasi_arcs[0])
+        t2 = mob1_state()
         assert [r[0] for r in t2.regions] == [MOB1]
         check_state(t2)
         verify_topology(t2)
