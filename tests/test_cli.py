@@ -211,6 +211,10 @@ class TestSurfaceCommands:
         ((0, 0, (1, 1)), 3, "true, nodes=7, edges=6"),
         ((1, 0, (1,)), 2, "true, nodes=17, edges=16"),
         ((0, 2, (2,)), 3, "false, nodes=45, edges=63"),
+        # Weaker than it looks: 10 of these 184 nodes carry a seed other than
+        # their state's (ROADMAP, "Measured at this re-anchor"), yet every
+        # check passes.
+        ((1, 0, (2,)), 4, "true, nodes=184, edges=253"),
     ], ids=str)
     def test_compare_graphs_without_boundary_variables(self, runner, surface, depth, verdict):
         """The measured scope of the check with every boundary segment weighted 1.
