@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from typing import Callable, Iterable, Optional, Sequence
 
 from .lp_core import LaurentViolation, LPSeed, _exchange_token, _PartMemo, mutate, seed_key
@@ -43,9 +44,9 @@ def _node_cap() -> int:
 class ExchangeGraph(Record, frozen=False):
     """Graph of canonical nodes joined by single moves.
 
-    ``payloads`` holds each node's seed or state, or its lockstep tuple (see
-    :func:`explore_seeds`).  The BFS releases the cached derived structure of
-    every node it expanded, so such a payload rebuilds it on its next use.
+    ``payloads`` holds each node's seed, state or :class:`_Node`.  The BFS
+    releases the cached derived structure of every node it expanded, so such
+    a payload rebuilds it on its next use.
     ``mismatch`` names the first failed lockstep check.  ``capped`` says
     that the node cap, not a depth bound, cut the graph short.  ``repr``
     leaves out the last three fields.
@@ -89,7 +90,7 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
     a stored node calls ``revisit(payload, direction, stored, reached)``.
 
     A node's label is taken when it is expanded, and then the cached derived
-    structure of its payload, or of each part of a tuple, is released
+    structure of its payload, or of each part of a :class:`_Node`, is released
     (:func:`lpsurf.poly.release_cached`): only nodes not yet expanded keep
     theirs, and a later read rebuilds it.  An edge's label string is built
     once, when the edge is new.
@@ -130,7 +131,7 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
                 if back is not None:
                     skip.setdefault(v, {})[back] = node
             labels[u] = label(node)
-            for part in node if type(node) is tuple else (node,):
+            for part in node if type(node) is _Node else (node,):
                 release_cached(part)
         frontier = next_frontier
     labels = [label(p) if lbl is None else lbl for p, lbl in zip(payloads, labels)]
@@ -139,6 +140,17 @@ def _bfs(start_key, start_payload, neighbors: Callable, label: Callable, kind: s
 
 def _names(s: LPSeed) -> str:
     return ",".join(s.names)
+
+
+# A lockstep node; compare-graphs reads only an expanded node's code.
+_Node = namedtuple("_Node", "seed state arcs code")
+
+
+def _step(node: _Node, i: int, memo: _PartMemo) -> _Node:
+    """The lockstep move: mutate slot i, flip ``arcs[i]``, give slot i the new arc, code it."""
+    state = flip(node.state, node.arcs[i])
+    arcs = node.arcs[:i] + (node.state.next_id,) + node.arcs[i + 1:]
+    return _Node(mutate(node.seed, i, memo=memo), state, arcs, canonical_code(state))
 
 
 def explore_seeds(seed: LPSeed, depth: Optional[int] = None,
@@ -157,12 +169,11 @@ def explore_seeds(seed: LPSeed, depth: Optional[int] = None,
     exchange relation is local, so they share its parts: on the 8-gon, 330
     mutations compute 70 distinct new values.
 
-    With ``state``, ``seed``'s quasi-triangulation, a node is (seed, state,
-    arcs, code) and each slot's arc ``arcs[i]`` is flipped, the new arc taking
-    slot i.  The flip's :func:`canonical_code` must be the one stored for the
-    seed the mutation reaches (forward check), or, on a slot a back token
-    skips, the sender's (back check).  A complete graph's codes must also be
-    distinct; then they are closed under flips, so node to code is an
+    With ``state``, ``seed``'s quasi-triangulation, each mutation is a
+    :func:`_step`, whose code must be the one stored for the seed it reaches
+    (forward check); a slot a back token skips is flipped alone, and its code
+    must be the sender's (back check).  A complete graph's codes must also
+    be distinct; then they are closed under flips, so node to code is an
     isomorphism onto the flip graph.  ``mismatch`` is the first failure.
     """
     memo = _PartMemo()
@@ -179,26 +190,23 @@ def explore_seeds(seed: LPSeed, depth: Optional[int] = None,
     failures = []
 
     def lockstep(node, done):
-        s, t, arcs, _ = node
-        for i in range(s.n):
-            t2 = flip(t, arcs[i])
-            sender = done.get(_exchange_token(s, i)) if done else None
+        for i in range(node.seed.n):
+            sender = done.get(_exchange_token(node.seed, i)) if done else None
             if sender is None:
-                s2 = mutate(s, i, memo=memo)
-                arcs2 = arcs[:i] + (t.next_id,) + arcs[i + 1:]
-                yield i, seed_key(s2), (s2, t2, arcs2, canonical_code(t2)), _exchange_token(s2, i)
-            elif canonical_code(t2) != sender[3]:
-                failures.append(f"node {_names(s)} slot {i}: back check failed")
+                child = _step(node, i, memo)
+                yield i, seed_key(child.seed), child, _exchange_token(child.seed, i)
+            elif canonical_code(flip(node.state, node.arcs[i])) != sender.code:
+                failures.append(f"node {_names(node.seed)} slot {i}: back check failed")
 
-    def revisit(node, i, stored, reached) -> None:
-        if stored[3] != reached[3]:
-            failures.append(f"node {_names(node[0])} slot {i}: forward check failed")
+    def forward_check(node, i, stored, reached) -> None:
+        if stored.code != reached.code:
+            failures.append(f"node {_names(node.seed)} slot {i}: forward check failed")
 
-    g = _bfs(seed_key(seed), (seed, state, state.quasi_arcs, canonical_code(state)), lockstep,
-             lambda node: _names(node[0]), "seeds", depth, revisit)
+    g = _bfs(seed_key(seed), _Node(seed, state, state.quasi_arcs, canonical_code(state)),
+             lockstep, lambda node: _names(node.seed), "seeds", depth, forward_check)
     first: dict = {}
     for v, node in enumerate([] if g.truncated else g.payloads):
-        u = first.setdefault(node[3], v)
+        u = first.setdefault(node.code, v)
         if u != v:
             failures.append(f"nodes {g.labels[u]} and {g.labels[v]}: distinct-code check failed")
     g.mismatch = failures[0] if failures else None
