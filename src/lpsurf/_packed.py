@@ -19,14 +19,16 @@ exponents in index order: graded lex order, the order of ``terms``.
 A key is linear in ``e``: ``key(e) = sum(e[i] * w[i]) - sum(lo[i] * w[i])``
 with ``w[i] = 2**shift[i] + 2**top``.  So the product of two monomials packed
 under biases ``lo1`` and ``lo2`` is the sum of their keys, which is the key
-of the product under the bias ``lo1 + lo2``.  The fields are sized from the
-operands' exponent bounds, so no sum carries, and exponents need no limit.
+of the product under the bias ``lo1 + lo2``, and a quotient is the
+difference of keys, under the bias ``lo1 - lo2``.  The fields are sized from
+the operands' exponent bounds, so no sum carries, and exponents need no
+limit.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, gt, mul
+from operator import add, gt, mul, sub
 from typing import Optional
 
 
@@ -88,28 +90,29 @@ def product(p, q):
     return _unpack(keys, [acc[k] for k in keys], shifts, ranges, list(map(add, lo_p, lo_q)))
 
 
-def quotient(p, q) -> Optional[tuple]:
-    """The terms of ``p / q`` for ordinary ``p`` and ``q``; None unless ``q`` divides ``p``.
+def quotient(p, q, lo_p, lo_q) -> Optional[tuple]:
+    """The terms of ``p / q`` with exponents at least ``lo_p - lo_q``; None unless exact.
 
-    The greedy heap division of ``poly._divide_ordinary``, on keys with bias
-    0 and fields sized by ``p``'s degree in each variable (a ``q`` of higher
-    degree in some variable does not divide ``p``).  One mask decides each
-    quotient term ``d = le - qe``: if ``qe`` does not divide ``le``, the
-    lowest field where it fails borrows and sets that field's guard bit.
-    Otherwise a guard bit of ``d`` is set only where ``d`` exceeds ``p``'s
-    degree, and no term of an exact quotient does, since degrees add.
+    The greedy heap division of ``poly._divide_ordinary``.  ``p`` is packed
+    under the bias ``lo_p`` and ``q`` under ``lo_q``, in fields sized by
+    ``p``'s range ``hi_p - lo_p`` in each variable (a ``q`` with a wider
+    range in some variable does not divide ``p``), so ``le - qe`` is the key
+    of the quotient term ``d`` under the bias ``lo_p - lo_q``.  One mask
+    decides each ``d``: if it is below ``lo_p - lo_q`` in some variable, the
+    lowest such field borrows and sets its guard bit.  Otherwise a guard bit
+    is set only where ``d - (lo_p - lo_q)`` exceeds ``p``'s range, and no
+    term of an exact quotient does, since ranges add.
     Either way the division is not exact.  A term that passes has every
     field below the guard bit, so a product ``d + e2`` stays below twice
     that and carries into no other field.
     """
-    hi_p, hi_q = _bounds(p)[1], _bounds(q)[1]
-    if any(map(gt, hi_q, hi_p)):
+    ranges = list(map(sub, _bounds(p)[1], lo_p))
+    if any(map(gt, map(sub, _bounds(q)[1], lo_q), ranges)):
         return None
-    weights, shifts = _layout(hi_p)
-    guard = sum(1 << (s + r.bit_length()) for s, r in zip(shifts, hi_p))
-    zero = [0] * len(hi_p)
-    rem = dict(_pack(p, weights, zero))
-    (qe, qc), *qrest = _pack(q, weights, zero)
+    weights, shifts = _layout(ranges)
+    guard = sum(1 << (s + r.bit_length()) for s, r in zip(shifts, ranges))
+    rem = dict(_pack(p, weights, lo_p))
+    (qe, qc), *qrest = _pack(q, weights, lo_q)
     heap = [-k for k in rem]
     heapify(heap)
     keys, coeffs = [], []
@@ -131,4 +134,4 @@ def quotient(p, q) -> Optional[tuple]:
                 v = 0
                 heappush(heap, -e)
             rem[e] = v - c * c2
-    return _unpack(keys, coeffs, shifts, hi_p, zero)
+    return _unpack(keys, coeffs, shifts, ranges, list(map(sub, lo_p, lo_q)))

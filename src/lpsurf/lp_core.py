@@ -94,10 +94,8 @@ class LPSeed(Record):
         d["polys"] = polys
         d["names"] = names
         d["values"] = values
-
-    @property
-    def n(self) -> int:
-        return len(self.ctx.cluster)
+        # derived once; not a field, so equality, hashing and repr ignore it
+        d["n"] = len(ctx.cluster)
 
     @staticmethod
     def initial(

@@ -544,6 +544,11 @@ class Polynomial(Record):
         return f"Polynomial({self.to_string()!r})"
 
 
+def _least(terms: Terms) -> Exponents:
+    """Each variable's least exponent over the (nonempty) terms."""
+    return terms[0][0] if len(terms) == 1 else tuple(map(min, zip(*(e for e, _ in terms))))
+
+
 def _strip_raw(p: Polynomial, indices: Iterable[int]) -> tuple[Polynomial, Exponents]:
     """Shift the chosen variables to valuation zero; returns (shifted, shift).
 
@@ -551,8 +556,7 @@ def _strip_raw(p: Polynomial, indices: Iterable[int]) -> tuple[Polynomial, Expon
     """
     if p.is_zero:
         raise PolyError("cannot strip the zero polynomial")
-    terms = p.terms
-    low = terms[0][0] if len(terms) == 1 else tuple(map(min, zip(*(e for e, _ in terms))))
+    low = _least(p.terms)
     shift = [0] * len(low)
     for i in indices:
         shift[i] = -low[i]
@@ -579,8 +583,10 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
     """Exact division in the Laurent polynomial ring; None when not divisible.
 
     ``q * result == p`` holds exactly when a result is returned.  Monomials
-    are units of the Laurent ring, so divisibility is decided on the
-    monomial-stripped ordinary parts.
+    are units of the Laurent ring, so divisibility is decided on the ordinary
+    parts ``p / x^lo_p`` and ``q / x^lo_q``, with each variable's least
+    exponent in ``lo``: ``_divide_ordinary`` divides the operands' own terms
+    under those bounds, with no shifted copy of either.
     """
     if q.is_zero:
         raise PolyError("division by the zero polynomial")
@@ -595,18 +601,19 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
             return None
         sub = operator.sub
         return Polynomial(p.ctx, tuple((tuple(map(sub, e, qe)), c // qc) for e, c in p.terms))
-    everything = range(p.ctx.nvars)
-    ps, pshift = _strip_raw(p, everything)
-    qs, qshift = _strip_raw(q, everything)
-    r = _divide_ordinary(ps, qs)
-    if r is None:
-        return None
-    back = tuple(map(operator.sub, qshift, pshift))
-    return r.times_monomial(back)
+    return _divide_ordinary(p, q, _least(p.terms), _least(q.terms))
 
 
-def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
-    """Leading-term division of ordinary polynomials over Z; None unless q divides p.
+def _divide_ordinary(p: Polynomial, q: Polynomial, lo_p: Optional[Exponents] = None,
+                     lo_q: Optional[Exponents] = None) -> Optional[Polynomial]:
+    """Leading-term division over Z with bounded quotient exponents; None unless q divides p.
+
+    A quotient term ``d = le - qe`` is admitted only when ``d >= lo_p - lo_q``
+    in every variable (without bounds both are 0: ordinary division).  With
+    each operand's least exponents this is the division of ``p / x^lo_p`` by
+    ``q / x^lo_q`` times ``x^(lo_p - lo_q)``, since grlex is shift invariant
+    and ``(le - lo_p) - (qe - lo_q) + (lo_p - lo_q) = le - qe``: the same
+    terms, in the same order, and the same None verdicts.
 
     The remainder's terms wait in a heap keyed by descending grlex order
     (Monagan-Pearce, "Sparse polynomial division using a heap", J. Symb.
@@ -619,17 +626,20 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
 
     When ``len(p) * (len(q) - 1)`` is at least ``PACKED_PAIRS``, the same
     division runs on packed exponent vectors (``lpsurf._packed.quotient``):
-    ints ordered as grlex, with a field per variable sized by ``p``'s
-    degree plus one guard bit, so that one subtraction and one mask test
-    whether ``q``'s leading monomial divides the remainder's (a field where
-    it does not borrows into its guard bit).
+    ints ordered as grlex, ``p`` and ``q`` each biased by its bound, with a
+    field per variable sized by ``p``'s exponent range plus one guard bit,
+    so that one subtraction and one mask test whether a quotient term
+    keeps its bounds (a field where it does not borrows into its guard bit).
     """
+    if lo_p is None:
+        lo_p = lo_q = (0,) * p.ctx.nvars
     if len(p.terms) * (len(q.terms) - 1) >= PACKED_PAIRS:
         from . import _packed
 
-        terms = _packed.quotient(p.terms, q.terms)
+        terms = _packed.quotient(p.terms, q.terms, lo_p, lo_q)
         return None if terms is None else Polynomial(p.ctx, terms)
-    add, neg, sub = operator.add, operator.neg, operator.sub
+    add, lt, neg, sub = operator.add, operator.lt, operator.neg, operator.sub
+    floor = tuple(map(sub, lo_p, lo_q))
     rem = dict(p.terms)
     heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
     heapify(heap)
@@ -642,7 +652,7 @@ def _divide_ordinary(p: Polynomial, q: Polynomial) -> Optional[Polynomial]:
         if not lc:
             continue  # cancelled
         diff = tuple(map(sub, le, qe))
-        if min(diff, default=0) < 0 or lc % qc != 0:
+        if any(map(lt, diff, floor)) or lc % qc != 0:
             return None
         c = lc // qc
         out.append((diff, c))

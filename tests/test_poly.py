@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lpsurf import _packed, poly
 from lpsurf.build import initial_quasi_triangulation, triangulation_to_json
 from lpsurf.cli import main
-from lpsurf.lp_core import seed_to_json
+from lpsurf.lp_core import _divide_out_common, seed_to_json
 from lpsurf.poly import (
     ContextMismatch,
     PolyError,
@@ -569,6 +569,34 @@ def test_packed_division_fails_on_a_negative_exponent(q1, r1, v):
     else:
         assert got is None
     _check_quotient(both_paths(divide_exact, n, q), n, q)
+
+
+@pytest.mark.parametrize("p, q", [
+    ("(1 + y)*x^-2", "(1 + x*y)*y^-1"),
+    ("(1 + x)*y^-2", "(1 + x*y)*x^-1"),
+    ("(x^2 + y*t^-1)*(1 + t) + y*t^-2", "(1 + t)*t^-1"),
+    ("(y + x*t)*(t^2 + y) + x^-1*t^2", "y + x*t"),
+    ("(1 + y)*(x^2*y + x) + x^-1*y^2", "1 + y"),
+], ids=["x-first-term", "y-first-term", "t-third-term", "x-third-term", "y-fifth-term"])
+def test_division_fails_below_the_bound_in_one_variable(p, q, time_limit):
+    """A quotient term below ``lo_p - lo_q`` in one variable only (named in the id, with
+    the term's place) ends the division with None, on both paths.
+
+    Every earlier quotient term keeps the bound, and each coefficient divides,
+    so only the bound stops the division; without a bound in that variable it
+    would go on below it without end.
+    """
+    p, q = P(p, _ctx), P(q, _ctx)
+    assert both_paths(divide_exact, p, q) is None
+    assert laurent_quotient(p, q) is None
+
+
+def test_divide_out_common_leaves_the_cofactor(time_limit):
+    """``f^3 * g`` loses each factor ``f``, by three Laurent divisions that succeed
+    and a fourth that fails, and ends as ``g``."""
+    f = P("1 + x*y", _ctx)
+    g = P("(3 + y^2)*x^-2 + x*t^-1", _ctx)
+    assert both_paths(_divide_out_common, f.pow(3).mul(g), f) == g
 
 
 @settings(max_examples=8, deadline=None)

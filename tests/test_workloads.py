@@ -27,9 +27,13 @@ def inputs(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_workload_outputs_pass_the_benchmark_check(workload, inputs, monkeypatch):
-    """``verify-laurent`` is checked against the ``mutate`` calls it makes, counted here."""
+@pytest.fixture
+def run(monkeypatch):
+    """Runs a workload command through ``lpsurf.cli.main``, counting the ``mutate`` calls it makes.
+
+    The result has the keys ``workloads.check`` reads: exit code, stdout and
+    the number of mutations.
+    """
     mutations = 0
 
     def counted(*args, **kwargs):
@@ -43,10 +47,38 @@ def test_workload_outputs_pass_the_benchmark_check(workload, inputs, monkeypatch
             for attr, value in list(vars(module).items()):
                 if value is mutate:
                     monkeypatch.setattr(module, attr, counted)
-    for cmd in workloads.commands(workload, inputs, seed=1):
+
+    def run_command(cmd):
         before = mutations
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = lpsurf.cli.main(list(cmd.args))
-        result = {"exit": code, "stdout": out.getvalue(), "mutations": mutations - before}
+        return {"exit": code, "stdout": out.getvalue(), "mutations": mutations - before}
+
+    return run_command
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_outputs_pass_the_benchmark_check(workload, inputs, run):
+    """``verify-laurent`` is checked against the ``mutate`` calls it makes, counted here."""
+    for cmd in workloads.commands(workload, inputs, seed=1):
+        result = run(cmd)
         assert workloads.check(cmd, result) is None, (cmd.name, workloads.check(cmd, result))
+
+
+def test_seeded_laurent_chains_pass_the_benchmark_check(inputs, run, time_limit):
+    """The seeded ``laurent_chains`` commands of workload seeds 0-63 end in time and pass.
+
+    Each benchmark pair draws a workload seed, and the seeded commands'
+    chains differ from seed to seed.  A command that raises is reported as a
+    wrong result, but one that hangs or kills the process fails the whole
+    run.  A division with no lower bound on its quotient terms hangs: on a
+    non-divisible input it descends forever.
+    """
+    seeded = str(workloads.LAURENT_SEEDED_SEQUENCES)
+    for seed in range(64):
+        for cmd in workloads.commands("laurent_chains", inputs, seed):
+            if cmd.args[cmd.args.index("--sequences") + 1] == seeded:
+                result = run(cmd)
+                assert workloads.check(cmd, result) is None, (seed, cmd.name,
+                                                             workloads.check(cmd, result))
